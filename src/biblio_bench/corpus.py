@@ -9,6 +9,7 @@ Author records restrict a researcher's papers and citations to the first
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -40,18 +41,18 @@ class Paper:
                 f"paper {self.paper_id}: author_count {self.author_count} does not "
                 f"match {len(self.author_ids)} author ids"
             )
-        for year in self.citing_years:
-            if year < self.pub_year:
-                raise ValueError(
-                    f"paper {self.paper_id}: citing year {year} precedes "
-                    f"publication year {self.pub_year}"
-                )
-        # Canonical event order, so equal multisets compare equal.
-        object.__setattr__(self, "citing_years", tuple(sorted(self.citing_years)))
+        # Canonical event order: equal multisets compare equal, and bisect works.
+        years = tuple(sorted(self.citing_years))
+        if years and years[0] < self.pub_year:
+            raise ValueError(
+                f"paper {self.paper_id}: citing year {years[0]} precedes "
+                f"publication year {self.pub_year}"
+            )
+        object.__setattr__(self, "citing_years", years)
 
     def citations_through(self, last_year: int) -> int:
         """Number of citation events with citing year <= last_year."""
-        return sum(1 for y in self.citing_years if y <= last_year)
+        return bisect_right(self.citing_years, last_year)
 
 
 @dataclass(frozen=True)
@@ -153,62 +154,49 @@ def _iter_lines(source: _LineSource) -> Iterator[str]:
             yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
-def _parse_line(text: str, lineno: int) -> Paper:
-    def fail(message: str) -> CorpusFormatError:
-        return CorpusFormatError(f"line {lineno}: {message}")
-
+def _parse_line(text: str) -> Paper:
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise fail(f"invalid JSON ({exc.msg})") from exc
+        raise ValueError(f"invalid JSON ({exc.msg})") from exc
     if not isinstance(record, dict):
-        raise fail("record is not an object")
+        raise ValueError("record is not an object")
 
     for key in ("paper_id", "pub_year"):
         if key not in record:
-            raise fail(f"missing field {key!r}")
+            raise ValueError(f"missing field {key!r}")
     paper_id = record["paper_id"]
     if not isinstance(paper_id, str) or not paper_id:
-        raise fail("paper_id must be a non-empty string")
+        raise ValueError("paper_id must be a non-empty string")
     pub_year = record["pub_year"]
-    if not isinstance(pub_year, int):
-        raise fail("pub_year must be an integer")
+    # Types only; Paper checks values. `type(v) is int` rejects JSON booleans.
+    if type(pub_year) is not int:
+        raise ValueError("pub_year must be an integer")
 
     author_ids = record.get("author_ids")
     author_count = record.get("author_count")
     if author_ids is None and author_count is None:
-        raise fail("one of author_ids or author_count is required")
+        raise ValueError("one of author_ids or author_count is required")
+    if author_count is not None and type(author_count) is not int:
+        raise ValueError("author_count must be an integer >= 1")
     if author_ids is not None:
         if not isinstance(author_ids, list) or not all(
             isinstance(a, str) and a for a in author_ids
         ):
-            raise fail("author_ids must be a list of non-empty strings")
-        if author_count is not None and author_count != len(author_ids):
-            raise fail(
-                f"author_count {author_count} does not match "
-                f"{len(author_ids)} author ids"
-            )
-        author_count = len(author_ids)
-    if not isinstance(author_count, int) or author_count < 1:
-        raise fail("author_count must be an integer >= 1")
+            raise ValueError("author_ids must be a list of non-empty strings")
+        author_ids = tuple(author_ids)
+        if author_count is None:
+            author_count = len(author_ids)
 
     citing_years = record.get("citing_years", [])
-    if not isinstance(citing_years, list) or not all(
-        isinstance(y, int) for y in citing_years
-    ):
-        raise fail("citing_years must be a list of integers")
-    for year in citing_years:
-        if year < pub_year:
-            raise fail(
-                f"citing year {year} precedes publication year {pub_year}"
-            )
-
+    if type(citing_years) is not list or not set(map(type, citing_years)) <= {int}:
+        raise ValueError("citing_years must be a list of integers")
     return Paper(
         paper_id=paper_id,
         pub_year=pub_year,
         author_count=author_count,
-        citing_years=tuple(citing_years),
-        author_ids=tuple(author_ids) if author_ids is not None else None,
+        citing_years=citing_years,
+        author_ids=author_ids,
     )
 
 
@@ -224,12 +212,10 @@ def ingest_corpus(source: _LineSource) -> Corpus:
         line = raw.strip()
         if not line:
             continue
-        paper = _parse_line(line, lineno)
-        if paper.paper_id in corpus.papers:
-            raise CorpusFormatError(
-                f"line {lineno}: duplicate paper_id {paper.paper_id!r}"
-            )
-        corpus._add(paper)
+        try:
+            corpus._add(_parse_line(line))
+        except ValueError as exc:
+            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
     return corpus
 
 

@@ -15,11 +15,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .corpus import Corpus
+
+# numpy is imported where used, so `--version` and `indicators` never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InsufficientDataError(ValueError):
@@ -120,16 +122,12 @@ def collect_window_points(
     w-1 years later. Papers with more than max_authors authors are skipped
     when the cap is given.
     """
-    points = []
-    for paper in corpus.papers.values():
-        if max_authors is not None and paper.author_count > max_authors:
-            continue
-        counts = tuple(
-            paper.citations_through(paper.pub_year + w - 1)
-            for w in range(1, window_count + 1)
-        )
-        points.append((paper.pub_year, counts))
-    return points
+    offsets = range(window_count)
+    return [
+        (p.pub_year, tuple(p.citations_through(p.pub_year + k) for k in offsets))
+        for p in corpus.papers.values()
+        if max_authors is None or p.author_count <= max_authors
+    ]
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -154,6 +152,8 @@ def fit_expectation_model(
     ``min_papers_per_year`` papers are left out of the fit; at least two
     distinct years must remain.
     """
+    import numpy as np
+
     points = [(year, tuple(counts)) for year, counts in papers]
     for year, counts in points:
         if len(counts) < window_count:

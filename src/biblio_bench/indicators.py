@@ -297,20 +297,26 @@ def parse_vector_table(
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = source.read()
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise ValueError("vector table has no header row")
-    header = tuple(lines[0].split("\t"))
+    header = tuple(lines[0][1].split("\t"))
     expected = ("author_id",) + INDICATOR_FIELDS
     if header != expected:
-        raise ValueError(f"unexpected vector table header: {lines[0]!r}")
+        raise ValueError(f"unexpected vector table header: {lines[0][1]!r}")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != len(expected):
-            raise ValueError(f"vector row has {len(cells)} columns: {line!r}")
+            raise ValueError(
+                f"line {lineno}: vector row has {len(cells)} columns: {line!r}"
+            )
         values = {}
         for name, cell in zip(INDICATOR_FIELDS, cells[1:]):
-            values[name] = int(cell) if name in _INT_FIELDS else float(cell)
+            value = int(cell) if name in _INT_FIELDS else float(cell)
+            # A comparison, unlike math.isfinite, cannot overflow on a huge int.
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"line {lineno}: {name} is {cell!r}, not finite")
+            values[name] = value
         rows.append((cells[0], IndicatorVector(**values)))
     return rows

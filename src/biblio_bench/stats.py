@@ -14,8 +14,6 @@ from pathlib import Path
 from statistics import median
 from typing import IO, Mapping, Sequence
 
-import numpy as np
-
 from .indicators import INDICATOR_FIELDS, IndicatorVector, format_decimal
 
 ALTERNATIVES = ("a_greater", "b_greater", "two_sided")
@@ -194,6 +192,9 @@ class BoxplotSummary:
 def _boxplot_of(values: Sequence[float], whis: float = 1.5) -> tuple[
     float, float, float, float, float, tuple[float, ...]
 ]:
+    # numpy is imported where used, so `--version` and `indicators` never load it.
+    import numpy as np
+
     data = np.asarray(values, dtype=float)
     q1, med, q3 = (float(q) for q in np.percentile(data, [25.0, 50.0, 75.0]))
     iqr = q3 - q1

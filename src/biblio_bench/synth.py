@@ -12,11 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Mapping
 
 from .corpus import Corpus, Paper
+
+# numpy is imported where used, so `--version` and `indicators` never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 WINDOW_YEARS = 5
 
@@ -209,6 +211,8 @@ def generate_corpus(
     Deterministic for a fixed config: one generator seeded from config.seed
     drives every draw in a fixed order.
     """
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     papers = []
     star_ids = tuple(f"star_{i:04d}" for i in range(1, config.n_stars + 1))

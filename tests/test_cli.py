@@ -1,11 +1,15 @@
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import biblio_bench
 from biblio_bench.cli import main
 from biblio_bench.expectation import ExpectationModel
 from biblio_bench.indicators import indicator_vector, render_vector_table
@@ -330,6 +334,20 @@ def test_compare_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compare_rejects_nan_cell(tmp_path, capsys):
+    full = cohort_table(tmp_path / "full.tsv", 1, 5, 1.0)
+    header, first, *rest = full.read_text().splitlines()
+    cells = first.split("\t")
+    cells[4] = "nan"
+    nan_table = tmp_path / "nan.tsv"
+    nan_table.write_text("\n".join([header, "\t".join(cells), *rest]) + "\n")
+    assert main(["compare", "--stars", str(nan_table), "--control", str(full),
+                 "--out", str(tmp_path / "c.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: norm_citations is 'nan'")
+    assert not (tmp_path / "c.tsv").exists()
+
+
 def test_compare_stdout_mode(tmp_path, capsys):
     stars = cohort_table(tmp_path / "stars.tsv", 1, 8, 2.0)
     control = cohort_table(tmp_path / "control.tsv", 2, 8, 1.0)
@@ -381,3 +399,32 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert "biblio-bench" in capsys.readouterr().out
+
+
+STARTUP_PROBE = """
+import sys
+import biblio_bench.cli as cli
+assert "numpy" not in sys.modules, "import"
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+assert "numpy" not in sys.modules, "--version"
+assert cli.main(["indicators", *sys.argv[1:]]) == 0
+assert "numpy" not in sys.modules, "indicators"
+"""
+
+
+def test_version_and_indicators_do_not_load_numpy():
+    # numpy's import is most of the start-up time; only generate, fit and
+    # compare need it.
+    env = dict(os.environ)
+    src = str(Path(biblio_bench.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *FIXTURE_ARGS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("biblio-bench ")
+    assert "\nauthor_id\t" in result.stdout

@@ -3,9 +3,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biblio_bench.corpus import (
     AuthorRecord,
+    Corpus,
     CorpusFormatError,
     FilterSpec,
     Paper,
@@ -103,12 +106,61 @@ def test_render_paper_line_key_order():
          "pub_year"),
         (line(paper_id="p", pub_year=2000, author_count=1, citing_years="2001"),
          "citing_years"),
+        (line(paper_id="p", pub_year=True, author_count=1, citing_years=[]),
+         "pub_year"),
+        (line(paper_id="p", pub_year=2000, author_count=True, citing_years=[]),
+         "author_count"),
+        (line(paper_id="p", pub_year=2000, author_ids=["a"], author_count=True,
+              citing_years=[]), "author_count"),
+        (line(paper_id="p", pub_year=1, author_count=1, citing_years=[True, 1]),
+         "citing_years"),
+        (line(paper_id="p", pub_year=2000, author_count=1, citing_years=[2001.0]),
+         "citing_years"),
     ],
 )
 def test_parse_errors(bad, fragment):
     with pytest.raises(CorpusFormatError) as err:
         ingest_corpus([bad])
     assert fragment in str(err.value)
+
+
+# A small alphabet: str.splitlines() also splits on U+2028 and U+0085,
+# which json.dumps leaves unescaped.
+IDS = st.text(alphabet="abz09_é", min_size=1, max_size=5)
+
+
+@given(
+    pub_year=st.integers(1950, 2000),
+    offsets=st.lists(st.integers(0, 30), max_size=40),
+    query=st.integers(1940, 2040),
+)
+def test_citations_through_matches_linear_count(pub_year, offsets, query):
+    events = [pub_year + k for k in offsets]
+    paper = Paper(paper_id="p", pub_year=pub_year, author_count=1,
+                  citing_years=tuple(events))
+    assert paper.citations_through(query) == sum(1 for y in events if y <= query)
+
+
+@st.composite
+def corpora(draw):
+    papers = []
+    for paper_id in draw(st.lists(IDS, unique=True, max_size=8)):
+        pub_year = draw(st.integers(1950, 2020))
+        authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4))
+        papers.append(Paper(
+            paper_id=paper_id,
+            pub_year=pub_year,
+            author_count=len(authors) if authors else draw(st.integers(1, 6)),
+            citing_years=tuple(draw(st.lists(st.integers(pub_year, pub_year + 12),
+                                             max_size=20))),
+            author_ids=tuple(authors) if authors else None,
+        ))
+    return Corpus.from_papers(papers)
+
+
+@given(corpora())
+def test_ingest_render_round_trip_property(corpus):
+    assert ingest_corpus(render_corpus(corpus).splitlines()).papers == corpus.papers
 
 
 def test_parse_error_reports_line_number():

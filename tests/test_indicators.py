@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,16 @@ def test_vector_table_header_and_width_checks():
     truncated = good.splitlines()[0] + "\na1\t1\t1.0\n"
     with pytest.raises(ValueError, match="columns"):
         parse_vector_table(io.StringIO(truncated))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_vector_table_rejects_non_finite_cells(cell):
+    text = render_vector_table([
+        ("a1", vector_of([(1, 1)])),
+        ("a2", replace(vector_of([(2, 1)]), norm_citations=0.5)),
+    ]).replace("\t0.5\t", f"\t{cell}\t")
+    with pytest.raises(ValueError, match=rf"line 3: norm_citations is '{cell}'"):
+        parse_vector_table(io.StringIO(text))
 
 
 def test_random_records_match_field_types():
