@@ -26,7 +26,6 @@ from .expectation import (
     WindowFit,
     collect_window_points,
     fit_expectation_model,
-    geometric_mean_baseline,
 )
 from .indicators import (
     INDICATOR_FIELDS,
@@ -73,7 +72,6 @@ __all__ = [
     "filter_cohort",
     "fit_expectation_model",
     "generate_corpus",
-    "geometric_mean_baseline",
     "indicator_vector",
     "ingest_corpus",
     "parse_vector_table",

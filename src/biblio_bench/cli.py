@@ -66,36 +66,32 @@ def _sidecar(out: Path, tag: str) -> Path:
     return out.with_name(stem + tag)
 
 
-def _text_sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _render_manifest(
+def _write_with_manifest(
     command: str,
     parameters: dict,
     inputs: Sequence[Path],
     outputs: dict[Path, str],
     extra: dict | None = None,
-) -> str:
+) -> int:
+    """Write the outputs and their manifest, all or none; return exit status 0."""
     payload = {
         "command": command,
         "tool_version": __version__,
         "parameters": parameters,
         "inputs": [
-            {"path": str(path), "sha256": _file_sha256(path)} for path in inputs
+            {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for path in inputs
         ],
         "outputs": [
-            {"path": str(path), "sha256": _text_sha256(text)}
+            {"path": str(path), "sha256": hashlib.sha256(text.encode()).hexdigest()}
             for path, text in outputs.items()
         ],
     }
     if extra:
         payload.update(extra)
-    return json.dumps(payload, indent=2) + "\n"
+    manifest = _sidecar(next(iter(outputs)), ".manifest.json")
+    _write_outputs({**outputs, manifest: json.dumps(payload, indent=2) + "\n"})
+    return 0
 
 
 def _write_outputs(outputs: dict[Path, str]) -> None:
@@ -139,7 +135,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _sidecar(out, ".stars.txt"): "".join(f"{a}\n" for a in star_ids),
         _sidecar(out, ".controls.txt"): "".join(f"{a}\n" for a in control_ids),
     }
-    manifest = _render_manifest(
+    return _write_with_manifest(
         "generate",
         parameters={"seed_config": str(args.seed_config), "out": str(out)},
         inputs=[Path(args.seed_config)],
@@ -150,9 +146,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "control_author_ids": list(control_ids),
         },
     )
-    outputs[_sidecar(out, ".manifest.json")] = manifest
-    _write_outputs(outputs)
-    return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -181,7 +174,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     outputs = {out: model.to_json()}
-    manifest = _render_manifest(
+    return _write_with_manifest(
         "fit",
         parameters={
             "corpus": str(corpus_path),
@@ -194,9 +187,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         inputs=[corpus_path],
         outputs=outputs,
     )
-    outputs[_sidecar(out, ".manifest.json")] = manifest
-    _write_outputs(outputs)
-    return 0
 
 
 def _read_author_list(path: Path) -> list[str]:
@@ -258,7 +248,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     outputs = {out: render_vector_table(rows, precision=args.precision)}
-    manifest = _render_manifest(
+    return _write_with_manifest(
         "indicators",
         parameters={
             "corpus": str(corpus_path),
@@ -276,9 +266,6 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         + ([Path(args.authors)] if args.authors else []),
         outputs=outputs,
     )
-    outputs[_sidecar(out, ".manifest.json")] = manifest
-    _write_outputs(outputs)
-    return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -311,7 +298,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             summaries, precision=args.precision
         ),
     }
-    manifest = _render_manifest(
+    return _write_with_manifest(
         "compare",
         parameters={
             "stars": str(stars_path),
@@ -322,9 +309,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         inputs=[stars_path, control_path],
         outputs=outputs,
     )
-    outputs[_sidecar(out, ".manifest.json")] = manifest
-    _write_outputs(outputs)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -154,11 +154,19 @@ def _iter_lines(source: _LineSource) -> Iterator[str]:
             yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
+# Built once: json.loads re-scans whitespace a stripped line does not have,
+# and json.dumps builds a new encoder for every call with ensure_ascii=False.
+_decode = json.JSONDecoder().raw_decode
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _parse_line(text: str) -> Paper:
     try:
-        record = json.loads(text)
+        record, end = _decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON ({exc.msg})") from exc
+    if end != len(text):
+        raise ValueError("invalid JSON (Extra data)")
     if not isinstance(record, dict):
         raise ValueError("record is not an object")
 
@@ -230,7 +238,7 @@ def render_paper_line(paper: Paper) -> str:
     else:
         record["author_count"] = paper.author_count
     record["citing_years"] = list(paper.citing_years)
-    return json.dumps(record, ensure_ascii=False)
+    return _encode(record)
 
 
 def render_corpus(corpus: Corpus) -> str:

@@ -40,6 +40,16 @@ class WindowFit:
         return self.slope * pub_year + self.intercept
 
 
+def _finite(value: object) -> bool:
+    """A finite int or float; JSON booleans, NaN and infinities are not."""
+    # A comparison, unlike math.isfinite, cannot overflow on a huge int.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -math.inf < value < math.inf
+    )
+
+
 @dataclass(frozen=True)
 class ExpectationModel:
     """Per-window linear fits giving expected citations by publication year.
@@ -53,11 +63,18 @@ class ExpectationModel:
     floor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.floor <= 0:
-            raise ValueError("floor must be positive")
+        # The one check for fitted and loaded models alike.
+        if not (_finite(self.floor) and self.floor > 0):
+            raise ValueError("floor must be a positive finite number")
         windows = sorted(self.window_fits)
         if not windows or windows != list(range(1, len(windows) + 1)):
             raise ValueError("window_fits must cover every w in 1..W")
+        for w in windows:
+            fit = self.window_fits[w]
+            if not (_finite(fit.slope) and _finite(fit.intercept)):
+                raise ValueError(
+                    f"window {w}: slope and intercept must be finite numbers"
+                )
 
     @property
     def window_count(self) -> int:
@@ -191,18 +208,3 @@ def fit_expectation_model(
         floor=floor,
     )
 
-
-def geometric_mean_baseline(citation_counts: Sequence[int]) -> float:
-    """Geometric-mean expected count: exp(mean(ln(c + 1))) - 1.
-
-    The +1 shift makes zero-cited papers admissible (publishing the paper
-    counts as its first citation).
-    """
-    if len(citation_counts) == 0:
-        raise ValueError("citation_counts must be non-empty")
-    if any(c < 0 for c in citation_counts):
-        raise ValueError("citation counts must be >= 0")
-    log_mean = math.fsum(math.log(c + 1) for c in citation_counts) / len(
-        citation_counts
-    )
-    return math.exp(log_mean) - 1.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from statistics import median
 from typing import IO, Iterable
@@ -54,17 +54,17 @@ class RankedPaper:
 
 @dataclass(frozen=True)
 class RankedPapers:
-    """Papers ordered by descending citations, with effective ranks.
+    """Papers ordered by descending citations, with scaled effective ranks.
 
-    exact_ranks[r-1] is r_eff(r) = sum of 1/a over the top r papers, kept
-    as an exact rational so rank thresholds compare without float drift;
-    effective_ranks holds the same values rounded once to float. Ties in
-    citations break by ascending author count, then paper id.
+    The effective rank r_eff(r) is the sum of 1/a over the top r papers.
+    With scale L, the lcm of the author counts, scaled_ranks[r-1] is the
+    integer r_eff(r)*L, so rank thresholds compare exactly in integers.
+    Ties in citations break by ascending author count, then paper id.
     """
 
     entries: tuple[RankedPaper, ...]
-    exact_ranks: tuple[Fraction, ...]
-    effective_ranks: tuple[float, ...]
+    scale: int
+    scaled_ranks: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -92,9 +92,6 @@ class IndicatorVector:
     g_m: float
     collab_coeff: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in INDICATOR_FIELDS}
-
 
 def rank_papers(record: AuthorRecord, model: ExpectationModel) -> RankedPapers:
     """Order a record's papers by descending citations and attach E(c).
@@ -104,8 +101,6 @@ def rank_papers(record: AuthorRecord, model: ExpectationModel) -> RankedPapers:
     record's first year gets the full window and one from the last year
     gets a single year.
     """
-    if not record.papers:
-        raise ValueError("record has no papers")
     window_end = record.first_year + record.window_years
     entries = []
     for paper in record.papers:
@@ -119,15 +114,11 @@ def rank_papers(record: AuthorRecord, model: ExpectationModel) -> RankedPapers:
             )
         )
     entries.sort(key=lambda e: (-e.citations, e.author_count, e.paper_id))
-    running = Fraction(0)
-    exact = []
-    for entry in entries:
-        running += Fraction(1, entry.author_count)
-        exact.append(running)
+    scale = math.lcm(*(e.author_count for e in entries))
     return RankedPapers(
         entries=tuple(entries),
-        exact_ranks=tuple(exact),
-        effective_ranks=tuple(float(v) for v in exact),
+        scale=scale,
+        scaled_ranks=tuple(accumulate(scale // e.author_count for e in entries)),
     )
 
 
@@ -162,8 +153,6 @@ def total_influence(
 
 def typical_influence(ranked: RankedPapers) -> tuple[float, float, float, float]:
     """Mean c, mean c/a, median of c/a, and max of c/a."""
-    if not ranked.entries:
-        raise ValueError("ranked papers must be non-empty")
     n = len(ranked.entries)
     fractional = [e.citations / e.author_count for e in ranked.entries]
     mean_citations = sum(e.citations for e in ranked.entries) / n
@@ -193,36 +182,37 @@ def g_index(ranked: RankedPapers) -> int:
 
 def h_m_index(ranked: RankedPapers) -> float:
     """Effective rank r_eff(r*) at the largest r with c_r >= r_eff(r)."""
-    best = Fraction(0)
-    for r, entry in enumerate(ranked.entries, start=1):
-        r_eff = ranked.exact_ranks[r - 1]
-        if entry.citations >= r_eff:
-            best = r_eff
-    return float(best)
+    scale = ranked.scale
+    best = 0
+    for entry, rank in zip(ranked.entries, ranked.scaled_ranks):
+        if entry.citations * scale >= rank:
+            best = rank
+    # int / int is correctly rounded: the float nearest to the exact ratio.
+    return best / scale
 
 
 def g_f_index(ranked: RankedPapers) -> int:
     """Largest rank r whose top-r fractional citation sum reaches r^2."""
+    scale = ranked.scale
     g_f = 0
-    total = Fraction(0)
+    total = 0  # scale times the fractional sum of c/a
     for r, entry in enumerate(ranked.entries, start=1):
-        total += Fraction(entry.citations, entry.author_count)
-        if total >= r * r:
+        total += entry.citations * (scale // entry.author_count)
+        if total >= r * r * scale:
             g_f = r
     return g_f
 
 
 def g_m_index(ranked: RankedPapers) -> float:
     """r_eff(r*) at the largest r whose fractional sum reaches r_eff(r)^2."""
-    best = Fraction(0)
-    total = Fraction(0)
-    for r in range(1, len(ranked.entries) + 1):
-        entry = ranked.entries[r - 1]
-        total += Fraction(entry.citations, entry.author_count)
-        r_eff = ranked.exact_ranks[r - 1]
-        if total >= r_eff * r_eff:
-            best = r_eff
-    return float(best)
+    scale = ranked.scale
+    best = 0
+    total = 0  # scale times the fractional sum of c/a
+    for entry, rank in zip(ranked.entries, ranked.scaled_ranks):
+        total += entry.citations * (scale // entry.author_count)
+        if total * scale >= rank * rank:
+            best = rank
+    return best / scale
 
 
 def collaborative_coefficient(record: AuthorRecord) -> float:
@@ -313,10 +303,15 @@ def parse_vector_table(
             )
         values = {}
         for name, cell in zip(INDICATOR_FIELDS, cells[1:]):
-            value = int(cell) if name in _INT_FIELDS else float(cell)
+            try:
+                value = int(cell) if name in _INT_FIELDS else float(cell)
+            except ValueError:
+                value = math.nan  # not a number: rejected below with nan and inf
             # A comparison, unlike math.isfinite, cannot overflow on a huge int.
             if not -math.inf < value < math.inf:
-                raise ValueError(f"line {lineno}: {name} is {cell!r}, not finite")
+                raise ValueError(
+                    f"line {lineno}: {name} is {cell!r}, not a finite number"
+                )
             values[name] = value
         rows.append((cells[0], IndicatorVector(**values)))
     return rows

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping
+from typing import IO, TYPE_CHECKING, Callable, Mapping
 
 from .corpus import Corpus, Paper
 
@@ -157,8 +159,20 @@ def _draw_citations(
     return int(rng.negative_binomial(dispersion, p))
 
 
+def _coauthor_sampler(
+    distribution: Mapping[int, float],
+) -> Callable[[np.random.Generator], int]:
+    """An author-count draw from {count: probability}, built once per corpus."""
+    counts = sorted(distribution)
+    cdf = list(accumulate(float(distribution[k]) for k in counts))
+    cdf = [c / cdf[-1] for c in cdf]
+    # rng.choice(counts, p=probs) is counts[searchsorted(cdf, rng.random(), "right")].
+    return lambda rng: counts[bisect_right(cdf, rng.random())]
+
+
 def _generate_author(
     rng: np.random.Generator,
+    draw_coauthors: Callable[[np.random.Generator], int],
     config: SynthConfig,
     author_id: str,
     is_star: bool,
@@ -170,8 +184,6 @@ def _generate_author(
         # The career window is anchored at the first publication, so the
         # start year must carry at least one paper.
         paper_counts[0] = 1
-    coauthor_counts = sorted(config.coauthor_distribution)
-    coauthor_probs = [config.coauthor_distribution[k] for k in coauthor_counts]
 
     papers = []
     serial = 0
@@ -180,7 +192,7 @@ def _generate_author(
         for _ in range(int(count)):
             serial += 1
             paper_id = f"{author_id}_p{serial:03d}"
-            n_authors = int(rng.choice(coauthor_counts, p=coauthor_probs))
+            n_authors = draw_coauthors(rng)
             author_ids = [author_id] + [
                 f"{paper_id}_co{k}" for k in range(1, n_authors)
             ]
@@ -217,8 +229,9 @@ def generate_corpus(
     papers = []
     star_ids = tuple(f"star_{i:04d}" for i in range(1, config.n_stars + 1))
     control_ids = tuple(f"ctrl_{i:04d}" for i in range(1, config.n_control + 1))
+    draw = _coauthor_sampler(config.coauthor_distribution)
     for author_id in star_ids:
-        papers.extend(_generate_author(rng, config, author_id, is_star=True))
+        papers.extend(_generate_author(rng, draw, config, author_id, is_star=True))
     for author_id in control_ids:
-        papers.extend(_generate_author(rng, config, author_id, is_star=False))
+        papers.extend(_generate_author(rng, draw, config, author_id, is_star=False))
     return Corpus.from_papers(papers), star_ids, control_ids

@@ -207,6 +207,19 @@ def test_indicators_missing_model(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_indicators_rejects_nan_model(tmp_path, capsys):
+    payload = json.loads((DATA / "constant_model.json").read_text())
+    payload["window_fits"]["1"]["intercept"] = float("nan")
+    model = tmp_path / "nan_model.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "v.tsv"
+    args = ["indicators", "--corpus", str(DATA / "fixture_corpus.jsonl"),
+            "--model", str(model), *RELAXED, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: window 1: slope and intercept")
+    assert not out.exists()
+
+
 def test_indicators_window_mismatch(tmp_path, capsys):
     args = ["indicators", *FIXTURE_ARGS, *RELAXED, "--windows", "6",
             "--out", str(tmp_path / "v.tsv")]

@@ -116,6 +116,11 @@ def test_render_paper_line_key_order():
          "citing_years"),
         (line(paper_id="p", pub_year=2000, author_count=1, citing_years=[2001.0]),
          "citing_years"),
+        (line(paper_id="p", pub_year=2000, author_count=1, citing_years=[]) + " x",
+         "line 1: invalid JSON (Extra data)"),
+        ("{} {}", "line 1: invalid JSON (Extra data)"),
+        ("\ufeff" + line(paper_id="p", pub_year=2000, author_count=1,
+                          citing_years=[]), "line 1: invalid JSON"),
     ],
 )
 def test_parse_errors(bad, fragment):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from biblio_bench.expectation import (
     WindowFit,
     collect_window_points,
     fit_expectation_model,
-    geometric_mean_baseline,
 )
 from oracles import ols_closed_form
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_window_fit_predict():
@@ -44,6 +47,29 @@ def test_model_floor_must_be_positive():
     fits = {1: WindowFit(slope=0.0, intercept=1.0, n_points=5)}
     with pytest.raises(ValueError):
         ExpectationModel(window_fits=fits, fit_year_range=(1995, 2004), floor=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+def test_model_rejects_non_finite_numbers(bad):
+    good = {1: WindowFit(slope=0.0, intercept=1.0, n_points=5)}
+    for fits, floor in [
+        ({1: WindowFit(slope=bad, intercept=1.0, n_points=5)}, 1.0),
+        ({1: WindowFit(slope=0.0, intercept=bad, n_points=5)}, 1.0),
+        (good, bad),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            ExpectationModel(window_fits=fits, fit_year_range=(1995, 2004),
+                             floor=floor)
+
+
+def test_load_rejects_nan_intercept(tmp_path):
+    payload = json.loads((DATA / "constant_model.json").read_text())
+    payload["window_fits"]["1"]["intercept"] = math.nan
+    path = tmp_path / "nan_model.json"
+    path.write_text(json.dumps(payload))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ValueError, match="window 1: slope and intercept"):
+        ExpectationModel.load(path)
 
 
 def test_expected_citations_applies_floor():
@@ -171,13 +197,3 @@ def test_fit_rejects_short_count_tuples():
         fit_expectation_model([(1995, (1, 2)), (1996, (1,))], window_count=2,
                               min_papers_per_year=1)
 
-
-def test_geometric_mean_baseline():
-    assert geometric_mean_baseline([0, 0, 0]) == 0.0
-    assert geometric_mean_baseline([7]) == pytest.approx(7.0)
-    expected = math.exp((math.log(2.0) + math.log(4.0)) / 2.0) - 1.0
-    assert geometric_mean_baseline([1, 3]) == pytest.approx(expected)
-    with pytest.raises(ValueError):
-        geometric_mean_baseline([])
-    with pytest.raises(ValueError):
-        geometric_mean_baseline([3, -1])

@@ -1,9 +1,10 @@
 import io
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biblio_bench.corpus import AuthorRecord, RecordPaper
 from biblio_bench.expectation import ExpectationModel, WindowFit
@@ -104,7 +105,9 @@ def test_rank_papers_assigns_window_lengths():
 
 def test_effective_ranks():
     ranked = rank_papers(make_record([(9, 2), (5, 4), (2, 1)]), MODEL)
-    assert ranked.effective_ranks == (0.5, 0.75, 1.75)
+    # L = lcm(2, 4, 1) = 4; r_eff = 1/2, 3/4, 7/4
+    assert ranked.scale == 4
+    assert ranked.scaled_ranks == (2, 3, 7)
 
 
 def test_index_edge_cases_match_oracles():
@@ -124,6 +127,16 @@ def test_index_edge_cases_match_oracles():
         assert h_m_index(ranked) == oracle_h_m(pairs), pairs
         assert g_f_index(ranked) == oracle_g_f(pairs), pairs
         assert g_m_index(ranked) == oracle_g_m(pairs), pairs
+
+
+# Author counts up to 40 make the scale L = lcm(a) as large as about 5e15.
+@given(st.lists(st.tuples(st.integers(0, 500), st.integers(1, 40)),
+                min_size=1, max_size=40))
+def test_scaled_integer_indices_match_fraction_oracles(pairs):
+    ranked = rank_papers(make_record(pairs), MODEL)
+    assert h_m_index(ranked) == oracle_h_m(pairs)
+    assert g_f_index(ranked) == oracle_g_f(pairs)
+    assert g_m_index(ranked) == oracle_g_m(pairs)
 
 
 def test_exact_threshold_ties():
@@ -172,8 +185,8 @@ def test_expected_must_be_positive():
     bad = RankedPapers(
         entries=(RankedPaper(paper_id="p", citations=3, author_count=1,
                              expected=0.0),),
-        exact_ranks=(Fraction(1),),
-        effective_ranks=(1.0,),
+        scale=1,
+        scaled_ranks=(1,),
     )
     with pytest.raises(ValueError, match="positive"):
         total_influence(bad)
@@ -209,7 +222,7 @@ def test_vector_table_header_and_width_checks():
         parse_vector_table(io.StringIO(truncated))
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc"])
 def test_vector_table_rejects_non_finite_cells(cell):
     text = render_vector_table([
         ("a1", vector_of([(1, 1)])),

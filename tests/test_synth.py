@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biblio_bench.corpus import build_author_record, render_corpus
 from biblio_bench.indicators import indicator_vector
@@ -11,6 +14,7 @@ from biblio_bench.stats import compare_cohorts
 from biblio_bench.synth import (
     CITATION_RAMP,
     SynthConfig,
+    _coauthor_sampler,
     citation_rate,
     generate_corpus,
 )
@@ -104,6 +108,38 @@ def test_same_seed_same_bytes():
     assert stars_a == stars_b and controls_a == controls_b
     other, _, _ = generate_corpus(small_config(seed=102))
     assert render_corpus(other) != render_corpus(corpus_a)
+
+
+def test_null_config_corpus_bytes_are_pinned():
+    # The seeded draw order is part of the output: any change to which draws
+    # are made, or in what order, changes these bytes.
+    config = SynthConfig.from_json(DATA / "experiment_null_config.json")
+    corpus, _, _ = generate_corpus(config)
+    digest = hashlib.sha256(render_corpus(corpus).encode("utf-8")).hexdigest()
+    assert digest == (
+        "e0a1a3c2d569322a7f5aee8d724239f2f429e941864079edce2d3ce1ab7b985b"
+    )
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    weights=st.dictionaries(
+        st.integers(1, 60),
+        st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda w: any(w.values())),
+)
+def test_coauthor_draw_matches_generator_choice(seed, weights):
+    total = math.fsum(weights.values())
+    distribution = {k: w / total for k, w in weights.items()}
+    counts = sorted(distribution)
+    probs = [distribution[k] for k in counts]
+    draw = _coauthor_sampler(distribution)
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(25):
+        assert draw(ours) == numpys.choice(counts, p=probs)
+    assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def test_empty_config_gives_empty_corpus():
