@@ -18,7 +18,6 @@ from .corpus import (
     filter_cohort,
     ingest_corpus,
     render_corpus,
-    write_corpus,
 )
 from .expectation import (
     ExpectationModel,
@@ -80,5 +79,4 @@ __all__ = [
     "render_corpus",
     "render_vector_table",
     "wilcoxon_rank_sum",
-    "write_corpus",
 ]

@@ -1,7 +1,7 @@
 """Command-line pipeline: generate, fit, indicators, compare.
 
 Every file-writing command also emits a manifest (JSON, same directory)
-recording the resolved parameters and sha256 checksums of inputs and
+recording every option as parsed and sha256 checksums of inputs and
 outputs, so a run can be replayed and checked byte for byte. Outputs are
 staged and moved into place together; a failing command leaves no partial
 files behind.
@@ -66,6 +66,34 @@ def _sidecar(out: Path, tag: str) -> Path:
     return out.with_name(stem + tag)
 
 
+# Options naming files a command reads, in the order manifests list them.
+_INPUT_OPTIONS = ("seed_config", "corpus", "model", "authors", "stars", "control")
+
+
+def _emit(
+    args: argparse.Namespace, texts: dict[str, str], extra: dict | None = None
+) -> int:
+    """Write a command's rendered texts, keyed by sidecar tag; return 0.
+
+    Without --out the texts go to stdout, joined by "\n". With it, the text
+    tagged "" goes to --out and every other one to the sidecar of its tag,
+    next to a manifest of every option as parsed, the files read (in option
+    order) and the output checksums.
+    """
+    if args.out is None:
+        sys.stdout.write("\n".join(texts.values()))
+        return 0
+    out = Path(args.out)
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    return _write_with_manifest(
+        args.command,
+        parameters=options,
+        inputs=[Path(options[k]) for k in _INPUT_OPTIONS if options.get(k)],
+        outputs={_sidecar(out, tag) if tag else out: t for tag, t in texts.items()},
+        extra=extra,
+    )
+
+
 def _write_with_manifest(
     command: str,
     parameters: dict,
@@ -128,18 +156,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         len(star_ids),
         len(control_ids),
     )
-
-    out = Path(args.out)
-    outputs = {
-        out: render_corpus(corpus),
-        _sidecar(out, ".stars.txt"): "".join(f"{a}\n" for a in star_ids),
-        _sidecar(out, ".controls.txt"): "".join(f"{a}\n" for a in control_ids),
+    texts = {
+        "": render_corpus(corpus),
+        ".stars.txt": "".join(f"{a}\n" for a in star_ids),
+        ".controls.txt": "".join(f"{a}\n" for a in control_ids),
     }
-    return _write_with_manifest(
-        "generate",
-        parameters={"seed_config": str(args.seed_config), "out": str(out)},
-        inputs=[Path(args.seed_config)],
-        outputs=outputs,
+    return _emit(
+        args,
+        texts,
         extra={
             "config": json.loads(config.to_json()),
             "star_author_ids": list(star_ids),
@@ -149,21 +173,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    corpus_path = Path(args.corpus)
-    corpus = ingest_corpus(corpus_path)
-    logger.info("read %d papers from %s", len(corpus), corpus_path)
-
-    year_range = None
-    if args.year_min is not None or args.year_max is not None:
-        low = args.year_min if args.year_min is not None else -(10**9)
-        high = args.year_max if args.year_max is not None else 10**9
-        year_range = (low, high)
+    corpus = ingest_corpus(Path(args.corpus))
+    logger.info("read %d papers from %s", len(corpus), args.corpus)
     points = collect_window_points(corpus, window_count=args.windows)
     model = fit_expectation_model(
         points,
         window_count=args.windows,
         min_papers_per_year=args.min_papers,
-        year_range=year_range,
+        year_range=(args.year_min, args.year_max),
     )
     logger.info(
         "fitted %d windows over years %d..%d",
@@ -171,22 +188,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         model.fit_year_range[0],
         model.fit_year_range[1],
     )
-
-    out = Path(args.out)
-    outputs = {out: model.to_json()}
-    return _write_with_manifest(
-        "fit",
-        parameters={
-            "corpus": str(corpus_path),
-            "year_min": args.year_min,
-            "year_max": args.year_max,
-            "min_papers": args.min_papers,
-            "windows": args.windows,
-            "out": str(out),
-        },
-        inputs=[corpus_path],
-        outputs=outputs,
-    )
+    return _emit(args, {"": model.to_json()})
 
 
 def _read_author_list(path: Path) -> list[str]:
@@ -210,10 +212,8 @@ def _parse_max_start_year(raw: str) -> int | None:
 
 
 def cmd_indicators(args: argparse.Namespace) -> int:
-    corpus_path = Path(args.corpus)
-    model_path = Path(args.model)
-    corpus = ingest_corpus(corpus_path)
-    model = ExpectationModel.load(model_path)
+    corpus = ingest_corpus(Path(args.corpus))
+    model = ExpectationModel.load(Path(args.model))
     if args.windows > model.window_count:
         raise ValueError(
             f"model provides windows 1..{model.window_count} "
@@ -240,75 +240,27 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         print("warning: no authors passed the cohort filter", file=sys.stderr)
 
     rows = [(record.author_id, indicator_vector(record, model)) for record in kept]
-
-    if args.out is None:
-        precision = args.precision if args.precision is not None else STDOUT_PRECISION
-        sys.stdout.write(render_vector_table(rows, precision=precision))
-        return 0
-
-    out = Path(args.out)
-    outputs = {out: render_vector_table(rows, precision=args.precision)}
-    return _write_with_manifest(
-        "indicators",
-        parameters={
-            "corpus": str(corpus_path),
-            "model": str(model_path),
-            "authors": str(args.authors) if args.authors else None,
-            "coauthor_min": args.coauthor_min,
-            "coauthor_max": args.coauthor_max,
-            "coauthor_hard_cap": args.coauthor_hard_cap,
-            "max_start_year": args.max_start_year,
-            "windows": args.windows,
-            "precision": args.precision,
-            "out": str(out),
-        },
-        inputs=[corpus_path, model_path]
-        + ([Path(args.authors)] if args.authors else []),
-        outputs=outputs,
-    )
+    return _emit(args, {"": render_vector_table(rows, precision=args.precision)})
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    stars_path = Path(args.stars)
-    control_path = Path(args.control)
-    stars = [vector for _, vector in parse_vector_table(stars_path)]
-    control = [vector for _, vector in parse_vector_table(control_path)]
+    stars = [vector for _, vector in parse_vector_table(Path(args.stars))]
+    control = [vector for _, vector in parse_vector_table(Path(args.control))]
     if not stars:
-        raise ValueError(f"stars table {stars_path} has no rows")
+        raise ValueError(f"stars table {args.stars} has no rows")
     if not control:
-        raise ValueError(f"control table {control_path} has no rows")
+        raise ValueError(f"control table {args.control} has no rows")
 
     table = compare_cohorts(stars, control)
     cohorts = {"stars": stars, "control": control}
     summaries = []
     for indicator in INDICATOR_FIELDS:
         summaries.extend(boxplot_export(cohorts, indicator))
-
-    if args.out is None:
-        precision = args.precision if args.precision is not None else STDOUT_PRECISION
-        sys.stdout.write(render_comparison_table(table, precision=precision))
-        sys.stdout.write("\n")
-        sys.stdout.write(render_boxplot_table(summaries, precision=precision))
-        return 0
-
-    out = Path(args.out)
-    outputs = {
-        out: render_comparison_table(table, precision=args.precision),
-        _sidecar(out, ".boxplot.tsv"): render_boxplot_table(
-            summaries, precision=args.precision
-        ),
+    texts = {
+        "": render_comparison_table(table, precision=args.precision),
+        ".boxplot.tsv": render_boxplot_table(summaries, precision=args.precision),
     }
-    return _write_with_manifest(
-        "compare",
-        parameters={
-            "stars": str(stars_path),
-            "control": str(control_path),
-            "precision": args.precision,
-            "out": str(out),
-        },
-        inputs=[stars_path, control_path],
-        outputs=outputs,
-    )
+    return _emit(args, texts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,6 +382,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out is None and args.precision is None:
+        # Only indicators and compare may omit --out; stdout is for reading.
+        args.precision = STDOUT_PRECISION
     try:
         return args.func(args)
     except (ValueError, LookupError, OSError) as exc:

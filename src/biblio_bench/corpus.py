@@ -247,10 +247,6 @@ def render_corpus(corpus: Corpus) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(render_corpus(corpus), encoding="utf-8")
-
-
 def build_author_record(
     corpus: Corpus, author_id: str, window_years: int = 5
 ) -> AuthorRecord:

@@ -122,28 +122,23 @@ class ExpectationModel:
             floor=payload["floor"],
         )
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
     @classmethod
     def load(cls, path: str | Path) -> ExpectationModel:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def collect_window_points(
-    corpus: Corpus, window_count: int = 5, max_authors: int | None = None
+    corpus: Corpus, window_count: int = 5
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Per-paper fit points: (pub_year, cumulative citations for w=1..W).
 
     The w-year count includes citing years from the publication year through
-    w-1 years later. Papers with more than max_authors authors are skipped
-    when the cap is given.
+    w-1 years later.
     """
     offsets = range(window_count)
     return [
         (p.pub_year, tuple(p.citations_through(p.pub_year + k) for k in offsets))
         for p in corpus.papers.values()
-        if max_authors is None or p.author_count <= max_authors
     ]
 
 
@@ -159,15 +154,15 @@ def fit_expectation_model(
     papers: Iterable[tuple[int, Sequence[int]]],
     window_count: int = 5,
     min_papers_per_year: int = 100,
-    year_range: tuple[int, int] | None = None,
+    year_range: tuple[int | None, int | None] = (None, None),
     floor: float = 1.0,
 ) -> ExpectationModel:
     """Fit one least-squares line per window over individual papers.
 
     ``papers`` yields (pub_year, cumulative citation counts for w=1..W).
-    Publication years outside ``year_range`` or with fewer than
-    ``min_papers_per_year`` papers are left out of the fit; at least two
-    distinct years must remain.
+    Publication years outside ``year_range`` (low, high; None leaves that end
+    open) or with fewer than ``min_papers_per_year`` papers are left out of
+    the fit; at least two distinct years must remain.
     """
     import numpy as np
 
@@ -182,11 +177,13 @@ def fit_expectation_model(
     year_counts: dict[int, int] = {}
     for year, _ in points:
         year_counts[year] = year_counts.get(year, 0) + 1
+    low, high = year_range
     qualifying = {
         year
         for year, count in year_counts.items()
         if count >= min_papers_per_year
-        and (year_range is None or year_range[0] <= year <= year_range[1])
+        and (low is None or low <= year)
+        and (high is None or year <= high)
     }
     if len(qualifying) < 2:
         raise InsufficientDataError(

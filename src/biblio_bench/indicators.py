@@ -90,7 +90,7 @@ class IndicatorVector:
     h_m: float
     g_f: int
     g_m: float
-    collab_coeff: float
+    collab_coeff: float  # 1 - f/n: 0 for all-solo work, toward 1 for big teams
 
 
 def rank_papers(record: AuthorRecord, model: ExpectationModel) -> RankedPapers:
@@ -215,12 +215,6 @@ def g_m_index(ranked: RankedPapers) -> float:
     return best / scale
 
 
-def collaborative_coefficient(record: AuthorRecord) -> float:
-    """1 - f/n; zero for an all-solo record, approaching one for big teams."""
-    n, f = productivity(record)
-    return 1.0 - f / n
-
-
 def indicator_vector(
     record: AuthorRecord, model: ExpectationModel
 ) -> IndicatorVector:
@@ -246,7 +240,7 @@ def indicator_vector(
         h_m=h_m_index(ranked),
         g_f=g_f_index(ranked),
         g_m=g_m_index(ranked),
-        collab_coeff=collaborative_coefficient(record),
+        collab_coeff=1.0 - f / n,
     )
 
 

@@ -11,10 +11,19 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import abc
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Mapping
+from typing import (
+    IO,
+    TYPE_CHECKING,
+    Callable,
+    Mapping,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from .corpus import Corpus, Paper
 
@@ -27,20 +36,6 @@ WINDOW_YEARS = 5
 # Fraction of a paper's citations landing in each year of its own
 # five-year window, starting with the publication year.
 CITATION_RAMP = (0.15, 0.25, 0.25, 0.20, 0.15)
-
-_REQUIRED_FIELDS = (
-    "seed",
-    "n_control",
-    "n_stars",
-    "start_year_range",
-    "papers_per_year_mean",
-    "coauthor_distribution",
-    "base_expected_citations",
-    "annual_growth_factor",
-    "dispersion",
-    "star_effect_multiplier",
-)
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -83,19 +78,9 @@ class SynthConfig:
                 raise ValueError("coauthor probabilities must be >= 0")
 
     def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "n_control": self.n_control,
-            "n_stars": self.n_stars,
-            "start_year_range": list(self.start_year_range),
-            "papers_per_year_mean": self.papers_per_year_mean,
-            "coauthor_distribution": {
-                str(k): v for k, v in sorted(self.coauthor_distribution.items())
-            },
-            "base_expected_citations": self.base_expected_citations,
-            "annual_growth_factor": self.annual_growth_factor,
-            "dispersion": self.dispersion,
-            "star_effect_multiplier": self.star_effect_multiplier,
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["coauthor_distribution"] = {
+            str(k): v for k, v in sorted(self.coauthor_distribution.items())
         }
         return json.dumps(payload, indent=2) + "\n"
 
@@ -113,31 +98,39 @@ class SynthConfig:
             raise ValueError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ValueError("config must be a JSON object")
-        for field_name in _REQUIRED_FIELDS:
-            if field_name not in payload:
-                raise ValueError(f"config is missing required field: {field_name}")
-        year_range = payload["start_year_range"]
-        if not isinstance(year_range, list) or len(year_range) != 2:
-            raise ValueError("start_year_range must be a two-element list")
-        raw_dist = payload["coauthor_distribution"]
-        if not isinstance(raw_dist, dict):
-            raise ValueError("coauthor_distribution must be an object")
-        try:
-            dist = {int(k): float(v) for k, v in raw_dist.items()}
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad coauthor_distribution entry: {exc}") from exc
-        return cls(
-            seed=int(payload["seed"]),
-            n_control=int(payload["n_control"]),
-            n_stars=int(payload["n_stars"]),
-            start_year_range=(int(year_range[0]), int(year_range[1])),
-            papers_per_year_mean=float(payload["papers_per_year_mean"]),
-            coauthor_distribution=dist,
-            base_expected_citations=float(payload["base_expected_citations"]),
-            annual_growth_factor=float(payload["annual_growth_factor"]),
-            dispersion=float(payload["dispersion"]),
-            star_effect_multiplier=float(payload["star_effect_multiplier"]),
+        types = get_type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            if f.name not in payload:
+                raise ValueError(f"config is missing required field: {f.name}")
+            values[f.name] = _decode(f.name, types[f.name], payload[f.name])
+        return cls(**values)
+
+
+def _decode(name: str, kind: object, value: object) -> object:
+    """A JSON value as the field type `kind`; ints pass as floats, bools never."""
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ValueError(f"{name} must be a {len(args)}-element list")
+        return tuple(
+            _decode(f"{name}[{i}]", k, v) for i, (k, v) in enumerate(zip(args, value))
         )
+    if get_origin(kind) is abc.Mapping:
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object")
+        try:
+            keys = [int(k) for k in value]
+        except ValueError:
+            raise ValueError(f"{name} keys must be integers") from None
+        return {
+            key: _decode(f"{name}[{raw!r}]", args[1], v)
+            for key, (raw, v) in zip(keys, value.items())
+        }
+    if type(value) is int or (kind is float and type(value) is float):
+        return kind(value)
+    noun = "a number" if kind is float else "an integer"
+    raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 def citation_rate(config: SynthConfig, pub_year: int, is_star: bool) -> float:

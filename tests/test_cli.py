@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import logging
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import biblio_bench
+import biblio_bench.cli
+import biblio_bench.indicators
 from biblio_bench.cli import main
 from biblio_bench.expectation import ExpectationModel
 from biblio_bench.indicators import indicator_vector, render_vector_table
@@ -156,6 +159,15 @@ def test_fit_year_range_flags(tmp_path):
                  "--out", str(model_path)]) == 0
     model = ExpectationModel.load(model_path)
     assert model.fit_year_range == (1992, 1997)
+
+
+def test_fit_year_max_alone(tmp_path):
+    corpus = generated_corpus(tmp_path, n_control=60, n_stars=0,
+                              start_year_range=[1990, 1999])
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--corpus", str(corpus), "--min-papers", "5",
+                 "--year-max", "1995", "--out", str(model_path)]) == 0
+    assert ExpectationModel.load(model_path).fit_year_range == (1990, 1995)
 
 
 def test_indicators_reproduces_fixture(tmp_path):
@@ -441,3 +453,80 @@ def test_version_and_indicators_do_not_load_numpy():
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("biblio-bench ")
     assert "\nauthor_id\t" in result.stdout
+
+
+# The effect-config pipeline from a working directory, with relative paths,
+# so manifests carry no machine-specific path and can be pinned byte for byte.
+EFFECT_PIPELINE = [
+    ["generate", "--seed-config", "config.json", "--out", "corpus.jsonl"],
+    ["fit", "--corpus", "corpus.jsonl", "--min-papers", "20",
+     "--year-max", "1999", "--out", "model.json"],
+    ["indicators", "--corpus", "corpus.jsonl", "--model", "model.json",
+     "--authors", "corpus.stars.txt", "--max-start-year", "none",
+     "--out", "stars.tsv"],
+    ["indicators", "--corpus", "corpus.jsonl", "--model", "model.json",
+     "--authors", "corpus.controls.txt", "--max-start-year", "none",
+     "--coauthor-hard-cap", "3.5", "--precision", "6", "--out", "controls.tsv"],
+    ["compare", "--stars", "stars.tsv", "--control", "controls.tsv",
+     "--out", "comparison.tsv"],
+]
+
+# sha256 of each manifest: a change to any recorded parameter, input or
+# output moves one, so re-pin only for a deliberate change of manifest bytes.
+PINNED_MANIFESTS = {
+    "corpus.manifest.json":
+        "2128c99bd816cbda2b82dde4235bdd42b21bf126a54c7370e61d1a5ace8d0f62",
+    "model.manifest.json":
+        "f7527e2f413f080e28709da0551974453354f13b73579c450e285aee2edadf5b",
+    "stars.manifest.json":
+        "ba530c56c787219fb3c937bcf48edbb7b6232d03c42a1680fd84846ec717e96e",
+    "controls.manifest.json":
+        "96f243922ab9913126930f35ca7e75f66e536816d4c07ab3f35d1dcd80ec5020",
+    "comparison.manifest.json":
+        "fe3df620de94a389e8e40f4dec14d69f95726e2c18967e737a375366773707f8",
+}
+
+
+def run_effect_pipeline(workdir, monkeypatch):
+    (workdir / "config.json").write_bytes(
+        (DATA / "experiment_effect_config.json").read_bytes()
+    )
+    monkeypatch.chdir(workdir)
+    for argv in EFFECT_PIPELINE:
+        assert main(argv) == 0, argv
+
+
+def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
+    run_effect_pipeline(tmp_path, monkeypatch)
+    digests = {name: sha256(tmp_path / name) for name in PINNED_MANIFESTS}
+    assert digests == PINNED_MANIFESTS
+    assert sorted(p.name for p in tmp_path.glob("*.manifest.json")) == sorted(
+        PINNED_MANIFESTS
+    )
+
+
+def test_commands_look_up_traced_names_at_call_time(tmp_path, monkeypatch):
+    # The benchmark's traced run (perfbench/tracing.py) swaps these module
+    # attributes; a command that bound one at import time would escape it.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {"cli": biblio_bench.cli, "indicators": biblio_bench.indicators}
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr, _, _ in tracing.WRAPPED:
+        target = modules[module]
+        wrapped = counting(f"{module}.{attr}", getattr(target, attr))
+        monkeypatch.setattr(target, attr, wrapped)
+    run_effect_pipeline(tmp_path, monkeypatch)
+    expected = {f"{module}.{attr}" for module, attr, _, _ in tracing.WRAPPED}
+    assert expected - set(calls) == set()

@@ -19,7 +19,6 @@ from biblio_bench.corpus import (
     ingest_corpus,
     render_corpus,
     render_paper_line,
-    write_corpus,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -64,13 +63,6 @@ def test_render_round_trip():
     again = ingest_corpus(rendered.splitlines())
     assert again.papers == corpus.papers
     assert render_corpus(again) == rendered
-
-
-def test_write_corpus(tmp_path):
-    corpus = ingest_corpus(FIXTURE)
-    out = tmp_path / "copy.jsonl"
-    write_corpus(corpus, out)
-    assert ingest_corpus(out).papers == corpus.papers
 
 
 def test_render_paper_line_key_order():

@@ -98,7 +98,7 @@ def test_model_json_round_trip(tmp_path):
     again = ExpectationModel.from_json(model.to_json())
     assert again == model
     path = tmp_path / "model.json"
-    model.save(path)
+    path.write_text(model.to_json())
     assert ExpectationModel.load(path) == model
     assert ExpectationModel.load(path).to_json() == model.to_json()
 
@@ -114,8 +114,6 @@ def test_collect_window_points():
     # cumulative counts for windows 1..5: pub year alone, then one more year each
     assert points[2000] == (1, 3, 3, 4, 5)
     assert points[2001] == (0, 1, 1, 1, 1)
-    capped = collect_window_points(corpus, window_count=5, max_authors=5)
-    assert [year for year, _ in capped] == [2000]
 
 
 def years_points(year_to_counts, copies=1):
@@ -181,6 +179,24 @@ def test_fit_year_range_filters_years():
     )
     assert model.fit_year_range == (1993, 1996)
     assert model.window_fits[1].n_points == 20
+
+
+@pytest.mark.parametrize(
+    "year_range, fitted",
+    [((1993, None), (1993, 1999)), ((None, 1996), (1990, 1996)),
+     ((None, None), (1990, 1999))],
+)
+def test_fit_year_range_open_ends(year_range, fitted):
+    # None leaves that end of the range open
+    data = {year: (year - 1990, 0) for year in range(1990, 2000)}
+    model = fit_expectation_model(
+        years_points(data, copies=5),
+        window_count=2,
+        min_papers_per_year=1,
+        year_range=year_range,
+    )
+    assert model.fit_year_range == fitted
+    assert model.window_fits[1].n_points == 5 * (fitted[1] - fitted[0] + 1)
 
 
 def test_fit_insufficient_years_raises():

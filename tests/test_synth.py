@@ -79,6 +79,28 @@ def test_config_from_json_names_missing_field(field):
         SynthConfig.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", True),
+        ("seed", 5.9),
+        ("n_control", "12"),
+        ("dispersion", "1.5"),
+        ("n_stars", False),
+        ("start_year_range", [1980.7, "2000"]),
+        ("coauthor_distribution", {"1": "1.0"}),
+        ("coauthor_distribution", {"1": True}),
+    ],
+)
+def test_config_from_json_rejects_loose_types(field, value):
+    # int fields take JSON integers only; float fields and probabilities take
+    # int or float, never a bool or a string
+    payload = json.loads(small_config().to_json())
+    payload[field] = value
+    with pytest.raises(ValueError, match=field):
+        SynthConfig.from_json(json.dumps(payload))
+
+
 def test_config_from_json_rejects_bad_json():
     with pytest.raises(ValueError, match="JSON"):
         SynthConfig.from_json("{nope")
