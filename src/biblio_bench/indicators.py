@@ -12,57 +12,30 @@ expected count (sum of ratios, not ratio of sums).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
 from statistics import median
-from typing import IO, Iterable
+from typing import IO, Any, Iterable, get_type_hints
 
-from .corpus import AuthorRecord
+from .corpus import AuthorRecord, RecordPaper
 from .expectation import ExpectationModel
-
-INDICATOR_FIELDS = (
-    "n",
-    "f",
-    "citations",
-    "norm_citations",
-    "j_index",
-    "fract_citations",
-    "fract_norm_citations",
-    "mean_citations",
-    "mean_fract_citations",
-    "median_fract_citations",
-    "max_fract_citations",
-    "h",
-    "g",
-    "h_m",
-    "g_f",
-    "g_m",
-    "collab_coeff",
-)
-
-_INT_FIELDS = frozenset({"n", "citations", "h", "g", "g_f"})
-
-
-@dataclass(frozen=True)
-class RankedPaper:
-    paper_id: str
-    citations: int
-    author_count: int
-    expected: float
 
 
 @dataclass(frozen=True)
 class RankedPapers:
-    """Papers ordered by descending citations, with scaled effective ranks.
+    """Papers ordered by descending citations, with E(c) and scaled ranks.
 
-    The effective rank r_eff(r) is the sum of 1/a over the top r papers.
+    expected[i] is the expected citation count E(c) of entries[i]. The
+    effective rank r_eff(r) is the sum of 1/a over the top r papers.
     With scale L, the lcm of the author counts, scaled_ranks[r-1] is the
     integer r_eff(r)*L, so rank thresholds compare exactly in integers.
     Ties in citations break by ascending author count, then paper id.
     """
 
-    entries: tuple[RankedPaper, ...]
+    entries: tuple[RecordPaper, ...]
+    expected: tuple[float, ...]
     scale: int
     scaled_ranks: tuple[int, ...]
 
@@ -93,6 +66,9 @@ class IndicatorVector:
     collab_coeff: float  # 1 - f/n: 0 for all-solo work, toward 1 for big teams
 
 
+INDICATOR_FIELDS = tuple(f.name for f in fields(IndicatorVector))
+
+
 def rank_papers(record: AuthorRecord, model: ExpectationModel) -> RankedPapers:
     """Order a record's papers by descending citations and attach E(c).
 
@@ -102,23 +78,18 @@ def rank_papers(record: AuthorRecord, model: ExpectationModel) -> RankedPapers:
     gets a single year.
     """
     window_end = record.first_year + record.window_years
-    entries = []
-    for paper in record.papers:
-        w = window_end - paper.pub_year
-        entries.append(
-            RankedPaper(
-                paper_id=paper.paper_id,
-                citations=paper.citations,
-                author_count=paper.author_count,
-                expected=model.expected_citations(paper.pub_year, w),
-            )
-        )
-    entries.sort(key=lambda e: (-e.citations, e.author_count, e.paper_id))
-    scale = math.lcm(*(e.author_count for e in entries))
+    entries = tuple(
+        sorted(record.papers, key=lambda p: (-p.citations, p.author_count, p.paper_id))
+    )
+    scale = math.lcm(*(p.author_count for p in entries))
     return RankedPapers(
-        entries=tuple(entries),
+        entries=entries,
+        expected=tuple(
+            model.expected_citations(p.pub_year, window_end - p.pub_year)
+            for p in entries
+        ),
         scale=scale,
-        scaled_ranks=tuple(accumulate(scale // e.author_count for e in entries)),
+        scaled_ranks=tuple(accumulate(scale // p.author_count for p in entries)),
     )
 
 
@@ -136,18 +107,12 @@ def total_influence(
 
     Returns (sum c, sum c/E(c), sum sqrt(c), sum c/a, sum c/(E(c) a)).
     """
-    for e in ranked.entries:
-        if e.expected <= 0:
-            raise ValueError(
-                f"paper {e.paper_id}: expected citations must be positive"
-            )
-    citations = sum(e.citations for e in ranked.entries)
-    norm = math.fsum(e.citations / e.expected for e in ranked.entries)
-    j = math.fsum(math.sqrt(e.citations) for e in ranked.entries)
-    fract = math.fsum(e.citations / e.author_count for e in ranked.entries)
-    fract_norm = math.fsum(
-        e.citations / (e.expected * e.author_count) for e in ranked.entries
-    )
+    pairs = tuple(zip(ranked.entries, ranked.expected))
+    citations = sum(p.citations for p in ranked.entries)
+    norm = math.fsum(p.citations / e for p, e in pairs)
+    j = math.fsum(math.sqrt(p.citations) for p in ranked.entries)
+    fract = math.fsum(p.citations / p.author_count for p in ranked.entries)
+    fract_norm = math.fsum(p.citations / (e * p.author_count) for p, e in pairs)
     return citations, norm, j, fract, fract_norm
 
 
@@ -244,68 +209,105 @@ def indicator_vector(
     )
 
 
-def format_decimal(value: float, precision: int | None = None) -> str:
-    """Full-precision decimal text for a number; fixed decimals when asked.
+def format_decimal(value: Any, precision: int | None = None) -> str:
+    """Table cell text for a value; fixed decimals for floats when asked.
 
-    Integers print without a decimal point; floats print with repr, which
-    round-trips exactly through float().
+    Floats print with repr, which round-trips exactly through float().
+    Integers print without a decimal point, strings as they are, and a
+    tuple as its items' cells joined by commas.
     """
-    if precision is not None:
-        if isinstance(value, int):
-            return str(value)
-        return f"{value:.{precision}f}"
+    if isinstance(value, float):
+        return repr(float(value)) if precision is None else f"{value:.{precision}f}"
     if isinstance(value, int):
         return str(value)
-    return repr(float(value))
+    if isinstance(value, str):
+        return value
+    return ",".join([format_decimal(v, precision) for v in value])
+
+
+def render_table(
+    kind: type,
+    rows: Iterable[Any],
+    precision: int | None = None,
+    key: str | None = None,
+) -> str:
+    """Tab-separated table of `kind` dataclass rows, one line per row.
+
+    The header is the field names of `kind`. With a `key` column name, each
+    row is a (key, row) pair and the key is the first column. Every cell is
+    written by format_decimal.
+    """
+    names = tuple(f.name for f in fields(kind))
+    values = attrgetter(*names)
+    if key is None:
+        cells = map(values, rows)
+    else:
+        names = (key,) + names
+        cells = ((k, *values(row)) for k, row in rows)
+    lines = ["\t".join(names)]
+    for row in cells:
+        lines.append("\t".join([format_decimal(v, precision) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_table(
+    kind: type, source: str | Path | IO[str], key: str | None = None
+) -> list[Any]:
+    """Read a table written by render_table with the same `kind` and `key`.
+
+    Each cell is decoded by its field's type hint, str, int or float. A
+    wrong header, a row of the wrong width and a number cell that is not a
+    finite number are rejected with their line number.
+    """
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8")
+    else:
+        text = source.read()
+    types = get_type_hints(kind)
+    columns = [(f.name, types[f.name]) for f in fields(kind)]
+    if key is not None:
+        columns.insert(0, (key, str))
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines:
+        raise ValueError(f"{kind.__name__} table has no header row")
+    header_lineno, header = lines[0]
+    if header.split("\t") != [name for name, _ in columns]:
+        raise ValueError(
+            f"line {header_lineno}: unexpected {kind.__name__} table header: {header!r}"
+        )
+    rows = []
+    for lineno, line in lines[1:]:
+        cells = line.split("\t")
+        if len(cells) != len(columns):
+            raise ValueError(
+                f"line {lineno}: row has {len(cells)} columns, not {len(columns)}: "
+                f"{line!r}"
+            )
+        values = []
+        for (name, cast), cell in zip(columns, cells):
+            try:
+                value = cast(cell)
+            except ValueError:
+                value = math.nan  # not a number: rejected below with nan and inf
+            # A comparison, unlike math.isfinite, cannot overflow on a huge int.
+            if cast is not str and not -math.inf < value < math.inf:
+                raise ValueError(
+                    f"line {lineno}: {name} is {cell!r}, not a finite number"
+                )
+            values.append(value)
+        rows.append(kind(*values) if key is None else (values[0], kind(*values[1:])))
+    return rows
 
 
 def render_vector_table(
     rows: Iterable[tuple[str, IndicatorVector]], precision: int | None = None
 ) -> str:
     """Tab-separated indicator table: author_id plus the 17 fields."""
-    lines = ["\t".join(("author_id",) + INDICATOR_FIELDS)]
-    for author_id, vector in rows:
-        values = [
-            format_decimal(getattr(vector, name), precision)
-            for name in INDICATOR_FIELDS
-        ]
-        lines.append("\t".join([author_id] + values))
-    return "\n".join(lines) + "\n"
+    return render_table(IndicatorVector, rows, precision, key="author_id")
 
 
 def parse_vector_table(
     source: str | Path | IO[str],
 ) -> list[tuple[str, IndicatorVector]]:
     """Read a table written by render_vector_table."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-    if not lines:
-        raise ValueError("vector table has no header row")
-    header = tuple(lines[0][1].split("\t"))
-    expected = ("author_id",) + INDICATOR_FIELDS
-    if header != expected:
-        raise ValueError(f"unexpected vector table header: {lines[0][1]!r}")
-    rows = []
-    for lineno, line in lines[1:]:
-        cells = line.split("\t")
-        if len(cells) != len(expected):
-            raise ValueError(
-                f"line {lineno}: vector row has {len(cells)} columns: {line!r}"
-            )
-        values = {}
-        for name, cell in zip(INDICATOR_FIELDS, cells[1:]):
-            try:
-                value = int(cell) if name in _INT_FIELDS else float(cell)
-            except ValueError:
-                value = math.nan  # not a number: rejected below with nan and inf
-            # A comparison, unlike math.isfinite, cannot overflow on a huge int.
-            if not -math.inf < value < math.inf:
-                raise ValueError(
-                    f"line {lineno}: {name} is {cell!r}, not a finite number"
-                )
-            values[name] = value
-        rows.append((cells[0], IndicatorVector(**values)))
-    return rows
+    return parse_table(IndicatorVector, source, key="author_id")

@@ -14,7 +14,7 @@ from pathlib import Path
 from statistics import median
 from typing import IO, Mapping, Sequence
 
-from .indicators import INDICATOR_FIELDS, IndicatorVector, format_decimal
+from .indicators import INDICATOR_FIELDS, IndicatorVector, parse_table, render_table
 
 ALTERNATIVES = ("a_greater", "b_greater", "two_sided")
 
@@ -155,20 +155,7 @@ def compare_cohorts(
 def render_comparison_table(
     table: ComparisonTable, precision: int | None = None
 ) -> str:
-    lines = ["indicator\tmedian_stars\tmedian_control\tp\trank"]
-    for row in table.rows:
-        lines.append(
-            "\t".join(
-                [
-                    row.indicator,
-                    format_decimal(row.median_stars, precision),
-                    format_decimal(row.median_control, precision),
-                    format_decimal(row.p, precision),
-                    str(row.rank),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return render_table(ComparisonRow, table.rows, precision)
 
 
 @dataclass(frozen=True)
@@ -245,47 +232,9 @@ def boxplot_export(
 def render_boxplot_table(
     summaries: Sequence[BoxplotSummary], precision: int | None = None
 ) -> str:
-    lines = [
-        "cohort\tindicator\tmedian\tq1\tq3\twhisker_low\twhisker_high\toutliers"
-    ]
-    for s in summaries:
-        outliers = ",".join(format_decimal(v, precision) for v in s.outliers)
-        lines.append(
-            "\t".join(
-                [
-                    s.cohort,
-                    s.indicator,
-                    format_decimal(s.median, precision),
-                    format_decimal(s.q1, precision),
-                    format_decimal(s.q3, precision),
-                    format_decimal(s.whisker_low, precision),
-                    format_decimal(s.whisker_high, precision),
-                    outliers,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return render_table(BoxplotSummary, summaries, precision)
 
 
 def parse_comparison_table(source: str | Path | IO[str]) -> ComparisonTable:
     """Read a table written by render_comparison_table."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "indicator\tmedian_stars\tmedian_control\tp\trank":
-        raise ValueError("unexpected comparison table header")
-    rows = []
-    for line in lines[1:]:
-        name, med_s, med_c, p, rank = line.split("\t")
-        rows.append(
-            ComparisonRow(
-                indicator=name,
-                median_stars=float(med_s),
-                median_control=float(med_c),
-                p=float(p),
-                rank=int(rank),
-            )
-        )
-    return ComparisonTable(rows=tuple(rows))
+    return ComparisonTable(rows=tuple(parse_table(ComparisonRow, source)))

@@ -51,6 +51,10 @@ class SynthConfig:
     star_effect_multiplier: float
 
     def __post_init__(self) -> None:
+        types = get_type_hints(type(self))
+        for f in fields(self):
+            if types[f.name] is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number")
         if self.n_control < 0 or self.n_stars < 0:
             raise ValueError("author counts must be >= 0")
         lo, hi = self.start_year_range

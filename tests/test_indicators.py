@@ -1,5 +1,6 @@
 import io
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_rank_papers_assigns_window_lengths():
         window_years=5,
     )
     ranked = rank_papers(record, model)
-    by_id = {e.paper_id: e.expected for e in ranked.entries}
+    by_id = {e.paper_id: x for e, x in zip(ranked.entries, ranked.expected)}
     # first-year paper gets the 5-year window, last-year paper a 1-year window
     assert by_id["early"] == 50.0
     assert by_id["late"] == 10.0
@@ -179,19 +180,6 @@ def test_norm_uses_sum_of_ratios():
     assert v.norm_citations != (8 + 4) / (5 + 2)
 
 
-def test_expected_must_be_positive():
-    from biblio_bench.indicators import RankedPaper, RankedPapers, total_influence
-
-    bad = RankedPapers(
-        entries=(RankedPaper(paper_id="p", citations=3, author_count=1,
-                             expected=0.0),),
-        scale=1,
-        scaled_ranks=(1,),
-    )
-    with pytest.raises(ValueError, match="positive"):
-        total_influence(bad)
-
-
 def test_format_decimal():
     assert format_decimal(3) == "3"
     assert format_decimal(3, precision=2) == "3"
@@ -200,6 +188,9 @@ def test_format_decimal():
     assert float(format_decimal(1 / 3)) == 1 / 3
     assert format_decimal(2.23606797749979, precision=3) == "2.236"
     assert format_decimal(2.0) == "2.0"
+    assert format_decimal("a1", precision=3) == "a1"
+    assert format_decimal((1.5, 2.0)) == "1.5,2.0"
+    assert format_decimal(()) == ""
 
 
 def test_vector_table_round_trip():
@@ -211,6 +202,21 @@ def test_vector_table_round_trip():
     parsed = parse_vector_table(io.StringIO(text))
     assert parsed == rows
     assert render_vector_table(parsed) == text
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+vectors = st.builds(
+    IndicatorVector,
+    **{
+        name: st.integers() if kind is int else finite_floats
+        for name, kind in get_type_hints(IndicatorVector).items()
+    },
+)
+
+
+@given(st.lists(st.tuples(st.text("ab_1", min_size=1, max_size=6), vectors)))
+def test_vector_table_round_trip_property(rows):
+    assert parse_vector_table(io.StringIO(render_vector_table(rows))) == rows
 
 
 def test_vector_table_header_and_width_checks():

@@ -4,11 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
 from biblio_bench.indicators import INDICATOR_FIELDS, indicator_vector
 from biblio_bench.stats import (
     BoxplotSummary,
+    ComparisonRow,
+    ComparisonTable,
     boxplot_export,
     compare_cohorts,
     parse_comparison_table,
@@ -53,6 +57,17 @@ def test_one_sided_alternatives_mirror():
         _, p_a = wilcoxon_rank_sum(a, b, "a_greater")
         _, p_b = wilcoxon_rank_sum(b, a, "b_greater")
         assert p_a == pytest.approx(p_b, abs=1e-12)
+
+
+tied_samples = st.lists(st.integers(0, 6).map(float), min_size=1, max_size=30)
+
+
+@given(tied_samples, tied_samples)
+def test_alternatives_mirror_exactly(a, b):
+    w_a, p_a = wilcoxon_rank_sum(a, b, "a_greater")
+    w_b, p_b = wilcoxon_rank_sum(b, a, "b_greater")
+    assert p_a == p_b
+    assert w_a + w_b == len(a) * len(b)
 
 
 def test_tied_values_get_average_ranks():
@@ -214,6 +229,39 @@ def test_comparison_table_round_trip():
     rounded = render_comparison_table(table, precision=3)
     for cell in rounded.splitlines()[1].split("\t")[1:4]:
         assert len(cell.split(".")[1]) == 3
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+comparison_rows = st.builds(
+    ComparisonRow,
+    indicator=st.text("ab_1", min_size=1, max_size=6),
+    median_stars=finite_floats,
+    median_control=finite_floats,
+    p=finite_floats,
+    rank=st.integers(),
+)
+
+
+@given(st.lists(comparison_rows))
+def test_comparison_table_round_trip_property(rows):
+    table = ComparisonTable(rows=tuple(rows))
+    assert parse_comparison_table(io.StringIO(render_comparison_table(table))) == table
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (["h", "1.0", "2.0", "0.5"], r"line 3: row has 4 columns, not 5"),
+        (["h", "1.0", "2.0", "abc", "1"], r"line 3: p is 'abc', not a finite number"),
+        (["h", "1.0", "2.0", "nan", "1"], r"line 3: p is 'nan', not a finite number"),
+    ],
+)
+def test_comparison_table_errors_name_the_line(cells, message):
+    table = compare_cohorts(cohort_from(1, 6, 2.0), cohort_from(2, 6, 1.0))
+    lines = render_comparison_table(table).splitlines()
+    lines[2] = "\t".join(cells)
+    with pytest.raises(ValueError, match=message):
+        parse_comparison_table(io.StringIO("\n".join(lines) + "\n"))
 
 
 def quartiles_by_hand(values):

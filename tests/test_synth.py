@@ -101,6 +101,25 @@ def test_config_from_json_rejects_loose_types(field, value):
         SynthConfig.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "papers_per_year_mean",
+        "base_expected_citations",
+        "annual_growth_factor",
+        "dispersion",
+        "star_effect_multiplier",
+    ],
+)
+def test_config_rejects_non_finite_floats(field, value):
+    # json.dumps writes NaN and Infinity, which json.loads accepts
+    payload = json.loads((DATA / "experiment_effect_config.json").read_text())
+    payload[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        SynthConfig.from_json(json.dumps(payload))
+
+
 def test_config_from_json_rejects_bad_json():
     with pytest.raises(ValueError, match="JSON"):
         SynthConfig.from_json("{nope")
