@@ -1,7 +1,8 @@
 """Publication corpus: JSONL ingestion, per-author records, cohort filters.
 
 A corpus is a set of papers, each carrying its publication year, its author
-list (or just an author count), and one citing year per citation event.
+list (or just an author count), and its citation events counted per citing
+year.
 Author records restrict a researcher's papers and citations to the first
 ``window_years`` calendar years of their publishing career.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from operator import sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -23,36 +26,69 @@ class UnknownAuthorError(LookupError):
     """Raised when an author id is not present in the corpus."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Paper:
-    """One publication with its citation events (one citing year per event)."""
+    """One publication; ``counts[i]`` of its citations fall in ``years[i]`` or before.
+
+    ``years`` are the distinct citing years, ascending, so storage grows with
+    distinct years, not with events, and equal event multisets compare equal.
+    """
 
     paper_id: str
     pub_year: int
     author_count: int
-    citing_years: tuple[int, ...]
-    author_ids: tuple[str, ...] | None = None
+    years: tuple[int, ...]
+    counts: tuple[int, ...]
+    author_ids: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
-        if self.author_count < 1:
-            raise ValueError(f"paper {self.paper_id}: author_count must be >= 1")
-        if self.author_ids is not None and len(self.author_ids) != self.author_count:
+    def __init__(
+        self,
+        paper_id: str,
+        pub_year: int,
+        author_count: int,
+        citing_years: Iterable[int] | dict[int, int] = (),
+        author_ids: tuple[str, ...] | None = None,
+    ) -> None:
+        """``citing_years``: each event's year, or {year: events} as in a Counter."""
+        if isinstance(citing_years, dict):
+            years = sorted(y for y, n in citing_years.items() if n > 0)
+            counts = list(accumulate(map(citing_years.__getitem__, years)))
+        else:
+            events = sorted(citing_years)
+            years, counts, end = [], [], 0
+            while end < len(events):  # one step per distinct year, not per event
+                years.append(events[end])
+                end = bisect_right(events, events[end], end)
+                counts.append(end)
+        object.__setattr__(self, "paper_id", paper_id)
+        object.__setattr__(self, "pub_year", pub_year)
+        object.__setattr__(self, "author_count", author_count)
+        object.__setattr__(self, "years", tuple(years))
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "author_ids", author_ids)
+        if author_count < 1:
+            raise ValueError(f"paper {paper_id}: author_count must be >= 1")
+        if author_ids is not None and len(author_ids) != author_count:
             raise ValueError(
-                f"paper {self.paper_id}: author_count {self.author_count} does not "
-                f"match {len(self.author_ids)} author ids"
+                f"paper {paper_id}: author_count {author_count} does not "
+                f"match {len(author_ids)} author ids"
             )
-        # Canonical event order: equal multisets compare equal, and bisect works.
-        years = tuple(sorted(self.citing_years))
-        if years and years[0] < self.pub_year:
+        if years and years[0] < pub_year:
             raise ValueError(
-                f"paper {self.paper_id}: citing year {years[0]} precedes "
-                f"publication year {self.pub_year}"
+                f"paper {paper_id}: citing year {years[0]} precedes "
+                f"publication year {pub_year}"
             )
-        object.__setattr__(self, "citing_years", years)
+
+    @property
+    def citing_years(self) -> tuple[int, ...]:
+        """Every event's citing year, ascending, rebuilt from the counts."""
+        per_year = map(sub, self.counts, (0, *self.counts))
+        return tuple(chain.from_iterable(map(repeat, self.years, per_year)))
 
     def citations_through(self, last_year: int) -> int:
         """Number of citation events with citing year <= last_year."""
-        return bisect_right(self.citing_years, last_year)
+        index = bisect_right(self.years, last_year)
+        return self.counts[index - 1] if index else 0
 
 
 @dataclass(frozen=True)
@@ -199,13 +235,7 @@ def _parse_line(text: str) -> Paper:
     citing_years = record.get("citing_years", [])
     if type(citing_years) is not list or not set(map(type, citing_years)) <= {int}:
         raise ValueError("citing_years must be a list of integers")
-    return Paper(
-        paper_id=paper_id,
-        pub_year=pub_year,
-        author_count=author_count,
-        citing_years=citing_years,
-        author_ids=author_ids,
-    )
+    return Paper(paper_id, pub_year, author_count, citing_years, author_ids)
 
 
 def ingest_corpus(source: _LineSource) -> Corpus:
@@ -237,7 +267,7 @@ def render_paper_line(paper: Paper) -> str:
         record["author_ids"] = list(paper.author_ids)
     else:
         record["author_count"] = paper.author_count
-    record["citing_years"] = list(paper.citing_years)
+    record["citing_years"] = paper.citing_years
     return _encode(record)
 
 

@@ -176,24 +176,26 @@ class BoxplotSummary:
     outliers: tuple[float, ...]
 
 
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """numpy's default (linear) percentile of a sorted list, bit for bit."""
+    index = q / 100 * (len(ordered) - 1)
+    low = math.floor(index)
+    if low == len(ordered) - 1:  # numpy returns the last value as it is
+        return ordered[low]
+    a, b, g = ordered[low], ordered[low + 1], index - low
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
 def _boxplot_of(values: Sequence[float], whis: float = 1.5) -> tuple[
     float, float, float, float, float, tuple[float, ...]
 ]:
-    # numpy is imported where used, so `--version` and `indicators` never load it.
-    import numpy as np
-
-    data = np.asarray(values, dtype=float)
-    q1, med, q3 = (float(q) for q in np.percentile(data, [25.0, 50.0, 75.0]))
+    ordered = sorted(values)
+    q1, med, q3 = (_percentile(ordered, q) for q in (25.0, 50.0, 75.0))
     iqr = q3 - q1
-    fence_low = q1 - whis * iqr
-    fence_high = q3 + whis * iqr
-    inside = data[(data >= fence_low) & (data <= fence_high)]
-    whisker_low = float(inside.min())
-    whisker_high = float(inside.max())
-    outliers = tuple(
-        sorted(float(v) for v in data[(data < fence_low) | (data > fence_high)])
-    )
-    return med, q1, q3, whisker_low, whisker_high, outliers
+    fence_low, fence_high = q1 - whis * iqr, q3 + whis * iqr
+    inside = [v for v in ordered if fence_low <= v <= fence_high]
+    outliers = tuple(v for v in ordered if not fence_low <= v <= fence_high)
+    return med, q1, q3, inside[0], inside[-1], outliers
 
 
 def boxplot_export(
@@ -213,18 +215,8 @@ def boxplot_export(
         transformed = [
             math.log10(float(getattr(v, indicator)) + 1.0) for v in vectors
         ]
-        med, q1, q3, lo, hi, outliers = _boxplot_of(transformed)
         summaries.append(
-            BoxplotSummary(
-                cohort=cohort_name,
-                indicator=indicator,
-                median=med,
-                q1=q1,
-                q3=q3,
-                whisker_low=lo,
-                whisker_high=hi,
-                outliers=outliers,
-            )
+            BoxplotSummary(cohort_name, indicator, *_boxplot_of(transformed))
         )
     return summaries
 

@@ -196,16 +196,13 @@ def _generate_author(
             total = _draw_citations(
                 rng, citation_rate(config, pub_year, is_star), config.dispersion
             )
-            spread = rng.multinomial(total, CITATION_RAMP)
-            citing_years = []
-            for year_offset, events in enumerate(spread):
-                citing_years.extend([pub_year + year_offset] * int(events))
+            spread = rng.multinomial(total, CITATION_RAMP).tolist()
             papers.append(
                 Paper(
                     paper_id=paper_id,
                     pub_year=pub_year,
                     author_count=n_authors,
-                    citing_years=tuple(citing_years),
+                    citing_years=dict(enumerate(spread, start=pub_year)),
                     author_ids=tuple(author_ids),
                 )
             )

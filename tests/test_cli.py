@@ -429,30 +429,39 @@ def test_version_flag(capsys):
 STARTUP_PROBE = """
 import sys
 import biblio_bench.cli as cli
+stars, control, *indicator_args = sys.argv[1:]
 assert "numpy" not in sys.modules, "import"
 try:
     cli.main(["--version"])
 except SystemExit:
     pass
 assert "numpy" not in sys.modules, "--version"
-assert cli.main(["indicators", *sys.argv[1:]]) == 0
+assert cli.main(["indicators", *indicator_args]) == 0
 assert "numpy" not in sys.modules, "indicators"
+assert cli.main(["compare", "--stars", stars, "--control", control]) == 0
+assert "numpy" not in sys.modules, "compare"
 """
 
 
-def test_version_and_indicators_do_not_load_numpy():
-    # numpy's import is most of the start-up time; only generate, fit and
-    # compare need it.
+def test_version_and_indicators_do_not_load_numpy(tmp_path):
+    # numpy's import is most of the start-up time; only generate and fit
+    # need it.
+    header, *rows = (DATA / "expected_vectors.tsv").read_text().splitlines()
+    stars, control = tmp_path / "stars.tsv", tmp_path / "control.tsv"
+    stars.write_text("\n".join([header, *rows[:2]]) + "\n")
+    control.write_text("\n".join([header, *rows[2:]]) + "\n")
     env = dict(os.environ)
     src = str(Path(biblio_bench.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, *FIXTURE_ARGS],
+        [sys.executable, "-c", STARTUP_PROBE, str(stars), str(control),
+         *FIXTURE_ARGS],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("biblio-bench ")
     assert "\nauthor_id\t" in result.stdout
+    assert "\nindicator\tmedian_stars\t" in result.stdout
 
 
 # The effect-config pipeline from a working directory, with relative paths,

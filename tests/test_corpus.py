@@ -1,5 +1,7 @@
 import io
 import json
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -136,6 +138,52 @@ def test_citations_through_matches_linear_count(pub_year, offsets, query):
     paper = Paper(paper_id="p", pub_year=pub_year, author_count=1,
                   citing_years=tuple(events))
     assert paper.citations_through(query) == sum(1 for y in events if y <= query)
+
+
+def paper_with(events, pub_year=2000):
+    return Paper(paper_id="p", pub_year=pub_year, author_count=1,
+                 citing_years=events)
+
+
+@given(st.lists(st.integers(2000, 2030), max_size=60))
+def test_citing_years_read_back_sorted(events):
+    paper = paper_with(events)
+    assert paper.citing_years == tuple(sorted(events))
+    # A {year: events} mapping builds the same paper as the events listed.
+    assert paper_with(Counter(events)) == paper
+
+
+@given(st.data())
+def test_papers_equal_iff_event_multisets_equal(data):
+    events = st.lists(st.integers(2000, 2006), max_size=12)
+    a = data.draw(events)
+    b = data.draw(st.permutations(a) | events)
+    assert (paper_with(a) == paper_with(b)) == (Counter(a) == Counter(b))
+
+
+def test_storage_grows_with_distinct_citing_years():
+    paper = paper_with([1, 1 + 10**9], pub_year=1)
+    assert (paper.years, paper.counts) == ((1, 1 + 10**9), (1, 2))
+    assert paper.citations_through(10**9) == 1
+    assert paper_with({1: 0, 3: 2, 5: 0}, pub_year=1).years == (3,)
+
+
+def test_ingest_retains_less_than_a_byte_per_citation_event():
+    # 100 papers x 2,000 events over 5 distinct years: 200,000 events.
+    lines = [
+        line(paper_id=f"p{i}", pub_year=2000, author_count=1,
+             citing_years=[2000 + k % 5 for k in range(2000)])
+        for i in range(100)
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = ingest_corpus(lines)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert corpus.papers["p7"].citations_through(2001) == 800
+    assert retained < 200_000
 
 
 @st.composite

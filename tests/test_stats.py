@@ -13,6 +13,7 @@ from biblio_bench.stats import (
     BoxplotSummary,
     ComparisonRow,
     ComparisonTable,
+    _boxplot_of,
     boxplot_export,
     compare_cohorts,
     parse_comparison_table,
@@ -313,6 +314,30 @@ def test_boxplot_random_matches_hand_quartiles():
         assert summary.whisker_high == max(inside)
         outside = sorted(t for t in transformed if t not in inside)
         assert list(summary.outliers) == outside
+
+
+# Ties come from a few repeated log10(x + 1) values; the rest are arbitrary.
+# `+ 0.0` turns -0.0 into 0.0: the two compare equal, so numpy's partition may
+# order them either way, and boxplot_export's log10(x + 1) never yields -0.0.
+boxplot_values = st.lists(
+    st.sampled_from([0.0, math.log10(2.0), math.log10(3.0), 1.0])
+    | st.floats(-1e6, 1e6).map(lambda x: x + 0.0),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(boxplot_values)
+def test_boxplot_of_matches_numpy(values):
+    med, q1, q3, low, high, outliers = _boxplot_of(values)
+    expected = np.percentile(values, [25.0, 50.0, 75.0])
+    assert [q.hex() for q in (q1, med, q3)] == [float(q).hex() for q in expected]
+    # Whiskers and outliers as numpy masks give them, from the same quartiles.
+    data = np.asarray(values, dtype=float)
+    iqr = q3 - q1
+    keep = (data >= q1 - 1.5 * iqr) & (data <= q3 + 1.5 * iqr)
+    assert (low, high) == (float(data[keep].min()), float(data[keep].max()))
+    assert outliers == tuple(sorted(data[~keep].tolist()))
 
 
 def test_boxplot_constant_values():
