@@ -78,51 +78,36 @@ def _emit(
     Without --out the texts go to stdout, joined by "\n". With it, the text
     tagged "" goes to --out and every other one to the sidecar of its tag,
     next to a manifest of every option as parsed, the files read (in option
-    order) and the output checksums.
+    order) and the output checksums. Each text is encoded once, and the
+    checksum is of the bytes written.
     """
     if args.out is None:
         sys.stdout.write("\n".join(texts.values()))
         return 0
     out = Path(args.out)
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    return _write_with_manifest(
-        args.command,
-        parameters=options,
-        inputs=[Path(options[k]) for k in _INPUT_OPTIONS if options.get(k)],
-        outputs={_sidecar(out, tag) if tag else out: t for tag, t in texts.items()},
-        extra=extra,
-    )
-
-
-def _write_with_manifest(
-    command: str,
-    parameters: dict,
-    inputs: Sequence[Path],
-    outputs: dict[Path, str],
-    extra: dict | None = None,
-) -> int:
-    """Write the outputs and their manifest, all or none; return exit status 0."""
+    inputs = [Path(options[k]) for k in _INPUT_OPTIONS if options.get(k)]
+    outputs = {_sidecar(out, tag) if tag else out: t.encode() for tag, t in texts.items()}
     payload = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
-        "parameters": parameters,
+        "parameters": options,
         "inputs": [
             {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
             for path in inputs
         ],
         "outputs": [
-            {"path": str(path), "sha256": hashlib.sha256(text.encode()).hexdigest()}
-            for path, text in outputs.items()
+            {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+            for path, data in outputs.items()
         ],
+        **(extra or {}),
     }
-    if extra:
-        payload.update(extra)
-    manifest = _sidecar(next(iter(outputs)), ".manifest.json")
-    _write_outputs({**outputs, manifest: json.dumps(payload, indent=2) + "\n"})
+    manifest = (json.dumps(payload, indent=2) + "\n").encode()
+    _write_outputs({**outputs, _sidecar(out, ".manifest.json"): manifest})
     return 0
 
 
-def _write_outputs(outputs: dict[Path, str]) -> None:
+def _write_outputs(outputs: dict[Path, bytes]) -> None:
     """Write all outputs or none.
 
     Each file is staged under a temporary name first; only after every
@@ -132,9 +117,9 @@ def _write_outputs(outputs: dict[Path, str]) -> None:
     staged: list[tuple[Path, Path]] = []
     placed: list[Path] = []
     try:
-        for path, text in outputs.items():
+        for path, data in outputs.items():
             tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text(text, encoding="utf-8")
+            tmp.write_bytes(data)
             staged.append((tmp, path))
         for tmp, path in staged:
             os.replace(tmp, path)

@@ -13,7 +13,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from operator import sub
+from operator import mul, sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -195,8 +195,62 @@ def _iter_lines(source: _LineSource) -> Iterator[str]:
 _decode = json.JSONDecoder().raw_decode
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
+# render_paper_line writes the event list last, after this key.
+_EVENTS_KEY = ', "citing_years": ['
+# On a 2-vCPU VM (CPython 3.11) a JSON int costs about 0.15 us to decode and
+# check. Reading a list per year costs about 9 us per line over a line with no
+# events, plus 0.5 us per year spanned, and nothing per event above noise. So
+# it takes lists of >= 64 events (4 digits each, ", " between) over <= 10 years.
+_DENSE_MIN_CHARS = 64 * 6 - 2
+_DENSE_MAX_YEARS = 10
+_DIGITS = "0123456789" * 2
 
-def _parse_line(text: str) -> Paper:
+
+def _event_list(years: Iterable[int], per_year: Iterable[int]) -> str:
+    """Each year's text repeated by its event count, joined by ", "."""
+    return "".join(map(mul, map("{}, ".format, years), per_year))[:-2]
+
+
+def _split_rendered(text: str) -> tuple[str, dict[int, int]] | None:
+    """The record text without its events, and {year: events}, if the line
+    ends in an event list exactly as _event_list writes it; else None.
+
+    Within 10 years a year is named by its last digit, the fourth character
+    of its slot, so one count per year gives counts that must write back.
+    """
+    if not text.endswith("]}"):
+        return None
+    cut = text.rfind(_EVENTS_KEY)
+    events = text[cut + len(_EVENTS_KEY) : -2]
+    if cut <= 0 or len(events) < _DENSE_MIN_CHARS:
+        return None
+    try:
+        first, last = int(events[:4]), int(events[-4:])
+    except ValueError:
+        return None
+    if not 1000 <= first <= last < min(first + _DENSE_MAX_YEARS, 10000):
+        return None
+    years = range(first, last + 1)
+    counts = list(map(events[3::6].count, _DIGITS[first % 10 :][: len(years)]))
+    if _event_list(years, counts) != events:
+        return None
+    return text[:cut] + "}", dict(zip(years, counts))
+
+
+def _parse_line(text: str, per_year: dict[int, int] | None = None) -> Paper:
+    """Decode and check one record; ``per_year`` replaces its citing_years.
+
+    A line ending in an event list as render_paper_line writes it is read
+    per year: its record without the list, plus the list's counts. If that
+    fails, the whole line is decoded below, with the general path's results.
+    """
+    if per_year is None and len(text) > _DENSE_MIN_CHARS:
+        rendered = _split_rendered(text)
+        if rendered is not None:
+            try:
+                return _parse_line(*rendered)
+            except ValueError:
+                pass
     try:
         record, end = _decode(text)
     except json.JSONDecodeError as exc:
@@ -232,6 +286,8 @@ def _parse_line(text: str) -> Paper:
         if author_count is None:
             author_count = len(author_ids)
 
+    if per_year is not None:
+        return Paper(paper_id, pub_year, author_count, per_year, author_ids)
     citing_years = record.get("citing_years", [])
     if type(citing_years) is not list or not set(map(type, citing_years)) <= {int}:
         raise ValueError("citing_years must be a list of integers")
@@ -258,7 +314,7 @@ def ingest_corpus(source: _LineSource) -> Corpus:
 
 
 def render_paper_line(paper: Paper) -> str:
-    """Serialize one paper in the ingestion line format."""
+    """Serialize one paper in the ingestion line format, events last."""
     record: dict[str, object] = {
         "paper_id": paper.paper_id,
         "pub_year": paper.pub_year,
@@ -267,14 +323,13 @@ def render_paper_line(paper: Paper) -> str:
         record["author_ids"] = list(paper.author_ids)
     else:
         record["author_count"] = paper.author_count
-    record["citing_years"] = paper.citing_years
-    return _encode(record)
+    events = _event_list(paper.years, map(sub, paper.counts, (0, *paper.counts)))
+    return f"{_encode(record)[:-1]}{_EVENTS_KEY}{events}]}}"
 
 
 def render_corpus(corpus: Corpus) -> str:
     """Serialize a corpus as line-delimited JSON, one paper per line."""
-    lines = [render_paper_line(p) for p in corpus.papers.values()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([f"{render_paper_line(p)}\n" for p in corpus.papers.values()])
 
 
 def build_author_record(

@@ -3,11 +3,13 @@ import json
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from biblio_bench import corpus as corpus_module
 from biblio_bench.corpus import (
     AuthorRecord,
     Corpus,
@@ -206,6 +208,149 @@ def corpora(draw):
 @given(corpora())
 def test_ingest_render_round_trip_property(corpus):
     assert ingest_corpus(render_corpus(corpus).splitlines()).papers == corpus.papers
+
+
+# Publication years around the edges of the 4-digit range the per-year read
+# handles, and inside it.
+PUB_YEARS = st.sampled_from([990, 995, 999, 1000, 9990, 9995]) | st.integers(1950, 2020)
+
+
+@st.composite
+def dense_papers(draw, paper_id="p"):
+    """A paper with at least 64 events over 1 to 12 calendar years."""
+    pub_year = draw(PUB_YEARS)
+    span = draw(st.integers(0, 11))
+    authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4))
+    return Paper(
+        paper_id=paper_id,
+        pub_year=pub_year,
+        author_count=len(authors) if authors else draw(st.integers(1, 6)),
+        citing_years=draw(st.lists(st.integers(pub_year, pub_year + span),
+                                   min_size=64, max_size=200)),
+        author_ids=tuple(authors) if authors else None,
+    )
+
+
+@given(st.lists(IDS, unique=True, max_size=6).flatmap(
+    lambda ids: st.tuples(*map(dense_papers, ids))))
+def test_ingest_render_round_trip_property_dense(papers):
+    corpus = Corpus.from_papers(papers)
+    assert ingest_corpus(render_corpus(corpus).splitlines()).papers == corpus.papers
+
+
+def ingested(text):
+    """The papers one line ingests to, or the error message it raises."""
+    try:
+        return list(ingest_corpus([text]).papers.values())
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+# Ways to take a rendered event list out of the form the per-year read
+# accepts: a separator after slot i, an edit of slot i, or a named change.
+SEPARATORS = (",", ",  ", ", \t")
+SLOT_EDITS = {
+    "leading zero": lambda y: "0" + y,
+    "3 digits": lambda y: y[1:],
+    "5 digits": lambda y: y + "0",
+    "negative": lambda y: "-" + y,
+    "float": lambda y: y + ".0",
+    "true": lambda y: "true",
+    "string": lambda y: f'"{y}"',
+    "arabic-indic": lambda y: y.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+MUTATIONS = [
+    "none", *SEPARATORS, *SLOT_EDITS, "non-contiguous run", "year before pub_year",
+    "earlier duplicate key", "empty head", "escaped key decoy",
+]
+
+
+def mutated_line(paper, mutation, i):
+    text = render_paper_line(paper)
+    cut = text.rfind(corpus_module._EVENTS_KEY) + len(corpus_module._EVENTS_KEY)
+    head, slots, tail = text[:cut], text[cut:-2].split(", "), "]}"
+    if mutation in SEPARATORS:
+        return head + ", ".join(slots[:i + 1]) + mutation + ", ".join(slots[i + 1:]) + tail
+    if mutation in SLOT_EDITS:
+        slots[i] = SLOT_EDITS[mutation](slots[i])
+    elif mutation == "non-contiguous run":
+        slots.append(slots.pop(i))
+    elif mutation == "year before pub_year":
+        slots[0] = str(paper.pub_year - 1)
+    elif mutation == "earlier duplicate key":
+        head = head.replace('"pub_year"', '"citing_years": ["x"], "pub_year"')
+    elif mutation == "empty head":
+        head = "{" + corpus_module._EVENTS_KEY
+    elif mutation == "escaped key decoy":
+        tail = '], "x\\"citing_years": [' + ", ".join([min(slots)] * 64) + "]}"
+    return head + ", ".join(slots) + tail
+
+
+@given(dense_papers(), st.sampled_from(MUTATIONS), st.data())
+def test_per_year_read_matches_general_path(paper, mutation, data):
+    i = data.draw(st.integers(0, len(paper.citing_years) - 2))
+    text = mutated_line(paper, mutation, i)
+    with mock.patch.object(corpus_module, "_split_rendered", lambda text: None):
+        expected = ingested(text)
+    assert ingested(text) == expected
+    if mutation == "none":
+        assert expected == [paper]
+        span = paper.years[-1] - paper.years[0]
+        in_range = 1000 <= paper.years[0] and paper.years[-1] <= 9999
+        taken = corpus_module._split_rendered(text) is not None
+        assert taken == (span < 10 and in_range)
+
+
+def test_rendered_events_are_not_decoded(monkeypatch):
+    # 100 papers x 2,000 events over 5 distinct years, as render writes them.
+    lines = [
+        render_paper_line(Paper(paper_id=f"p{i}", pub_year=2000, author_count=1,
+                                citing_years={2000 + k: 400 for k in range(5)}))
+        for i in range(100)
+    ]
+    decoded = []
+
+    def recording_decode(text):
+        decoded.append(text)
+        return decode(text)
+
+    decode = corpus_module._decode
+    monkeypatch.setattr(corpus_module, "_decode", recording_decode)
+    corpus = ingest_corpus(lines)
+    assert corpus.papers["p7"].citations_through(2001) == 800
+    assert len(decoded) == 100
+    assert not any("citing_years" in text for text in decoded)
+
+
+ANY_YEARS = st.sampled_from([-5000, -1, 0, 1, 999, 1000, 9999, 10000]) | st.integers(
+    -10**6, 10**6
+)
+
+
+@given(
+    paper_id=st.text(min_size=1, max_size=8),
+    pub_year=ANY_YEARS,
+    offsets=st.lists(st.integers(0, 30), max_size=80),
+    far=st.booleans(),
+    authors=st.none() | st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=4),
+    count=st.integers(1, 6),
+)
+def test_render_paper_line_matches_json_dumps(paper_id, pub_year, offsets, far, authors, count):
+    events = [pub_year + k for k in offsets] + ([1 + 10**9] if far else [])
+    paper = Paper(
+        paper_id=paper_id,
+        pub_year=pub_year,
+        author_count=len(authors) if authors else count,
+        citing_years=events,
+        author_ids=tuple(authors) if authors else None,
+    )
+    record = {"paper_id": paper.paper_id, "pub_year": paper.pub_year}
+    if authors:
+        record["author_ids"] = authors
+    else:
+        record["author_count"] = count
+    record["citing_years"] = list(paper.citing_years)
+    assert render_paper_line(paper) == json.dumps(record, ensure_ascii=False)
 
 
 def test_parse_error_reports_line_number():
