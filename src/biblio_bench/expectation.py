@@ -12,7 +12,7 @@ normalize observed counts.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -41,12 +41,12 @@ class WindowFit:
 
 
 def _finite(value: object) -> bool:
-    """A finite int or float; JSON booleans, NaN and infinities are not."""
+    """An int or float, not a bool, within float range: float() cannot overflow."""
     # A comparison, unlike math.isfinite, cannot overflow on a huge int.
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and -math.inf < value < math.inf
+        and -sys.float_info.max <= value <= sys.float_info.max
     )
 
 
@@ -155,7 +155,6 @@ def fit_expectation_model(
     window_count: int = 5,
     min_papers_per_year: int = 100,
     year_range: tuple[int | None, int | None] = (None, None),
-    floor: float = 1.0,
 ) -> ExpectationModel:
     """Fit one least-squares line per window over individual papers.
 
@@ -166,16 +165,15 @@ def fit_expectation_model(
     """
     import numpy as np
 
-    points = [(year, tuple(counts)) for year, counts in papers]
-    for year, counts in points:
+    points = []
+    year_counts: dict[int, int] = {}
+    for year, counts in papers:
         if len(counts) < window_count:
             raise ValueError(
                 f"paper in year {year} has {len(counts)} window counts, "
                 f"need {window_count}"
             )
-
-    year_counts: dict[int, int] = {}
-    for year, _ in points:
+        points.append((year, counts))
         year_counts[year] = year_counts.get(year, 0) + 1
     low, high = year_range
     qualifying = {
@@ -202,6 +200,5 @@ def fit_expectation_model(
     return ExpectationModel(
         window_fits=fits,
         fit_year_range=(min(qualifying), max(qualifying)),
-        floor=floor,
     )
 

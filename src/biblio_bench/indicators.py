@@ -20,7 +20,7 @@ from statistics import median
 from typing import IO, Any, Iterable, get_type_hints
 
 from .corpus import AuthorRecord, RecordPaper
-from .expectation import ExpectationModel
+from .expectation import ExpectationModel, _finite
 
 
 @dataclass(frozen=True)
@@ -93,38 +93,6 @@ def rank_papers(record: AuthorRecord, model: ExpectationModel) -> RankedPapers:
     )
 
 
-def productivity(record: AuthorRecord) -> tuple[int, float]:
-    """Paper count n and fractional score f = sum 1/a."""
-    n = len(record.papers)
-    f = math.fsum(1.0 / p.author_count for p in record.papers)
-    return n, f
-
-
-def total_influence(
-    ranked: RankedPapers,
-) -> tuple[int, float, float, float, float]:
-    """Total-influence sums over all papers.
-
-    Returns (sum c, sum c/E(c), sum sqrt(c), sum c/a, sum c/(E(c) a)).
-    """
-    pairs = tuple(zip(ranked.entries, ranked.expected))
-    citations = sum(p.citations for p in ranked.entries)
-    norm = math.fsum(p.citations / e for p, e in pairs)
-    j = math.fsum(math.sqrt(p.citations) for p in ranked.entries)
-    fract = math.fsum(p.citations / p.author_count for p in ranked.entries)
-    fract_norm = math.fsum(p.citations / (e * p.author_count) for p, e in pairs)
-    return citations, norm, j, fract, fract_norm
-
-
-def typical_influence(ranked: RankedPapers) -> tuple[float, float, float, float]:
-    """Mean c, mean c/a, median of c/a, and max of c/a."""
-    n = len(ranked.entries)
-    fractional = [e.citations / e.author_count for e in ranked.entries]
-    mean_citations = sum(e.citations for e in ranked.entries) / n
-    mean_fract = math.fsum(fractional) / n
-    return mean_citations, mean_fract, median(fractional), max(fractional)
-
-
 def h_index(ranked: RankedPapers) -> int:
     """Largest rank r with c_r >= r."""
     h = 0
@@ -185,21 +153,28 @@ def indicator_vector(
 ) -> IndicatorVector:
     """Compute all 17 indicators for one author record."""
     ranked = rank_papers(record, model)
-    n, f = productivity(record)
-    citations, norm, j, fract, fract_norm = total_influence(ranked)
-    mean_c, mean_fract, median_fract, max_fract = typical_influence(ranked)
+    papers = ranked.entries
+    n = len(papers)
+    f = math.fsum(1.0 / p.author_count for p in papers)
+    citations = sum(p.citations for p in papers)
+    fractional = [p.citations / p.author_count for p in papers]
+    fract_citations = math.fsum(fractional)
+    pairs = tuple(zip(papers, ranked.expected))
     return IndicatorVector(
         n=n,
         f=f,
         citations=citations,
-        norm_citations=norm,
-        j_index=j,
-        fract_citations=fract,
-        fract_norm_citations=fract_norm,
-        mean_citations=mean_c,
-        mean_fract_citations=mean_fract,
-        median_fract_citations=median_fract,
-        max_fract_citations=max_fract,
+        norm_citations=math.fsum(p.citations / e for p, e in pairs),
+        j_index=math.fsum(math.sqrt(p.citations) for p in papers),
+        fract_citations=fract_citations,
+        # c / (E(c) a), not (c / a) / E(c): the two round differently.
+        fract_norm_citations=math.fsum(
+            p.citations / (e * p.author_count) for p, e in pairs
+        ),
+        mean_citations=citations / n,
+        mean_fract_citations=fract_citations / n,
+        median_fract_citations=median(fractional),
+        max_fract_citations=max(fractional),
         h=h_index(ranked),
         g=g_index(ranked),
         h_m=h_m_index(ranked),
@@ -289,8 +264,7 @@ def parse_table(
                 value = cast(cell)
             except ValueError:
                 value = math.nan  # not a number: rejected below with nan and inf
-            # A comparison, unlike math.isfinite, cannot overflow on a huge int.
-            if cast is not str and not -math.inf < value < math.inf:
+            if cast is not str and not _finite(value):
                 raise ValueError(
                     f"line {lineno}: {name} is {cell!r}, not a finite number"
                 )

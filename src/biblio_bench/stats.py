@@ -27,10 +27,11 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    """Ranks starting at 1; tied values share the mean of their positions."""
+def _average_ranks(values: Sequence[float]) -> tuple[list[float], int]:
+    """Mean-position ranks from 1, and sum(t**3 - t) over groups of t ties."""
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
+    tie_term = 0
     i = 0
     while i < len(order):
         j = i
@@ -39,8 +40,10 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
         mean_rank = (i + j) / 2.0 + 1.0
         for k in range(i, j + 1):
             ranks[order[k]] = mean_rank
+        t = j - i + 1
+        tie_term += t**3 - t
         i = j + 1
-    return ranks
+    return ranks, tie_term
 
 
 def wilcoxon_rank_sum(
@@ -62,17 +65,12 @@ def wilcoxon_rank_sum(
         raise ValueError("both samples must be non-empty")
 
     pooled = list(sample_a) + list(sample_b)
-    ranks = _average_ranks(pooled)
+    ranks, tie_term = _average_ranks(pooled)
     rank_sum_a = math.fsum(ranks[:n_a])
     w = rank_sum_a - n_a * (n_a + 1) / 2.0
 
     n = n_a + n_b
-    tie_term = 0.0
-    seen: dict[float, int] = {}
-    for value in pooled:
-        seen[value] = seen.get(value, 0) + 1
-    for count in seen.values():
-        tie_term += count**3 - count
+    # tie_term is an exact int, so tie_term / (n * (n - 1)) is correctly rounded.
     variance = (n_a * n_b / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
         return w, 0.5 if alternative != "two_sided" else 1.0
@@ -186,13 +184,13 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
-def _boxplot_of(values: Sequence[float], whis: float = 1.5) -> tuple[
+def _boxplot_of(values: Sequence[float]) -> tuple[
     float, float, float, float, float, tuple[float, ...]
 ]:
     ordered = sorted(values)
     q1, med, q3 = (_percentile(ordered, q) for q in (25.0, 50.0, 75.0))
     iqr = q3 - q1
-    fence_low, fence_high = q1 - whis * iqr, q3 + whis * iqr
+    fence_low, fence_high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     inside = [v for v in ordered if fence_low <= v <= fence_high]
     outliers = tuple(v for v in ordered if not fence_low <= v <= fence_high)
     return med, q1, q3, inside[0], inside[-1], outliers

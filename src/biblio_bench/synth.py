@@ -26,6 +26,7 @@ from typing import (
 )
 
 from .corpus import Corpus, Paper
+from .expectation import _finite
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
@@ -53,7 +54,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         types = get_type_hints(type(self))
         for f in fields(self):
-            if types[f.name] is float and not math.isfinite(getattr(self, f.name)):
+            if types[f.name] is float and not _finite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be a finite number")
         if self.n_control < 0 or self.n_stars < 0:
             raise ValueError("author counts must be >= 0")
@@ -132,6 +133,8 @@ def _decode(name: str, kind: object, value: object) -> object:
             for key, (raw, v) in zip(keys, value.items())
         }
     if type(value) is int or (kind is float and type(value) is float):
+        if kind is float and not _finite(value):
+            raise ValueError(f"{name} must be a finite number")
         return kind(value)
     noun = "a number" if kind is float else "an integer"
     raise ValueError(f"{name} must be {noun}, got {value!r}")

@@ -7,6 +7,7 @@ against a second route rather than against itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,6 +42,50 @@ def constant_model(expected: float = 2.5, windows: int = 5) -> ExpectationModel:
     return ExpectationModel(
         window_fits=fits, fit_year_range=(1990, 2010), floor=min(expected, 1.0)
     )
+
+
+def oracle_sums(
+    record: AuthorRecord, model: ExpectationModel
+) -> dict[str, int | float]:
+    """The 11 non-rank indicators, each sum taken exactly and rounded once.
+
+    Each per-paper term is the float its definition gives: 1/a, c/E(c),
+    sqrt(c), c/a and c/(E(c)*a), where E(c) is the paper's window line at its
+    publication year, clamped from below at the model's floor. The terms of
+    each indicator are summed as Fractions; each mean is its rounded sum / n.
+    """
+    window_end = record.first_year + record.window_years
+    terms: dict[str, list[float]] = {
+        "f": [], "norm_citations": [], "j_index": [],
+        "fract_citations": [], "fract_norm_citations": [],
+    }
+    for p in record.papers:
+        fit = model.window_fits[window_end - p.pub_year]
+        e = max(fit.slope * p.pub_year + fit.intercept, model.floor)
+        c, a = p.citations, p.author_count
+        terms["f"].append(1 / a)
+        terms["norm_citations"].append(c / e)
+        terms["j_index"].append(math.sqrt(c))
+        terms["fract_citations"].append(c / a)
+        terms["fract_norm_citations"].append(c / (e * a))
+    sums = {name: float(sum(map(Fraction, t))) for name, t in terms.items()}
+    n = len(record.papers)
+    citations = sum(p.citations for p in record.papers)
+    fractional = sorted(terms["fract_citations"])
+    middle = fractional[(n - 1) // 2 : n // 2 + 1]
+    return {
+        "n": n,
+        "f": sums["f"],
+        "citations": citations,
+        "norm_citations": sums["norm_citations"],
+        "j_index": sums["j_index"],
+        "fract_citations": sums["fract_citations"],
+        "fract_norm_citations": sums["fract_norm_citations"],
+        "mean_citations": citations / n,
+        "mean_fract_citations": sums["fract_citations"] / n,
+        "median_fract_citations": float(sum(map(Fraction, middle)) / len(middle)),
+        "max_fract_citations": fractional[-1],
+    }
 
 
 def _ordered(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:

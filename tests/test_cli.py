@@ -100,6 +100,20 @@ def test_generate_rejects_malformed_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# JSON and table text can hold integers too large for a float.
+BEYOND_FLOAT = int("1" * 400)
+
+
+def test_generate_rejects_number_beyond_float_range(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", dispersion=BEYOND_FLOAT)
+    out = tmp_path / "corpus.jsonl"
+    assert main(["generate", "--seed-config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: dispersion must be a finite number"
+    )
+    assert not out.exists()
+
+
 def test_generate_failure_leaves_no_partial_outputs(tmp_path, capsys):
     config = write_config(tmp_path / "config.json")
     out = tmp_path / "corpus.jsonl"
@@ -229,6 +243,21 @@ def test_indicators_rejects_nan_model(tmp_path, capsys):
             "--model", str(model), *RELAXED, "--out", str(out)]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error: window 1: slope and intercept")
+    assert not out.exists()
+
+
+def test_indicators_rejects_model_number_beyond_float_range(tmp_path, capsys):
+    payload = json.loads((DATA / "constant_model.json").read_text())
+    payload["window_fits"]["1"]["slope"] = BEYOND_FLOAT
+    model = tmp_path / "big_model.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "v.tsv"
+    args = ["indicators", "--corpus", str(DATA / "fixture_corpus.jsonl"),
+            "--model", str(model), *RELAXED, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: window 1: slope and intercept must be finite numbers"
+    )
     assert not out.exists()
 
 
@@ -370,6 +399,20 @@ def test_compare_rejects_nan_cell(tmp_path, capsys):
                  "--out", str(tmp_path / "c.tsv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: norm_citations is 'nan'")
+    assert not (tmp_path / "c.tsv").exists()
+
+
+def test_compare_rejects_cell_beyond_float_range(tmp_path, capsys):
+    full = cohort_table(tmp_path / "full.tsv", 1, 5, 1.0)
+    header, first, *rest = full.read_text().splitlines()
+    cells = first.split("\t")
+    cells[1] = str(BEYOND_FLOAT)  # the n column
+    big_table = tmp_path / "big.tsv"
+    big_table.write_text("\n".join([header, "\t".join(cells), *rest]) + "\n")
+    assert main(["compare", "--stars", str(big_table), "--control", str(full),
+                 "--out", str(tmp_path / "c.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 2: n is '{BEYOND_FLOAT}', not a finite number")
     assert not (tmp_path / "c.tsv").exists()
 
 

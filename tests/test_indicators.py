@@ -31,6 +31,7 @@ from oracles import (
     oracle_g_m,
     oracle_h,
     oracle_h_m,
+    oracle_sums,
 )
 
 MODEL = constant_model(expected=2.5)
@@ -178,6 +179,47 @@ def test_norm_uses_sum_of_ratios():
     # windows: 5 for the 1995 paper (E=5), 2 for the 1998 paper (E=2)
     assert v.norm_citations == 8 / 5 + 4 / 2
     assert v.norm_citations != (8 + 4) / (5 + 2)
+
+
+# E(c) moves with publication year and window. The w=1 line falls below the
+# floor from 1995 on, so a record's last-year papers from then are clamped.
+DRIFTING_MODEL = ExpectationModel(
+    window_fits={
+        w: WindowFit(
+            slope=0.3 * w - 0.55,
+            intercept=2.2 * w + 0.4 - (0.3 * w - 0.55) * 1990,
+            n_points=2,
+        )
+        for w in range(1, 6)
+    },
+    fit_year_range=(1990, 2004),
+    floor=1.5,
+)
+
+
+@given(
+    st.integers(1990, 2000),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 500), st.integers(1, 8)),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_non_rank_indicators_match_exact_oracle(first_year, papers):
+    record = AuthorRecord(
+        author_id="a",
+        first_year=first_year,
+        papers=tuple(
+            RecordPaper(paper_id=f"p{i:03d}", pub_year=first_year + offset,
+                        author_count=a, citations=c)
+            for i, (offset, c, a) in enumerate(papers)
+        ),
+        window_years=5,
+    )
+    expected = oracle_sums(record, DRIFTING_MODEL)
+    assert tuple(expected) == INDICATOR_FIELDS[:11]
+    v = indicator_vector(record, DRIFTING_MODEL)
+    assert {name: getattr(v, name) for name in expected} == expected
 
 
 def test_format_decimal():
