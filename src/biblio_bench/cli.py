@@ -2,9 +2,10 @@
 
 Every file-writing command also emits a manifest (JSON, same directory)
 recording every option as parsed and sha256 checksums of inputs and
-outputs, so a run can be replayed and checked byte for byte. Outputs are
-staged and moved into place together; a failing command leaves no partial
-files behind.
+outputs, so a run can be replayed and checked byte for byte. Each file
+passes through memory once: readers hash the bytes they parse, and outputs
+are hashed as they are written. Outputs are staged and moved into place
+together; a failing command leaves no partial files behind.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import __version__
 from .corpus import (
@@ -24,6 +26,7 @@ from .corpus import (
     build_author_record,
     filter_cohort,
     ingest_corpus,
+    open_text,
     render_corpus,
 )
 from .expectation import (
@@ -44,6 +47,9 @@ from .stats import (
     render_comparison_table,
 )
 from .synth import SynthConfig, generate_corpus
+
+if TYPE_CHECKING:
+    from hashlib import _Hash
 
 LOG_ENV_VAR = "BIBLIO_BENCH_LOG"
 STDOUT_PRECISION = 3
@@ -69,58 +75,77 @@ def _sidecar(out: Path, tag: str) -> Path:
 # Options naming files a command reads, in the order manifests list them.
 _INPUT_OPTIONS = ("seed_config", "corpus", "model", "authors", "stars", "control")
 
+# An output's text, or a function that writes it to a text stream.
+_Content = str | Callable[[IO[str]], object]
+
+
+def _input_digests(args: argparse.Namespace) -> dict[str, _Hash]:
+    """A sha256 per input option given, in manifest order, for its reader to feed."""
+    return {k: hashlib.sha256() for k in _INPUT_OPTIONS if getattr(args, k, None)}
+
 
 def _emit(
-    args: argparse.Namespace, texts: dict[str, str], extra: dict | None = None
+    args: argparse.Namespace,
+    inputs: dict[str, _Hash],
+    texts: dict[str, _Content],
+    extra: dict | None = None,
 ) -> int:
-    """Write a command's rendered texts, keyed by sidecar tag; return 0.
+    """Write a command's outputs, keyed by sidecar tag; return 0.
 
-    Without --out the texts go to stdout, joined by "\n". With it, the text
-    tagged "" goes to --out and every other one to the sidecar of its tag,
-    next to a manifest of every option as parsed, the files read (in option
-    order) and the output checksums. Each text is encoded once, and the
-    checksum is of the bytes written.
+    Without --out the texts go to stdout, joined by "\n"; a command that
+    streams an output through a function requires --out. With it, the
+    output tagged "" goes to --out and every other one to the sidecar of its
+    tag, next to a manifest of every option as parsed, the files read (in
+    option order) with the digests their readers fed, and the outputs with
+    the digests of the bytes written.
     """
     if args.out is None:
         sys.stdout.write("\n".join(texts.values()))
         return 0
     out = Path(args.out)
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    inputs = [Path(options[k]) for k in _INPUT_OPTIONS if options.get(k)]
-    outputs = {_sidecar(out, tag) if tag else out: t.encode() for tag, t in texts.items()}
-    payload = {
-        "command": args.command,
-        "tool_version": __version__,
-        "parameters": options,
-        "inputs": [
-            {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-            for path in inputs
-        ],
-        "outputs": [
-            {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-            for path, data in outputs.items()
-        ],
-        **(extra or {}),
-    }
-    manifest = (json.dumps(payload, indent=2) + "\n").encode()
-    _write_outputs({**outputs, _sidecar(out, ".manifest.json"): manifest})
+    with _staged() as stage:
+        outputs = []
+        for tag, content in texts.items():
+            path = _sidecar(out, tag) if tag else out
+            outputs.append({"path": str(path), "sha256": stage(path, content)})
+        payload = {
+            "command": args.command,
+            "tool_version": __version__,
+            "parameters": options,
+            "inputs": [
+                {"path": str(Path(options[k])), "sha256": digest.hexdigest()}
+                for k, digest in inputs.items()
+            ],
+            "outputs": outputs,
+            **(extra or {}),
+        }
+        stage(_sidecar(out, ".manifest.json"), json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def _write_outputs(outputs: dict[Path, bytes]) -> None:
+@contextmanager
+def _staged() -> Iterator[Callable[[Path, _Content], str]]:
     """Write all outputs or none.
 
-    Each file is staged under a temporary name first; only after every
-    stage succeeds are the files moved into place. Any failure removes the
-    staged copies and whatever finals were already placed.
+    The yielded function writes one output under a temporary name and
+    returns the sha256 of its bytes, taken as they are written. Only after
+    the block succeeds are the files moved into place. Any failure removes
+    the staged copies and whatever finals were already placed.
     """
     staged: list[tuple[Path, Path]] = []
     placed: list[Path] = []
+
+    def stage(path: Path, content: _Content) -> str:
+        tmp = path.with_name(path.name + ".tmp")
+        staged.append((tmp, path))
+        digest = hashlib.sha256()
+        with open_text(tmp, "w", digest) as handle:
+            content(handle) if callable(content) else handle.write(content)
+        return digest.hexdigest()
+
     try:
-        for path, data in outputs.items():
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_bytes(data)
-            staged.append((tmp, path))
+        yield stage
         for tmp, path in staged:
             os.replace(tmp, path)
             placed.append(path)
@@ -133,7 +158,8 @@ def _write_outputs(outputs: dict[Path, bytes]) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config = SynthConfig.from_json(Path(args.seed_config))
+    inputs = _input_digests(args)
+    config = SynthConfig.from_json(Path(args.seed_config), inputs["seed_config"])
     corpus, star_ids, control_ids = generate_corpus(config)
     logger.info(
         "generated %d papers for %d stars and %d controls",
@@ -141,13 +167,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         len(star_ids),
         len(control_ids),
     )
-    texts = {
-        "": render_corpus(corpus),
+    texts: dict[str, _Content] = {
+        "": lambda out: render_corpus(corpus, out),
         ".stars.txt": "".join(f"{a}\n" for a in star_ids),
         ".controls.txt": "".join(f"{a}\n" for a in control_ids),
     }
     return _emit(
         args,
+        inputs,
         texts,
         extra={
             "config": json.loads(config.to_json()),
@@ -158,7 +185,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    corpus = ingest_corpus(Path(args.corpus))
+    inputs = _input_digests(args)
+    corpus = ingest_corpus(Path(args.corpus), inputs["corpus"])
     logger.info("read %d papers from %s", len(corpus), args.corpus)
     points = collect_window_points(corpus, window_count=args.windows)
     model = fit_expectation_model(
@@ -173,12 +201,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         model.fit_year_range[0],
         model.fit_year_range[1],
     )
-    return _emit(args, {"": model.to_json()})
+    return _emit(args, inputs, {"": model.to_json()})
 
 
-def _read_author_list(path: Path) -> list[str]:
+def _read_author_list(path: Path, digest: _Hash) -> list[str]:
+    with open_text(path, digest=digest) as handle:
+        text = handle.read()
     ids = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         entry = line.strip()
         if entry and not entry.startswith("#"):
             ids.append(entry)
@@ -197,8 +227,9 @@ def _parse_max_start_year(raw: str) -> int | None:
 
 
 def cmd_indicators(args: argparse.Namespace) -> int:
-    corpus = ingest_corpus(Path(args.corpus))
-    model = ExpectationModel.load(Path(args.model))
+    inputs = _input_digests(args)
+    corpus = ingest_corpus(Path(args.corpus), inputs["corpus"])
+    model = ExpectationModel.load(Path(args.model), inputs["model"])
     if args.windows > model.window_count:
         raise ValueError(
             f"model provides windows 1..{model.window_count} "
@@ -206,7 +237,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         )
 
     if args.authors:
-        author_ids = _read_author_list(Path(args.authors))
+        author_ids = _read_author_list(Path(args.authors), inputs["authors"])
     else:
         author_ids = sorted(corpus.author_index)
     records = [
@@ -225,12 +256,14 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         print("warning: no authors passed the cohort filter", file=sys.stderr)
 
     rows = [(record.author_id, indicator_vector(record, model)) for record in kept]
-    return _emit(args, {"": render_vector_table(rows, precision=args.precision)})
+    table = render_vector_table(rows, precision=args.precision)
+    return _emit(args, inputs, {"": table})
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    stars = [vector for _, vector in parse_vector_table(Path(args.stars))]
-    control = [vector for _, vector in parse_vector_table(Path(args.control))]
+    inputs = _input_digests(args)
+    stars = [v for _, v in parse_vector_table(Path(args.stars), inputs["stars"])]
+    control = [v for _, v in parse_vector_table(Path(args.control), inputs["control"])]
     if not stars:
         raise ValueError(f"stars table {args.stars} has no rows")
     if not control:
@@ -245,7 +278,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "": render_comparison_table(table, precision=args.precision),
         ".boxplot.tsv": render_boxplot_table(summaries, precision=args.precision),
     }
-    return _emit(args, texts)
+    return _emit(args, inputs, texts)
 
 
 def build_parser() -> argparse.ArgumentParser:

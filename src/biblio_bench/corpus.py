@@ -9,13 +9,18 @@ Author records restrict a researcher's papers and citations to the first
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul, sub
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from hashlib import _Hash
 
 
 class CorpusFormatError(ValueError):
@@ -24,6 +29,66 @@ class CorpusFormatError(ValueError):
 
 class UnknownAuthorError(LookupError):
     """Raised when an author id is not present in the corpus."""
+
+
+# float() of a number within +-_FLOAT_MAX cannot overflow.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(value: object) -> bool:
+    """An int or float, not a bool, within float range: float() cannot overflow."""
+    # A comparison, unlike math.isfinite, cannot overflow on a huge int.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -_FLOAT_MAX <= value <= _FLOAT_MAX
+    )
+
+
+class _HashingFile(io.RawIOBase):
+    """An unbuffered binary file that feeds every block read or written to a hash."""
+
+    def __init__(self, file: io.RawIOBase, digest: _Hash) -> None:
+        self._file = file
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return self._file.readable()
+
+    def writable(self) -> bool:
+        return self._file.writable()
+
+    def readinto(self, buffer: memoryview) -> int:
+        n = self._file.readinto(buffer)
+        self._digest.update(buffer[:n])
+        return n
+
+    def write(self, data: memoryview) -> int:
+        n = self._file.write(data)
+        self._digest.update(data[:n])
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def open_text(
+    path: str | Path, mode: str = "r", digest: _Hash | None = None
+) -> IO[str]:
+    """``path`` as UTF-8 text, read ("r") or written ("w") in one pass.
+
+    Reading decodes as open(path, encoding="utf-8") does, universal newlines
+    and errors included; writing translates no newline. With a ``digest``
+    (a hashlib object), each block of bytes read or written also updates
+    it, so a file read to its end or closed after writing is hashed whole.
+    """
+    newline = "" if mode == "w" else None
+    if digest is None:
+        return open(path, mode, encoding="utf-8", newline=newline)
+    raw = _HashingFile(open(path, mode + "b", buffering=0), digest)
+    buffered = io.BufferedWriter(raw) if mode == "w" else io.BufferedReader(raw)
+    return io.TextIOWrapper(buffered, encoding="utf-8", newline=newline)
 
 
 @dataclass(frozen=True, init=False)
@@ -181,9 +246,9 @@ class Corpus:
 _LineSource = str | Path | IO[str] | Iterable[str | bytes]
 
 
-def _iter_lines(source: _LineSource) -> Iterator[str]:
+def _iter_lines(source: _LineSource, digest: _Hash | None) -> Iterator[str]:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open_text(source, digest=digest) as handle:
             yield from handle
     else:
         for line in source:
@@ -267,9 +332,12 @@ def _parse_line(text: str, per_year: dict[int, int] | None = None) -> Paper:
     if not isinstance(paper_id, str) or not paper_id:
         raise ValueError("paper_id must be a non-empty string")
     pub_year = record["pub_year"]
-    # Types only; Paper checks values. `type(v) is int` rejects JSON booleans.
+    # Paper checks values. `type(v) is int` rejects JSON booleans; the bound
+    # keeps float(pub_year), as in fit and E(c), from overflowing.
     if type(pub_year) is not int:
         raise ValueError("pub_year must be an integer")
+    if not -_FLOAT_MAX <= pub_year <= _FLOAT_MAX:
+        raise ValueError("pub_year is beyond float range")
 
     author_ids = record.get("author_ids")
     author_count = record.get("author_count")
@@ -294,15 +362,16 @@ def _parse_line(text: str, per_year: dict[int, int] | None = None) -> Paper:
     return Paper(paper_id, pub_year, author_count, citing_years, author_ids)
 
 
-def ingest_corpus(source: _LineSource) -> Corpus:
+def ingest_corpus(source: _LineSource, digest: _Hash | None = None) -> Corpus:
     """Parse line-delimited JSON paper records into a Corpus.
 
     Each non-empty line is one record with paper_id, pub_year, citing_years,
     and exactly one of author_ids / author_count (when both, they must
-    agree). Errors report the 1-based line number.
+    agree). Errors report the 1-based line number. A file ``source`` is read
+    once; ``digest``, if given, is updated with its bytes as they are read.
     """
     corpus = Corpus()
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in enumerate(_iter_lines(source, digest), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -327,9 +396,18 @@ def render_paper_line(paper: Paper) -> str:
     return f"{_encode(record)[:-1]}{_EVENTS_KEY}{events}]}}"
 
 
-def render_corpus(corpus: Corpus) -> str:
-    """Serialize a corpus as line-delimited JSON, one paper per line."""
-    return "".join([f"{render_paper_line(p)}\n" for p in corpus.papers.values()])
+# Papers rendered per write: a few hundred KB of text on citation-dense corpora.
+_RENDER_BATCH = 256
+
+
+def render_corpus(corpus: Corpus, out: IO[str]) -> None:
+    """Write a corpus to ``out`` as line-delimited JSON, one paper per line.
+
+    Lines are written in batches, so the whole text is never held at once.
+    """
+    papers = iter(corpus.papers.values())
+    while batch := list(islice(papers, _RENDER_BATCH)):
+        out.write("".join([f"{render_paper_line(p)}\n" for p in batch]))
 
 
 def build_author_record(

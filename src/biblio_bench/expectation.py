@@ -12,15 +12,16 @@ normalize observed counts.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, _finite, open_text
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
+    from hashlib import _Hash
+
     import numpy as np
 
 
@@ -38,16 +39,6 @@ class WindowFit:
 
     def predict(self, pub_year: int) -> float:
         return self.slope * pub_year + self.intercept
-
-
-def _finite(value: object) -> bool:
-    """An int or float, not a bool, within float range: float() cannot overflow."""
-    # A comparison, unlike math.isfinite, cannot overflow on a huge int.
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and -sys.float_info.max <= value <= sys.float_info.max
-    )
 
 
 @dataclass(frozen=True)
@@ -123,8 +114,10 @@ class ExpectationModel:
         )
 
     @classmethod
-    def load(cls, path: str | Path) -> ExpectationModel:
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+    def load(cls, path: str | Path, digest: _Hash | None = None) -> ExpectationModel:
+        """Read a model file; ``digest``, if given, is updated with its bytes."""
+        with open_text(path, digest=digest) as handle:
+            return cls.from_json(handle.read())
 
 
 def collect_window_points(

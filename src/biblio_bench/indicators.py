@@ -17,10 +17,13 @@ from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
 from statistics import median
-from typing import IO, Any, Iterable, get_type_hints
+from typing import IO, TYPE_CHECKING, Any, Iterable, get_type_hints
 
-from .corpus import AuthorRecord, RecordPaper
-from .expectation import ExpectationModel, _finite
+from .corpus import AuthorRecord, RecordPaper, _finite, open_text
+from .expectation import ExpectationModel
+
+if TYPE_CHECKING:
+    from hashlib import _Hash
 
 
 @dataclass(frozen=True)
@@ -226,16 +229,21 @@ def render_table(
 
 
 def parse_table(
-    kind: type, source: str | Path | IO[str], key: str | None = None
+    kind: type,
+    source: str | Path | IO[str],
+    key: str | None = None,
+    digest: _Hash | None = None,
 ) -> list[Any]:
     """Read a table written by render_table with the same `kind` and `key`.
 
     Each cell is decoded by its field's type hint, str, int or float. A
     wrong header, a row of the wrong width and a number cell that is not a
-    finite number are rejected with their line number.
+    finite number are rejected with their line number. ``digest``, if
+    given, is updated with the bytes of a file ``source`` as they are read.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        with open_text(source, digest=digest) as handle:
+            text = handle.read()
     else:
         text = source.read()
     types = get_type_hints(kind)
@@ -281,7 +289,7 @@ def render_vector_table(
 
 
 def parse_vector_table(
-    source: str | Path | IO[str],
+    source: str | Path | IO[str], digest: _Hash | None = None
 ) -> list[tuple[str, IndicatorVector]]:
-    """Read a table written by render_vector_table."""
-    return parse_table(IndicatorVector, source, key="author_id")
+    """Read a table written by render_vector_table (``digest`` as in parse_table)."""
+    return parse_table(IndicatorVector, source, key="author_id", digest=digest)

@@ -25,11 +25,12 @@ from typing import (
     get_type_hints,
 )
 
-from .corpus import Corpus, Paper
-from .expectation import _finite
+from .corpus import Corpus, Paper, _finite, open_text
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
+    from hashlib import _Hash
+
     import numpy as np
 
 WINDOW_YEARS = 5
@@ -61,6 +62,8 @@ class SynthConfig:
         lo, hi = self.start_year_range
         if lo > hi:
             raise ValueError("start_year_range must be (low, high) with low <= high")
+        if lo < -(2**63) or hi >= 2**63:  # rng.integers(lo, hi + 1) draws int64
+            raise ValueError("start_year_range must lie within the int64 range")
         if self.papers_per_year_mean < 0:
             raise ValueError("papers_per_year_mean must be >= 0")
         if self.base_expected_citations <= 0:
@@ -90,9 +93,14 @@ class SynthConfig:
         return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, source: str | Path | IO[str]) -> "SynthConfig":
+    def from_json(
+        cls, source: str | Path | IO[str], digest: _Hash | None = None
+    ) -> "SynthConfig":
+        """A config from JSON text, a file or a stream; ``digest``, if given,
+        is updated with a file's bytes as they are read."""
         if isinstance(source, Path):
-            text = source.read_text(encoding="utf-8")
+            with open_text(source, digest=digest) as handle:
+                text = handle.read()
         elif isinstance(source, str):
             text = source
         else:

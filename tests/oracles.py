@@ -7,11 +7,12 @@ against a second route rather than against itself.
 
 from __future__ import annotations
 
+import io
 import math
 from fractions import Fraction
 from itertools import combinations
 
-from biblio_bench.corpus import AuthorRecord, RecordPaper
+from biblio_bench.corpus import AuthorRecord, Corpus, RecordPaper, render_corpus
 from biblio_bench.expectation import ExpectationModel, WindowFit
 
 
@@ -31,6 +32,13 @@ def make_record(
     return AuthorRecord(
         author_id=author_id, first_year=first_year, papers=papers, window_years=5
     )
+
+
+def corpus_text(corpus: Corpus) -> str:
+    """The text render_corpus writes for `corpus`."""
+    out = io.StringIO()
+    render_corpus(corpus, out)
+    return out.getvalue()
 
 
 def constant_model(expected: float = 2.5, windows: int = 5) -> ExpectationModel:

@@ -5,6 +5,8 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 
 import biblio_bench
 import biblio_bench.cli
+import biblio_bench.corpus
 import biblio_bench.indicators
 from biblio_bench.cli import main
 from biblio_bench.expectation import ExpectationModel
@@ -114,6 +117,57 @@ def test_generate_rejects_number_beyond_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_rejects_start_year_beyond_int64(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json",
+                          start_year_range=[1994, BEYOND_FLOAT])
+    out = tmp_path / "corpus.jsonl"
+    assert main(["generate", "--seed-config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: start_year_range ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_generate_failure_mid_stream_leaves_no_partial_outputs(
+    tmp_path, monkeypatch, capsys
+):
+    config = write_config(tmp_path / "config.json")
+    out = tmp_path / "corpus.jsonl"
+    real = biblio_bench.corpus.render_paper_line
+    rendered = []
+
+    def fail_on_third(paper):
+        rendered.append(paper)
+        if len(rendered) == 3:
+            # the corpus is being streamed into its staged file
+            assert (tmp_path / "corpus.jsonl.tmp").is_file()
+            raise OSError("disk full")
+        return real(paper)
+
+    monkeypatch.setattr(biblio_bench.corpus, "render_paper_line", fail_on_third)
+    assert main(["generate", "--seed-config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_generate_writes_the_corpus_without_holding_its_text(tmp_path, monkeypatch):
+    real = biblio_bench.cli.render_corpus
+    peaks = []
+
+    def traced(corpus, out):
+        tracemalloc.start()
+        try:
+            real(corpus, out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(biblio_bench.cli, "render_corpus", traced)
+    out = generated_corpus(tmp_path, n_control=1500, n_stars=0)
+    size = out.stat().st_size
+    assert size > 1_000_000
+    # Rendering all lines at once would allocate at least the corpus size.
+    assert peaks[0] < size / 8, (peaks[0], size)
+
+
 def test_generate_failure_leaves_no_partial_outputs(tmp_path, capsys):
     config = write_config(tmp_path / "config.json")
     out = tmp_path / "corpus.jsonl"
@@ -190,6 +244,39 @@ def test_indicators_reproduces_fixture(tmp_path):
     assert out.read_bytes() == (DATA / "expected_vectors.tsv").read_bytes()
     manifest = json.loads((tmp_path / "vectors.manifest.json").read_text())
     assert manifest["parameters"]["max_start_year"] == "none"
+
+
+def corpus_with_huge_pub_year(tmp_path):
+    lines = (DATA / "fixture_corpus.jsonl").read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record.update(pub_year=BEYOND_FLOAT, citing_years=[BEYOND_FLOAT])
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+    return corpus
+
+
+def test_fit_rejects_pub_year_beyond_float_range(tmp_path, capsys):
+    corpus = corpus_with_huge_pub_year(tmp_path)
+    out = tmp_path / "model.json"
+    assert main(["fit", "--corpus", str(corpus), "--min-papers", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: line 1: pub_year is beyond float range"
+    )
+    assert not out.exists()
+
+
+def test_indicators_rejects_pub_year_beyond_float_range(tmp_path, capsys):
+    corpus = corpus_with_huge_pub_year(tmp_path)
+    out = tmp_path / "v.tsv"
+    args = ["indicators", "--corpus", str(corpus),
+            "--model", str(DATA / "constant_model.json"), *RELAXED,
+            "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: line 1: pub_year is beyond float range"
+    )
+    assert not out.exists()
 
 
 def test_indicators_default_filters(tmp_path):
@@ -555,6 +642,57 @@ def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.glob("*.manifest.json")) == sorted(
         PINNED_MANIFESTS
     )
+
+
+class OpenSpy:
+    """An audit hook recording, while active, every path the process opens.
+
+    The "open" audit event is raised by open(), io.FileIO, pathlib and
+    os.open alike. A hook cannot be removed, so one spy serves the module
+    and records only inside `recording()`.
+    """
+
+    def __init__(self):
+        self.paths = None
+
+    def __call__(self, event, args):
+        if event == "open" and self.paths is not None and not isinstance(args[0], int):
+            self.paths.append(os.path.abspath(os.fsdecode(args[0])))
+
+    @contextmanager
+    def recording(self):
+        self.paths = []
+        try:
+            yield self.paths
+        finally:
+            self.paths = None
+
+
+@pytest.fixture(scope="module")
+def open_spy():
+    spy = OpenSpy()
+    sys.addaudithook(spy)
+    return spy
+
+
+def test_each_input_is_opened_once_and_hashed_whole(tmp_path, monkeypatch, open_spy):
+    (tmp_path / "config.json").write_bytes(
+        (DATA / "experiment_effect_config.json").read_bytes()
+    )
+    monkeypatch.chdir(tmp_path)
+    for argv in EFFECT_PIPELINE:
+        with open_spy.recording() as opened:
+            assert main(argv) == 0, argv
+        out = Path(argv[argv.index("--out") + 1])
+        manifest = json.loads((tmp_path / f"{out.stem}.manifest.json").read_text())
+        options = [argv[i + 1] for i, a in enumerate(argv) if a in (
+            "--seed-config", "--corpus", "--model", "--authors", "--stars",
+            "--control")]
+        assert [entry["path"] for entry in manifest["inputs"]] == options
+        for entry in manifest["inputs"]:
+            path = tmp_path / entry["path"]
+            assert opened.count(str(path)) == 1, (argv[0], entry["path"], opened)
+            assert entry["sha256"] == sha256(path)
 
 
 def test_commands_look_up_traced_names_at_call_time(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import tracemalloc
@@ -21,9 +22,10 @@ from biblio_bench.corpus import (
     build_author_record,
     filter_cohort,
     ingest_corpus,
-    render_corpus,
+    open_text,
     render_paper_line,
 )
+from oracles import corpus_text
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_corpus.jsonl"
@@ -49,6 +51,52 @@ def test_ingest_accepts_stream_and_iterable():
     assert from_stream.papers == from_iterable.papers
 
 
+# 400 lines of about 90 bytes: line 300 lies well past the first 8 KiB block
+# a text reader decodes, so a decode error there shows the block position.
+PARITY_LINES = [
+    line(paper_id=f"p{i}", pub_year=2000, author_count=1 + i % 3,
+         citing_years=[2000 + k % 4 for k in range(i % 7)])
+    for i in range(400)
+]
+PARITY_FILES = {
+    "crlf": "\r\n".join(PARITY_LINES).encode() + b"\r\n",
+    "lone_cr": "\r".join(PARITY_LINES).encode() + b"\r",
+    "invalid_utf8":
+        "\n".join(PARITY_LINES).encode().replace(b'"p300"', b'"p3\xff0"'),
+}
+
+
+def outcome(read):
+    """What `read` returns, or the type and text of the ValueError it raises."""
+    try:
+        return read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_FILES))
+def test_hashed_reading_matches_text_reading(tmp_path, name):
+    data = PARITY_FILES[name]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as handle:
+        expected = outcome(lambda: ingest_corpus(handle).papers)
+    with open(path, encoding="utf-8") as handle:
+        expected_text = outcome(handle.read)
+    if name == "invalid_utf8":
+        assert expected[0] is UnicodeDecodeError
+    else:
+        assert len(expected) == 400 and expected_text.count("\n") == 400
+
+    digest = hashlib.sha256()
+    assert outcome(lambda: ingest_corpus(path, digest).papers) == expected
+    whole = hashlib.sha256()
+    with open_text(path, digest=whole) as handle:
+        assert outcome(handle.read) == expected_text
+    if name != "invalid_utf8":
+        assert digest.hexdigest() == whole.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
 def test_citing_years_sorted_and_truncation():
     corpus = ingest_corpus([
         line(paper_id="p1", pub_year=2000, author_count=1,
@@ -63,10 +111,10 @@ def test_citing_years_sorted_and_truncation():
 
 def test_render_round_trip():
     corpus = ingest_corpus(FIXTURE)
-    rendered = render_corpus(corpus)
+    rendered = corpus_text(corpus)
     again = ingest_corpus(rendered.splitlines())
     assert again.papers == corpus.papers
-    assert render_corpus(again) == rendered
+    assert corpus_text(again) == rendered
 
 
 def test_render_paper_line_key_order():
@@ -207,7 +255,7 @@ def corpora(draw):
 
 @given(corpora())
 def test_ingest_render_round_trip_property(corpus):
-    assert ingest_corpus(render_corpus(corpus).splitlines()).papers == corpus.papers
+    assert ingest_corpus(corpus_text(corpus).splitlines()).papers == corpus.papers
 
 
 # Publication years around the edges of the 4-digit range the per-year read
@@ -235,7 +283,7 @@ def dense_papers(draw, paper_id="p"):
     lambda ids: st.tuples(*map(dense_papers, ids))))
 def test_ingest_render_round_trip_property_dense(papers):
     corpus = Corpus.from_papers(papers)
-    assert ingest_corpus(render_corpus(corpus).splitlines()).papers == corpus.papers
+    assert ingest_corpus(corpus_text(corpus).splitlines()).papers == corpus.papers
 
 
 def ingested(text):

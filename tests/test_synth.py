@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biblio_bench.corpus import build_author_record, render_corpus
+from biblio_bench.corpus import build_author_record
 from biblio_bench.indicators import indicator_vector
 from biblio_bench.stats import compare_cohorts
 from biblio_bench.synth import (
@@ -18,7 +18,7 @@ from biblio_bench.synth import (
     citation_rate,
     generate_corpus,
 )
-from oracles import constant_model
+from oracles import constant_model, corpus_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,10 +145,10 @@ def test_same_seed_same_bytes():
     config = small_config()
     corpus_a, stars_a, controls_a = generate_corpus(config)
     corpus_b, stars_b, controls_b = generate_corpus(config)
-    assert render_corpus(corpus_a) == render_corpus(corpus_b)
+    assert corpus_text(corpus_a) == corpus_text(corpus_b)
     assert stars_a == stars_b and controls_a == controls_b
     other, _, _ = generate_corpus(small_config(seed=102))
-    assert render_corpus(other) != render_corpus(corpus_a)
+    assert corpus_text(other) != corpus_text(corpus_a)
 
 
 def test_null_config_corpus_bytes_are_pinned():
@@ -156,7 +156,7 @@ def test_null_config_corpus_bytes_are_pinned():
     # are made, or in what order, changes these bytes.
     config = SynthConfig.from_json(DATA / "experiment_null_config.json")
     corpus, _, _ = generate_corpus(config)
-    digest = hashlib.sha256(render_corpus(corpus).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(corpus_text(corpus).encode("utf-8")).hexdigest()
     assert digest == (
         "e0a1a3c2d569322a7f5aee8d724239f2f429e941864079edce2d3ce1ab7b985b"
     )
