@@ -3,8 +3,8 @@
 Every file-writing command also emits a manifest (JSON, same directory)
 recording every option as parsed and sha256 checksums of inputs and
 outputs, so a run can be replayed and checked byte for byte. Each file
-passes through memory once: readers hash the bytes they parse, and outputs
-are hashed as they are written. Outputs are staged and moved into place
+passes through memory once: inputs are hashed as they are read and
+outputs as they are written. Outputs are staged and moved into place
 together; a failing command leaves no partial files behind.
 """
 
@@ -84,6 +84,12 @@ def _input_digests(args: argparse.Namespace) -> dict[str, _Hash]:
     return {k: hashlib.sha256() for k in _INPUT_OPTIONS if getattr(args, k, None)}
 
 
+def _read(args: argparse.Namespace, inputs: dict[str, _Hash], option: str) -> str:
+    """The text of the file an input option names, hashed into its digest."""
+    with open_text(getattr(args, option), digest=inputs[option]) as handle:
+        return handle.read()
+
+
 def _emit(
     args: argparse.Namespace,
     inputs: dict[str, _Hash],
@@ -159,7 +165,7 @@ def _staged() -> Iterator[Callable[[Path, _Content], str]]:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
-    config = SynthConfig.from_json(Path(args.seed_config), inputs["seed_config"])
+    config = SynthConfig.from_json(_read(args, inputs, "seed_config"))
     corpus, star_ids, control_ids = generate_corpus(config)
     logger.info(
         "generated %d papers for %d stars and %d controls",
@@ -204,17 +210,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return _emit(args, inputs, {"": model.to_json()})
 
 
-def _read_author_list(path: Path, digest: _Hash) -> list[str]:
-    with open_text(path, digest=digest) as handle:
-        text = handle.read()
-    ids = []
-    for line in text.splitlines():
-        entry = line.strip()
-        if entry and not entry.startswith("#"):
-            ids.append(entry)
-    return ids
-
-
 def _parse_max_start_year(raw: str) -> int | None:
     if raw.lower() == "none":
         return None
@@ -229,7 +224,7 @@ def _parse_max_start_year(raw: str) -> int | None:
 def cmd_indicators(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
     corpus = ingest_corpus(Path(args.corpus), inputs["corpus"])
-    model = ExpectationModel.load(Path(args.model), inputs["model"])
+    model = ExpectationModel.from_json(_read(args, inputs, "model"))
     if args.windows > model.window_count:
         raise ValueError(
             f"model provides windows 1..{model.window_count} "
@@ -237,7 +232,11 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         )
 
     if args.authors:
-        author_ids = _read_author_list(Path(args.authors), inputs["authors"])
+        author_ids = []
+        for line in _read(args, inputs, "authors").splitlines():
+            entry = line.strip()
+            if entry and not entry.startswith("#"):
+                author_ids.append(entry)
     else:
         author_ids = sorted(corpus.author_index)
     records = [
@@ -262,8 +261,8 @@ def cmd_indicators(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
-    stars = [v for _, v in parse_vector_table(Path(args.stars), inputs["stars"])]
-    control = [v for _, v in parse_vector_table(Path(args.control), inputs["control"])]
+    stars = [v for _, v in parse_vector_table(_read(args, inputs, "stars"))]
+    control = [v for _, v in parse_vector_table(_read(args, inputs, "control"))]
     if not stars:
         raise ValueError(f"stars table {args.stars} has no rows")
     if not control:
@@ -404,6 +403,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Only indicators and compare may omit --out; stdout is for reading.
         args.precision = STDOUT_PRECISION
     try:
+        if (getattr(args, "precision", None) or 0) < 0:
+            raise ValueError(f"--precision must be >= 0, got {args.precision}")
         return args.func(args)
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,11 +13,20 @@ import io
 import json
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import mul, sub
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import (
+    IO,
+    TYPE_CHECKING,
+    Any,
+    Iterable,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 if TYPE_CHECKING:
     from hashlib import _Hash
@@ -43,6 +52,62 @@ def _finite(value: object) -> bool:
         and not isinstance(value, bool)
         and -_FLOAT_MAX <= value <= _FLOAT_MAX
     )
+
+
+def decode_typed(kind: type, text: str, what: str) -> Any:
+    """A ``kind`` dataclass from JSON text, each value typed by its field's hint.
+
+    Errors name the field, as in ``window_fits['1'].slope must be a finite
+    number``, or the document, ``what``, when it is not a JSON object.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return _typed_fields(kind, payload, what, "")
+
+
+def _typed_fields(kind: type, payload: dict, owner: str, prefix: str) -> Any:
+    types = get_type_hints(kind)
+    values = {}
+    for f in fields(kind):
+        if f.name not in payload:
+            raise ValueError(f"{owner} is missing required field: {f.name}")
+        values[f.name] = _typed(prefix + f.name, types[f.name], payload[f.name])
+    return kind(**values)
+
+
+def _typed(name: str, kind: object, value: object) -> object:
+    """A JSON value as the type `kind`; ints pass as floats, bools never."""
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ValueError(f"{name} must be a {len(args)}-element list")
+        return tuple(
+            _typed(f"{name}[{i}]", k, v) for i, (k, v) in enumerate(zip(args, value))
+        )
+    if is_dataclass(kind) or get_origin(kind) in (dict, abc.Mapping):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object")
+        if is_dataclass(kind):
+            return _typed_fields(kind, value, name, f"{name}.")
+        try:
+            keys = [int(k) for k in value]
+        except ValueError:
+            raise ValueError(f"{name} keys must be integers") from None
+        return {
+            key: _typed(f"{name}[{raw!r}]", args[1], v)
+            for key, (raw, v) in zip(keys, value.items())
+        }
+    # The finite check comes first: float() of a huge int overflows.
+    if type(value) is int or (kind is float and type(value) is float):
+        if kind is float and not _finite(value):
+            raise ValueError(f"{name} must be a finite number")
+        return kind(value)
+    noun = "a number" if kind is float else "an integer"
+    raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 class _HashingFile(io.RawIOBase):
@@ -202,6 +267,10 @@ class FilterSpec:
     hard_mean_coauthor_cap: float | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not _finite(value):
+                raise ValueError(f"{f.name} must be a finite number")
         if self.mean_coauthors_min >= self.mean_coauthors_max:
             raise ValueError(
                 "mean_coauthors_min must be less than mean_coauthors_max"
@@ -241,18 +310,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.papers)
-
-
-_LineSource = str | Path | IO[str] | Iterable[str | bytes]
-
-
-def _iter_lines(source: _LineSource, digest: _Hash | None) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open_text(source, digest=digest) as handle:
-            yield from handle
-    else:
-        for line in source:
-            yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
 # Built once: json.loads re-scans whitespace a stripped line does not have,
@@ -362,7 +419,9 @@ def _parse_line(text: str, per_year: dict[int, int] | None = None) -> Paper:
     return Paper(paper_id, pub_year, author_count, citing_years, author_ids)
 
 
-def ingest_corpus(source: _LineSource, digest: _Hash | None = None) -> Corpus:
+def ingest_corpus(
+    source: str | Path | Iterable[str], digest: _Hash | None = None
+) -> Corpus:
     """Parse line-delimited JSON paper records into a Corpus.
 
     Each non-empty line is one record with paper_id, pub_year, citing_years,
@@ -370,8 +429,11 @@ def ingest_corpus(source: _LineSource, digest: _Hash | None = None) -> Corpus:
     agree). Errors report the 1-based line number. A file ``source`` is read
     once; ``digest``, if given, is updated with its bytes as they are read.
     """
+    if isinstance(source, (str, Path)):
+        with open_text(source, digest=digest) as handle:
+            return ingest_corpus(handle)
     corpus = Corpus()
-    for lineno, raw in enumerate(_iter_lines(source, digest), start=1):
+    for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue

@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .corpus import Corpus, _finite, open_text
+from .corpus import Corpus, _finite, decode_typed
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
-    from hashlib import _Hash
-
     import numpy as np
 
 
@@ -97,27 +94,7 @@ class ExpectationModel:
 
     @classmethod
     def from_json(cls, text: str) -> ExpectationModel:
-        payload = json.loads(text)
-        fits = {
-            int(w): WindowFit(
-                slope=entry["slope"],
-                intercept=entry["intercept"],
-                n_points=entry["n_points"],
-            )
-            for w, entry in payload["window_fits"].items()
-        }
-        year_min, year_max = payload["fit_year_range"]
-        return cls(
-            window_fits=fits,
-            fit_year_range=(year_min, year_max),
-            floor=payload["floor"],
-        )
-
-    @classmethod
-    def load(cls, path: str | Path, digest: _Hash | None = None) -> ExpectationModel:
-        """Read a model file; ``digest``, if given, is updated with its bytes."""
-        with open_text(path, digest=digest) as handle:
-            return cls.from_json(handle.read())
+        return decode_typed(cls, text, "model")
 
 
 def collect_window_points(

@@ -15,15 +15,11 @@ import math
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from operator import attrgetter
-from pathlib import Path
 from statistics import median
-from typing import IO, TYPE_CHECKING, Any, Iterable, get_type_hints
+from typing import Any, Iterable, get_type_hints
 
-from .corpus import AuthorRecord, RecordPaper, _finite, open_text
+from .corpus import AuthorRecord, RecordPaper, _finite
 from .expectation import ExpectationModel
-
-if TYPE_CHECKING:
-    from hashlib import _Hash
 
 
 @dataclass(frozen=True)
@@ -228,24 +224,13 @@ def render_table(
     return "\n".join(lines) + "\n"
 
 
-def parse_table(
-    kind: type,
-    source: str | Path | IO[str],
-    key: str | None = None,
-    digest: _Hash | None = None,
-) -> list[Any]:
+def parse_table(kind: type, text: str, key: str | None = None) -> list[Any]:
     """Read a table written by render_table with the same `kind` and `key`.
 
     Each cell is decoded by its field's type hint, str, int or float. A
     wrong header, a row of the wrong width and a number cell that is not a
-    finite number are rejected with their line number. ``digest``, if
-    given, is updated with the bytes of a file ``source`` as they are read.
+    finite number are rejected with their line number.
     """
-    if isinstance(source, (str, Path)):
-        with open_text(source, digest=digest) as handle:
-            text = handle.read()
-    else:
-        text = source.read()
     types = get_type_hints(kind)
     columns = [(f.name, types[f.name]) for f in fields(kind)]
     if key is not None:
@@ -288,8 +273,6 @@ def render_vector_table(
     return render_table(IndicatorVector, rows, precision, key="author_id")
 
 
-def parse_vector_table(
-    source: str | Path | IO[str], digest: _Hash | None = None
-) -> list[tuple[str, IndicatorVector]]:
-    """Read a table written by render_vector_table (``digest`` as in parse_table)."""
-    return parse_table(IndicatorVector, source, key="author_id", digest=digest)
+def parse_vector_table(text: str) -> list[tuple[str, IndicatorVector]]:
+    """Read a table written by render_vector_table."""
+    return parse_table(IndicatorVector, text, key="author_id")

@@ -10,21 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from statistics import median
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .indicators import INDICATOR_FIELDS, IndicatorVector, parse_table, render_table
-
-ALTERNATIVES = ("a_greater", "b_greater", "two_sided")
-
-
-def _normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def _normal_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def _average_ranks(values: Sequence[float]) -> tuple[list[float], int]:
@@ -47,19 +36,16 @@ def _average_ranks(values: Sequence[float]) -> tuple[list[float], int]:
 
 
 def wilcoxon_rank_sum(
-    sample_a: Sequence[float],
-    sample_b: Sequence[float],
-    alternative: str = "a_greater",
+    sample_a: Sequence[float], sample_b: Sequence[float]
 ) -> tuple[float, float]:
-    """Continuity-corrected normal-approximation rank-sum test.
+    """Continuity-corrected normal-approximation rank-sum test of a > b.
 
     Returns (W, p) where W is the rank sum of sample_a minus its minimum
-    possible value. Ties get average ranks and the variance is reduced by
-    the usual tie term. When every pooled value is tied the statistic
-    carries no information and p is 0.5 one-sided (1.0 two-sided).
+    possible value and p is the one-sided p for sample_a tending to exceed
+    sample_b. Ties get average ranks and the variance is reduced by the
+    usual tie term. When every pooled value is tied the statistic carries
+    no information and p is 0.5.
     """
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}")
     n_a, n_b = len(sample_a), len(sample_b)
     if n_a == 0 or n_b == 0:
         raise ValueError("both samples must be non-empty")
@@ -73,19 +59,12 @@ def wilcoxon_rank_sum(
     # tie_term is an exact int, so tie_term / (n * (n - 1)) is correctly rounded.
     variance = (n_a * n_b / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
-        return w, 0.5 if alternative != "two_sided" else 1.0
+        return w, 0.5
 
     sigma = math.sqrt(variance)
     mean = n_a * n_b / 2.0
-    delta = w - mean
-    if alternative == "a_greater":
-        p = _normal_sf((delta - 0.5) / sigma)
-    elif alternative == "b_greater":
-        p = _normal_cdf((delta + 0.5) / sigma)
-    else:
-        z = (delta - math.copysign(0.5, delta)) / sigma if delta != 0 else 0.0
-        p = 2.0 * min(_normal_cdf(z), _normal_sf(z))
-    return w, min(max(p, 0.0), 1.0)
+    # The normal upper tail at z = (W - mean - 0.5) / sigma; erfc lies in [0, 2].
+    return w, 0.5 * math.erfc((w - mean - 0.5) / sigma / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -129,7 +108,7 @@ def compare_cohorts(
         values_c = [float(getattr(v, name)) for v in control]
         medians_s.append(median(values_s))
         medians_c.append(median(values_c))
-        _, p = wilcoxon_rank_sum(values_s, values_c, alternative="a_greater")
+        _, p = wilcoxon_rank_sum(values_s, values_c)
         p_values.append(p)
 
     order = sorted(range(len(INDICATOR_FIELDS)), key=lambda i: (p_values[i], i))
@@ -225,6 +204,6 @@ def render_boxplot_table(
     return render_table(BoxplotSummary, summaries, precision)
 
 
-def parse_comparison_table(source: str | Path | IO[str]) -> ComparisonTable:
+def parse_comparison_table(text: str) -> ComparisonTable:
     """Read a table written by render_comparison_table."""
-    return ComparisonTable(rows=tuple(parse_table(ComparisonRow, source)))
+    return ComparisonTable(rows=tuple(parse_table(ComparisonRow, text)))

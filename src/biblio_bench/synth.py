@@ -11,26 +11,14 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import abc
 from dataclasses import dataclass, fields
 from itertools import accumulate
-from pathlib import Path
-from typing import (
-    IO,
-    TYPE_CHECKING,
-    Callable,
-    Mapping,
-    get_args,
-    get_origin,
-    get_type_hints,
-)
+from typing import TYPE_CHECKING, Callable, Mapping, get_type_hints
 
-from .corpus import Corpus, Paper, _finite, open_text
+from .corpus import _FLOAT_MAX, Corpus, Paper, _finite, decode_typed
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
-    from hashlib import _Hash
-
     import numpy as np
 
 WINDOW_YEARS = 5
@@ -38,6 +26,12 @@ WINDOW_YEARS = 5
 # Fraction of a paper's citations landing in each year of its own
 # five-year window, starting with the publication year.
 CITATION_RAMP = (0.15, 0.25, 0.25, 0.20, 0.15)
+
+# Generator.negative_binomial(n, p) with mean m draws only while the mean plus
+# 10 standard deviations of its gamma mixing step, m * (1 + 10 / sqrt(n)), stays
+# below this. (Its docstring's Notes write 10 * sqrt(n); the check uses 1 / sqrt(n).)
+_LOG_DRAW_LIMIT = math.log(2**63 - 1 - 10 * math.sqrt(2**63 - 1))
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -74,16 +68,29 @@ class SynthConfig:
             raise ValueError("dispersion must be > 0")
         if self.star_effect_multiplier < 1:
             raise ValueError("star_effect_multiplier must be >= 1")
+        # citation_rate's largest value, in logs, so that no power overflows.
+        log_growth = (hi + WINDOW_YEARS - 1 - lo) * math.log(self.annual_growth_factor)
+        log_rate = math.log(self.base_expected_citations) + max(log_growth, 0.0)
+        if self.n_stars:
+            log_rate += math.log(self.star_effect_multiplier)
+        spread = math.log1p(10 / math.sqrt(self.dispersion))
+        if log_growth >= math.log(_FLOAT_MAX) or log_rate + spread >= _LOG_DRAW_LIMIT:
+            raise ValueError(
+                "start_year_range and annual_growth_factor give a mean "
+                "citation rate too large to draw"
+            )
         if not self.coauthor_distribution:
             raise ValueError("coauthor_distribution must be non-empty")
-        total = math.fsum(self.coauthor_distribution.values())
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError("coauthor_distribution probabilities must sum to 1")
         for count, prob in self.coauthor_distribution.items():
             if not isinstance(count, int) or count < 1:
                 raise ValueError("coauthor counts must be integers >= 1")
             if prob < 0:
                 raise ValueError("coauthor probabilities must be >= 0")
+            if prob > 1:  # also keeps fsum below from overflowing
+                raise ValueError("coauthor_distribution probabilities must sum to 1")
+        total = math.fsum(self.coauthor_distribution.values())
+        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
+            raise ValueError("coauthor_distribution probabilities must sum to 1")
 
     def to_json(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -93,59 +100,9 @@ class SynthConfig:
         return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
-    def from_json(
-        cls, source: str | Path | IO[str], digest: _Hash | None = None
-    ) -> "SynthConfig":
-        """A config from JSON text, a file or a stream; ``digest``, if given,
-        is updated with a file's bytes as they are read."""
-        if isinstance(source, Path):
-            with open_text(source, digest=digest) as handle:
-                text = handle.read()
-        elif isinstance(source, str):
-            text = source
-        else:
-            text = source.read()
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("config must be a JSON object")
-        types = get_type_hints(cls)
-        values = {}
-        for f in fields(cls):
-            if f.name not in payload:
-                raise ValueError(f"config is missing required field: {f.name}")
-            values[f.name] = _decode(f.name, types[f.name], payload[f.name])
-        return cls(**values)
-
-
-def _decode(name: str, kind: object, value: object) -> object:
-    """A JSON value as the field type `kind`; ints pass as floats, bools never."""
-    args = get_args(kind)
-    if get_origin(kind) is tuple:
-        if not isinstance(value, list) or len(value) != len(args):
-            raise ValueError(f"{name} must be a {len(args)}-element list")
-        return tuple(
-            _decode(f"{name}[{i}]", k, v) for i, (k, v) in enumerate(zip(args, value))
-        )
-    if get_origin(kind) is abc.Mapping:
-        if not isinstance(value, dict):
-            raise ValueError(f"{name} must be an object")
-        try:
-            keys = [int(k) for k in value]
-        except ValueError:
-            raise ValueError(f"{name} keys must be integers") from None
-        return {
-            key: _decode(f"{name}[{raw!r}]", args[1], v)
-            for key, (raw, v) in zip(keys, value.items())
-        }
-    if type(value) is int or (kind is float and type(value) is float):
-        if kind is float and not _finite(value):
-            raise ValueError(f"{name} must be a finite number")
-        return kind(value)
-    noun = "a number" if kind is float else "an integer"
-    raise ValueError(f"{name} must be {noun}, got {value!r}")
+    def from_json(cls, text: str) -> SynthConfig:
+        """A config from JSON text; an error names the field at fault."""
+        return decode_typed(cls, text, "config")
 
 
 def citation_rate(config: SynthConfig, pub_year: int, is_star: bool) -> float:

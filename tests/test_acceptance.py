@@ -42,6 +42,10 @@ DATA = Path(__file__).parent / "data"
 MODEL = constant_model(expected=2.5)
 
 
+def data_config(name):
+    return SynthConfig.from_json((DATA / name).read_text())
+
+
 def _report(name, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] {name}: {status} ({detail})")
@@ -161,21 +165,23 @@ def test_wilcoxon_oracle():
         key = (n_a, n_b)
         if key not in counts_cache:
             counts_cache[key] = rank_sum_counts(n_a, n_b)
-        for alternative in ("a_greater", "b_greater"):
-            w, p = wilcoxon_rank_sum(sample_a, sample_b, alternative)
-            exact = exact_p_from_counts(counts_cache[key], int(round(w)), alternative)
-            worst = max(worst, abs(p - exact))
+        w, p = wilcoxon_rank_sum(sample_a, sample_b)
+        exact = exact_p_from_counts(counts_cache[key], int(round(w)), "a_greater")
+        worst = max(worst, abs(p - exact))
+        # b greater: the same test with the samples swapped, W(b, a) = n_a n_b - W(a, b)
+        w, p = wilcoxon_rank_sum(sample_b, sample_a)
+        w_ab = n_a * n_b - int(round(w))
+        exact = exact_p_from_counts(counts_cache[key], w_ab, "b_greater")
+        worst = max(worst, abs(p - exact))
 
     identical = []
     for n in range(5, 9):
         values = [float(v) for v in range(1, n + 1)]
-        for alternative in ("a_greater", "b_greater"):
-            _, p = wilcoxon_rank_sum(values, list(values), alternative)
-            identical.append(p)
-    floats = rng.normal(size=12).tolist()
-    for alternative in ("a_greater", "b_greater"):
-        _, p = wilcoxon_rank_sum(floats, list(floats), alternative)
+        _, p = wilcoxon_rank_sum(values, list(values))
         identical.append(p)
+    floats = rng.normal(size=12).tolist()
+    _, p = wilcoxon_rank_sum(floats, list(floats))
+    identical.append(p)
 
     ok = worst < 0.02 and all(0.45 <= p <= 0.55 for p in identical)
     _report(
@@ -235,7 +241,7 @@ def test_regression_oracle():
 
 def test_inflation_recovery():
     start = time.perf_counter()
-    config = SynthConfig.from_json(DATA / "inflation_config.json")
+    config = data_config("inflation_config.json")
     corpus, _, _ = generate_corpus(config)
     points = collect_window_points(corpus)
     model = fit_expectation_model(
@@ -267,7 +273,7 @@ def _cohort_vectors(corpus, author_ids, model):
 
 
 def test_cohort_experiment():
-    fit_config = SynthConfig.from_json(DATA / "experiment_fit_config.json")
+    fit_config = data_config("experiment_fit_config.json")
     fit_corpus, _, _ = generate_corpus(fit_config)
     model = fit_expectation_model(
         collect_window_points(fit_corpus),
@@ -275,7 +281,7 @@ def test_cohort_experiment():
         year_range=(1980, 2000),
     )
 
-    effect_config = SynthConfig.from_json(DATA / "experiment_effect_config.json")
+    effect_config = data_config("experiment_effect_config.json")
     effect_corpus, stars, controls = generate_corpus(effect_config)
     table = compare_cohorts(
         _cohort_vectors(effect_corpus, stars, model),
@@ -284,7 +290,7 @@ def test_cohort_experiment():
     norm_rank = table.row("norm_citations").rank
     fract_norm_rank = table.row("fract_norm_citations").rank
 
-    null_config = SynthConfig.from_json(DATA / "experiment_null_config.json")
+    null_config = data_config("experiment_null_config.json")
     null_corpus, null_stars, null_controls = generate_corpus(null_config)
     null_table = compare_cohorts(
         _cohort_vectors(null_corpus, null_stars, model),

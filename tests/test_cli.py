@@ -126,6 +126,23 @@ def test_generate_rejects_start_year_beyond_int64(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+# The latest papers' mean citation rate overflows a float at 200000 and
+# exceeds what numpy's negative binomial draws at 60000.
+@pytest.mark.parametrize("last_start_year", [200000, 60000])
+def test_generate_rejects_rates_too_large_to_draw(tmp_path, capsys, last_start_year):
+    payload = json.loads((DATA / "experiment_null_config.json").read_text())
+    payload.update(annual_growth_factor=1.02, start_year_range=[1994, last_start_year])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "corpus.jsonl"
+    assert main(["generate", "--seed-config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: start_year_range and annual_growth_factor give a mean "
+        "citation rate too large to draw\n"
+    ))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_generate_failure_mid_stream_leaves_no_partial_outputs(
     tmp_path, monkeypatch, capsys
 ):
@@ -191,7 +208,7 @@ def test_fit_writes_model(tmp_path):
     model_path = tmp_path / "model.json"
     assert main(["fit", "--corpus", str(corpus), "--min-papers", "5",
                  "--out", str(model_path)]) == 0
-    model = ExpectationModel.load(model_path)
+    model = ExpectationModel.from_json(model_path.read_text())
     assert model.window_count == 5
     assert (tmp_path / "model.manifest.json").exists()
 
@@ -225,7 +242,7 @@ def test_fit_year_range_flags(tmp_path):
     assert main(["fit", "--corpus", str(corpus), "--min-papers", "5",
                  "--year-min", "1992", "--year-max", "1997",
                  "--out", str(model_path)]) == 0
-    model = ExpectationModel.load(model_path)
+    model = ExpectationModel.from_json(model_path.read_text())
     assert model.fit_year_range == (1992, 1997)
 
 
@@ -235,7 +252,7 @@ def test_fit_year_max_alone(tmp_path):
     model_path = tmp_path / "model.json"
     assert main(["fit", "--corpus", str(corpus), "--min-papers", "5",
                  "--year-max", "1995", "--out", str(model_path)]) == 0
-    assert ExpectationModel.load(model_path).fit_year_range == (1990, 1995)
+    assert ExpectationModel.from_json(model_path.read_text()).fit_year_range == (1990, 1995)
 
 
 def test_indicators_reproduces_fixture(tmp_path):
@@ -329,7 +346,9 @@ def test_indicators_rejects_nan_model(tmp_path, capsys):
     args = ["indicators", "--corpus", str(DATA / "fixture_corpus.jsonl"),
             "--model", str(model), *RELAXED, "--out", str(out)]
     assert main(args) == 1
-    assert capsys.readouterr().err.startswith("error: window 1: slope and intercept")
+    assert capsys.readouterr().err == (
+        "error: window_fits['1'].intercept must be a finite number\n"
+    )
     assert not out.exists()
 
 
@@ -342,10 +361,38 @@ def test_indicators_rejects_model_number_beyond_float_range(tmp_path, capsys):
     args = ["indicators", "--corpus", str(DATA / "fixture_corpus.jsonl"),
             "--model", str(model), *RELAXED, "--out", str(out)]
     assert main(args) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: window 1: slope and intercept must be finite numbers"
+    assert capsys.readouterr().err == (
+        "error: window_fits['1'].slope must be a finite number\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: [1, 2], "model must be a JSON object"),
+        (lambda m: {**m, "fit_year_range": 5},
+         "fit_year_range must be a 2-element list"),
+        (lambda m: {**m, "fit_year_range": [1990]},
+         "fit_year_range must be a 2-element list"),
+        (lambda m: {**m, "window_fits": []}, "window_fits must be an object"),
+        (lambda m: {**m, "window_fits": {"1": 5}},
+         "window_fits['1'] must be an object"),
+        (lambda m: {**m, "window_fits": {"1": {"slope": 0.0, "intercept": 2.5}}},
+         "window_fits['1'] is missing required field: n_points"),
+    ],
+    ids=["list", "range_int", "range_short", "fits_list", "fit_int", "no_n_points"],
+)
+def test_indicators_names_the_malformed_model_field(tmp_path, capsys, edit, message):
+    payload = json.loads((DATA / "constant_model.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(edit(payload)))
+    out = tmp_path / "v.tsv"
+    args = ["indicators", "--corpus", str(DATA / "fixture_corpus.jsonl"),
+            "--model", str(model), *RELAXED, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 def test_indicators_window_mismatch(tmp_path, capsys):
@@ -381,6 +428,40 @@ def test_indicators_bad_start_year_value(tmp_path, capsys):
     assert "max-start-year" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--coauthor-min", "nan", "mean_coauthors_min"),
+        ("--coauthor-max", "inf", "mean_coauthors_max"),
+        ("--coauthor-hard-cap", "nan", "hard_mean_coauthor_cap"),
+        ("--coauthor-hard-cap", "inf", "hard_mean_coauthor_cap"),
+    ],
+)
+def test_indicators_rejects_non_finite_filter_bounds(
+    tmp_path, capsys, flag, value, field
+):
+    out = tmp_path / "v.tsv"
+    args = ["indicators", *FIXTURE_ARGS, flag, value, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {field} must be a finite number\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["indicators", *FIXTURE_ARGS],
+        ["compare", "--stars", str(DATA / "expected_vectors.tsv"),
+         "--control", str(DATA / "expected_vectors.tsv")],
+    ],
+    ids=["indicators", "compare"],
+)
+def test_negative_precision_is_rejected(tmp_path, capsys, argv):
+    assert main([*argv, "--precision", "-1", "--out", str(tmp_path / "out.tsv")]) == 1
+    assert capsys.readouterr().err == "error: --precision must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_indicators_runs_are_reproducible(tmp_path):
     outs = []
     for name in ("one", "two"):
@@ -413,7 +494,7 @@ def test_compare_outputs_tables_and_boxplots(tmp_path):
     out = tmp_path / "comparison.tsv"
     assert main(["compare", "--stars", str(stars), "--control", str(control),
                  "--out", str(out)]) == 0
-    table = parse_comparison_table(out)
+    table = parse_comparison_table(out.read_text())
     assert len(table.rows) == 17
     # stars were drawn with four times the citation rate
     assert table.row("citations").median_stars > table.row("citations").median_control
@@ -444,7 +525,7 @@ def test_compare_dominant_indicator_ranks_first(tmp_path):
     out = tmp_path / "comparison.tsv"
     assert main(["compare", "--stars", str(stars), "--control", str(control),
                  "--out", str(out)]) == 0
-    table = parse_comparison_table(out)
+    table = parse_comparison_table(out.read_text())
     assert table.row("norm_citations").rank == 1
     assert all(row.p == 0.5 for row in table.rows
                if row.indicator != "norm_citations")
@@ -455,7 +536,7 @@ def test_compare_identical_tables_p_near_half(tmp_path):
     out = tmp_path / "comparison.tsv"
     assert main(["compare", "--stars", str(table_path),
                  "--control", str(table_path), "--out", str(out)]) == 0
-    for row in parse_comparison_table(out).rows:
+    for row in parse_comparison_table(out.read_text()).rows:
         assert 0.45 <= row.p <= 0.55
 
 
@@ -535,7 +616,7 @@ def test_full_pipeline(tmp_path):
     assert main(["compare", "--stars", str(tables["stars"]),
                  "--control", str(tables["controls"]),
                  "--out", str(comparison)]) == 0
-    assert len(parse_comparison_table(comparison).rows) == 17
+    assert len(parse_comparison_table(comparison.read_text()).rows) == 17
 
 
 def test_log_env_var_sets_level(tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biblio_bench.corpus import ingest_corpus
 from biblio_bench.expectation import (
@@ -13,6 +15,7 @@ from biblio_bench.expectation import (
     collect_window_points,
     fit_expectation_model,
 )
+from biblio_bench.synth import SynthConfig
 from oracles import ols_closed_form
 
 DATA = Path(__file__).parent / "data"
@@ -68,8 +71,51 @@ def test_load_rejects_nan_intercept(tmp_path):
     path = tmp_path / "nan_model.json"
     path.write_text(json.dumps(payload))
     assert "NaN" in path.read_text()
-    with pytest.raises(ValueError, match="window 1: slope and intercept"):
-        ExpectationModel.load(path)
+    with pytest.raises(ValueError) as excinfo:
+        ExpectationModel.from_json(path.read_text())
+    assert str(excinfo.value) == "window_fits['1'].intercept must be a finite number"
+
+
+def positions(value, path=()):
+    """The path to every value in a JSON document, the root included."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from positions(item, (*path, key))
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+)
+
+
+@pytest.mark.parametrize(
+    "reader, name",
+    [
+        (ExpectationModel.from_json, "constant_model.json"),
+        (SynthConfig.from_json, "experiment_effect_config.json"),
+    ],
+)
+@given(data=st.data())
+def test_json_readers_reject_any_value_with_value_error(reader, name, data):
+    # Any other exception (TypeError, KeyError, OverflowError, ...) fails the test.
+    document = json.loads((DATA / name).read_text())
+    path = data.draw(st.sampled_from(list(positions(document))))
+    text = json.dumps(replaced(document, path, data.draw(json_values)))
+    try:
+        reader(text)
+    except ValueError:
+        pass
 
 
 def test_expected_citations_applies_floor():
@@ -99,8 +145,8 @@ def test_model_json_round_trip(tmp_path):
     assert again == model
     path = tmp_path / "model.json"
     path.write_text(model.to_json())
-    assert ExpectationModel.load(path) == model
-    assert ExpectationModel.load(path).to_json() == model.to_json()
+    assert ExpectationModel.from_json(path.read_text()) == model
+    assert ExpectationModel.from_json(path.read_text()).to_json() == model.to_json()
 
 
 def test_collect_window_points():

@@ -1,4 +1,3 @@
-import io
 from dataclasses import replace
 from typing import get_type_hints
 
@@ -241,7 +240,7 @@ def test_vector_table_round_trip():
         ("a2", vector_of([(7, 3), (1, 1)])),
     ]
     text = render_vector_table(rows)
-    parsed = parse_vector_table(io.StringIO(text))
+    parsed = parse_vector_table(text)
     assert parsed == rows
     assert render_vector_table(parsed) == text
 
@@ -258,16 +257,16 @@ vectors = st.builds(
 
 @given(st.lists(st.tuples(st.text("ab_1", min_size=1, max_size=6), vectors)))
 def test_vector_table_round_trip_property(rows):
-    assert parse_vector_table(io.StringIO(render_vector_table(rows))) == rows
+    assert parse_vector_table(render_vector_table(rows)) == rows
 
 
 def test_vector_table_header_and_width_checks():
     with pytest.raises(ValueError, match="header"):
-        parse_vector_table(io.StringIO("author_id\tn\n"))
+        parse_vector_table("author_id\tn\n")
     good = render_vector_table([("a1", vector_of([(1, 1)]))])
     truncated = good.splitlines()[0] + "\na1\t1\t1.0\n"
     with pytest.raises(ValueError, match="columns"):
-        parse_vector_table(io.StringIO(truncated))
+        parse_vector_table(truncated)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc"])
@@ -277,7 +276,7 @@ def test_vector_table_rejects_non_finite_cells(cell):
         ("a2", replace(vector_of([(2, 1)]), norm_citations=0.5)),
     ]).replace("\t0.5\t", f"\t{cell}\t")
     with pytest.raises(ValueError, match=rf"line 3: norm_citations is '{cell}'"):
-        parse_vector_table(io.StringIO(text))
+        parse_vector_table(text)
 
 
 def test_random_records_match_field_types():

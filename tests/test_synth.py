@@ -15,6 +15,7 @@ from biblio_bench.synth import (
     CITATION_RAMP,
     SynthConfig,
     _coauthor_sampler,
+    _draw_citations,
     citation_rate,
     generate_corpus,
 )
@@ -59,11 +60,37 @@ def test_ramp_is_a_distribution():
         {"coauthor_distribution": {}},
         {"coauthor_distribution": {1: 0.5, 2: 0.4}},
         {"coauthor_distribution": {0: 0.5, 2: 0.5}},
+        # math.fsum of these probabilities overflows
+        {"coauthor_distribution": {1: 1e308, 2: 1e308}},
+        # the rate fits a negative binomial draw, but growth**720 overflows
+        {"base_expected_citations": 1e-300, "annual_growth_factor": math.e,
+         "start_year_range": (1994, 2710)},
     ],
 )
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
         small_config(**overrides)
+
+
+@pytest.mark.parametrize("scale", [0.999, 1.001])
+@pytest.mark.parametrize("dispersion", [0.3, 1.5])
+def test_config_accepts_the_rates_numpy_can_draw(scale, dispersion):
+    # The largest mean Generator.negative_binomial draws at this dispersion
+    limit = (2**63 - 1 - 10 * math.sqrt(2**63 - 1)) / (1 + 10 / math.sqrt(dispersion))
+    rate = scale * limit
+    try:
+        _draw_citations(np.random.default_rng(0), rate, dispersion)
+        drawable = True
+    except ValueError:
+        drawable = False
+    try:
+        small_config(base_expected_citations=rate / 1.5, annual_growth_factor=1.0,
+                     star_effect_multiplier=1.5, dispersion=dispersion)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc).startswith("start_year_range and annual_growth_factor ")
+        accepted = False
+    assert accepted == drawable == (scale < 1)
 
 
 def test_config_json_round_trip():
@@ -154,7 +181,7 @@ def test_same_seed_same_bytes():
 def test_null_config_corpus_bytes_are_pinned():
     # The seeded draw order is part of the output: any change to which draws
     # are made, or in what order, changes these bytes.
-    config = SynthConfig.from_json(DATA / "experiment_null_config.json")
+    config = SynthConfig.from_json((DATA / "experiment_null_config.json").read_text())
     corpus, _, _ = generate_corpus(config)
     digest = hashlib.sha256(corpus_text(corpus).encode("utf-8")).hexdigest()
     assert digest == (
@@ -224,7 +251,7 @@ def test_author_counts_follow_distribution():
 
 
 def test_mean_citations_track_growth_factor():
-    config = SynthConfig.from_json(DATA / "inflation_config.json")
+    config = SynthConfig.from_json((DATA / "inflation_config.json").read_text())
     corpus, _, _ = generate_corpus(config)
     assert len(corpus) >= 2000
     by_year = {}
