@@ -166,15 +166,20 @@ def _staged() -> Iterator[Callable[[Path, _Content], str]]:
 def cmd_generate(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
     config = SynthConfig.from_json(_read(args, inputs, "seed_config"))
-    corpus, star_ids, control_ids = generate_corpus(config)
-    logger.info(
-        "generated %d papers for %d stars and %d controls",
-        len(corpus),
-        len(star_ids),
-        len(control_ids),
-    )
+    papers, star_ids, control_ids = generate_corpus(config)
+
+    def write_corpus(out: IO[str]) -> None:
+        # The papers are drawn as they are written.
+        count = render_corpus(papers, out)
+        logger.info(
+            "generated %d papers for %d stars and %d controls",
+            count,
+            len(star_ids),
+            len(control_ids),
+        )
+
     texts: dict[str, _Content] = {
-        "": lambda out: render_corpus(corpus, out),
+        "": write_corpus,
         ".stars.txt": "".join(f"{a}\n" for a in star_ids),
         ".controls.txt": "".join(f"{a}\n" for a in control_ids),
     }
@@ -192,9 +197,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
-    corpus = ingest_corpus(Path(args.corpus), inputs["corpus"])
-    logger.info("read %d papers from %s", len(corpus), args.corpus)
-    points = collect_window_points(corpus, window_count=args.windows)
+    # The corpus lives only for this call, so it is freed before the fit
+    # loads numpy.
+    points = collect_window_points(
+        ingest_corpus(Path(args.corpus), inputs["corpus"]), window_count=args.windows
+    )
+    logger.info("read %d papers from %s", len(points), args.corpus)
     model = fit_expectation_model(
         points,
         window_count=args.windows,

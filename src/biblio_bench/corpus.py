@@ -93,14 +93,18 @@ def _typed(name: str, kind: object, value: object) -> object:
             raise ValueError(f"{name} must be an object")
         if is_dataclass(kind):
             return _typed_fields(kind, value, name, f"{name}.")
-        try:
-            keys = [int(k) for k in value]
-        except ValueError:
-            raise ValueError(f"{name} keys must be integers") from None
-        return {
-            key: _typed(f"{name}[{raw!r}]", args[1], v)
-            for key, (raw, v) in zip(keys, value.items())
-        }
+        typed = {}
+        for raw, v in value.items():
+            try:
+                key = int(raw)
+            except ValueError:
+                key = None
+            # One spelling per integer: int() also reads "01", " 1", "+1" and
+            # "1_0", which would silently collide with "1".
+            if key is None or str(key) != raw:
+                raise ValueError(f"{name} keys must be integers, got {raw!r}")
+            typed[key] = _typed(f"{name}[{raw!r}]", args[1], v)
+        return typed
     # The finite check comes first: float() of a huge int overflows.
     if type(value) is int or (kind is float and type(value) is float):
         if kind is float and not _finite(value):
@@ -462,14 +466,21 @@ def render_paper_line(paper: Paper) -> str:
 _RENDER_BATCH = 256
 
 
-def render_corpus(corpus: Corpus, out: IO[str]) -> None:
-    """Write a corpus to ``out`` as line-delimited JSON, one paper per line.
+def render_corpus(papers: Iterable[Paper], out: IO[str]) -> int:
+    """Write papers to ``out`` as line-delimited JSON, one per line; return
+    how many were written.
 
-    Lines are written in batches, so the whole text is never held at once.
+    Lines are written in batches, as the papers are drawn from ``papers``, so
+    neither the whole text nor, from an iterator, every paper is held at once.
     """
-    papers = iter(corpus.papers.values())
-    while batch := list(islice(papers, _RENDER_BATCH)):
-        out.write("".join([f"{render_paper_line(p)}\n" for p in batch]))
+    papers = iter(papers)
+    written = 0
+    while lines := [
+        f"{render_paper_line(p)}\n" for p in islice(papers, _RENDER_BATCH)
+    ]:
+        out.write("".join(lines))
+        written += len(lines)
+    return written
 
 
 def build_author_record(

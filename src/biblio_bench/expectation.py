@@ -12,8 +12,10 @@ normalize observed counts.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, _finite, decode_typed
 
@@ -97,19 +99,49 @@ class ExpectationModel:
         return decode_typed(cls, text, "model")
 
 
-def collect_window_points(
-    corpus: Corpus, window_count: int = 5
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Per-paper fit points: (pub_year, cumulative citations for w=1..W).
+@dataclass(frozen=True)
+class WindowPoints:
+    """Fit points column-wise: ``pub_year[i]`` is paper i's publication year
+    and ``windows[w - 1][i]`` its cumulative citations for window w.
+
+    Columns are machine integers (``array("q")``), so they refer to no object
+    of the corpus they were read from, and freeing the corpus frees its
+    memory. A column with a value beyond int64 is a list of exact ints.
+    ``len()`` counts papers; iterating yields (pub_year, counts for w=1..W)
+    per paper.
+    """
+
+    pub_year: Sequence[int]
+    windows: tuple[Sequence[int], ...]
+
+    def __len__(self) -> int:
+        return len(self.pub_year)
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        counts = zip(*self.windows) if self.windows else repeat(())
+        return zip(self.pub_year, counts)
+
+
+def _column(values: list[int]) -> Sequence[int]:
+    try:
+        return array("q", values)
+    except OverflowError:
+        # Each int rebuilt from its digits, so none is the corpus's own object.
+        return [int(str(v)) for v in values]
+
+
+def collect_window_points(corpus: Corpus, window_count: int = 5) -> WindowPoints:
+    """Per-paper fit points: pub_year and cumulative citations for w=1..W.
 
     The w-year count includes citing years from the publication year through
     w-1 years later.
     """
-    offsets = range(window_count)
-    return [
-        (p.pub_year, tuple(p.citations_through(p.pub_year + k) for k in offsets))
-        for p in corpus.papers.values()
-    ]
+    papers = corpus.papers.values()
+    windows = tuple(
+        _column([p.citations_through(p.pub_year + k) for p in papers])
+        for k in range(window_count)
+    )
+    return WindowPoints(_column([p.pub_year for p in papers]), windows)
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

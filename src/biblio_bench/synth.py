@@ -13,9 +13,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Mapping, get_type_hints
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, get_type_hints
 
-from .corpus import _FLOAT_MAX, Corpus, Paper, _finite, decode_typed
+from .corpus import _FLOAT_MAX, Paper, _finite, decode_typed
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
@@ -27,10 +27,12 @@ WINDOW_YEARS = 5
 # five-year window, starting with the publication year.
 CITATION_RAMP = (0.15, 0.25, 0.25, 0.20, 0.15)
 
-# Generator.negative_binomial(n, p) with mean m draws only while the mean plus
-# 10 standard deviations of its gamma mixing step, m * (1 + 10 / sqrt(n)), stays
-# below this. (Its docstring's Notes write 10 * sqrt(n); the check uses 1 / sqrt(n).)
-_LOG_DRAW_LIMIT = math.log(2**63 - 1 - 10 * math.sqrt(2**63 - 1))
+# Generator.poisson(lam) draws only for lam up to this. Generator.negative_binomial
+# (n, p) with mean m draws only while the mean plus 10 standard deviations of its
+# gamma mixing step, m * (1 + 10 / sqrt(n)), stays below it. (Its docstring's
+# Notes write 10 * sqrt(n); the check uses 1 / sqrt(n).)
+_DRAW_LIMIT = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
+_LOG_DRAW_LIMIT = math.log(_DRAW_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class SynthConfig:
             raise ValueError("start_year_range must lie within the int64 range")
         if self.papers_per_year_mean < 0:
             raise ValueError("papers_per_year_mean must be >= 0")
+        if self.papers_per_year_mean > _DRAW_LIMIT:
+            raise ValueError("papers_per_year_mean is too large to draw")
         if self.base_expected_citations <= 0:
             raise ValueError("base_expected_citations must be > 0")
         if self.annual_growth_factor <= 0:
@@ -141,7 +145,8 @@ def _generate_author(
     config: SynthConfig,
     author_id: str,
     is_star: bool,
-) -> list[Paper]:
+) -> Iterator[Paper]:
+    """One author's papers, each drawn as it is taken."""
     lo, hi = config.start_year_range
     start_year = int(rng.integers(lo, hi + 1))
     paper_counts = rng.poisson(config.papers_per_year_mean, WINDOW_YEARS)
@@ -150,7 +155,6 @@ def _generate_author(
         # start year must carry at least one paper.
         paper_counts[0] = 1
 
-    papers = []
     serial = 0
     for offset, count in enumerate(paper_counts):
         pub_year = start_year + offset
@@ -165,35 +169,38 @@ def _generate_author(
                 rng, citation_rate(config, pub_year, is_star), config.dispersion
             )
             spread = rng.multinomial(total, CITATION_RAMP).tolist()
-            papers.append(
-                Paper(
-                    paper_id=paper_id,
-                    pub_year=pub_year,
-                    author_count=n_authors,
-                    citing_years=dict(enumerate(spread, start=pub_year)),
-                    author_ids=tuple(author_ids),
-                )
+            yield Paper(
+                paper_id=paper_id,
+                pub_year=pub_year,
+                author_count=n_authors,
+                citing_years=dict(enumerate(spread, start=pub_year)),
+                author_ids=tuple(author_ids),
             )
-    return papers
 
 
 def generate_corpus(
     config: SynthConfig,
-) -> tuple[Corpus, tuple[str, ...], tuple[str, ...]]:
-    """Generate a corpus plus the star and control author id lists.
+) -> tuple[Iterator[Paper], tuple[str, ...], tuple[str, ...]]:
+    """The papers of a synthetic corpus, plus the star and control author ids.
 
-    Deterministic for a fixed config: one generator seeded from config.seed
-    drives every draw in a fixed order.
+    The papers are drawn one at a time, as they are iterated, so the whole
+    corpus is never held; Corpus.from_papers holds them. Deterministic
+    for a fixed config: one generator seeded from config.seed drives every
+    draw in a fixed order.
     """
+    star_ids = tuple(f"star_{i:04d}" for i in range(1, config.n_stars + 1))
+    control_ids = tuple(f"ctrl_{i:04d}" for i in range(1, config.n_control + 1))
+    return _draw_papers(config, star_ids, control_ids), star_ids, control_ids
+
+
+def _draw_papers(
+    config: SynthConfig, star_ids: tuple[str, ...], control_ids: tuple[str, ...]
+) -> Iterator[Paper]:
     import numpy as np
 
     rng = np.random.default_rng(config.seed)
-    papers = []
-    star_ids = tuple(f"star_{i:04d}" for i in range(1, config.n_stars + 1))
-    control_ids = tuple(f"ctrl_{i:04d}" for i in range(1, config.n_control + 1))
     draw = _coauthor_sampler(config.coauthor_distribution)
     for author_id in star_ids:
-        papers.extend(_generate_author(rng, draw, config, author_id, is_star=True))
+        yield from _generate_author(rng, draw, config, author_id, is_star=True)
     for author_id in control_ids:
-        papers.extend(_generate_author(rng, draw, config, author_id, is_star=False))
-    return Corpus.from_papers(papers), star_ids, control_ids
+        yield from _generate_author(rng, draw, config, author_id, is_star=False)

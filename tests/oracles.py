@@ -37,7 +37,7 @@ def make_record(
 def corpus_text(corpus: Corpus) -> str:
     """The text render_corpus writes for `corpus`."""
     out = io.StringIO()
-    render_corpus(corpus, out)
+    render_corpus(corpus.papers.values(), out)
     return out.getvalue()
 
 

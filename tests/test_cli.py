@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -126,6 +127,17 @@ def test_generate_rejects_start_year_beyond_int64(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_generate_rejects_paper_mean_too_large_to_draw(tmp_path, capsys):
+    # numpy's Poisson draw takes means up to 2**63 - 1 - 10 * sqrt(2**63 - 1).
+    config = write_config(tmp_path / "config.json", papers_per_year_mean=1e19)
+    out = tmp_path / "corpus.jsonl"
+    assert main(["generate", "--seed-config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: papers_per_year_mean is too large to draw\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 # The latest papers' mean citation rate overflows a float at 200000 and
 # exceeds what numpy's negative binomial draws at 60000.
 @pytest.mark.parametrize("last_start_year", [200000, 60000])
@@ -165,24 +177,23 @@ def test_generate_failure_mid_stream_leaves_no_partial_outputs(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
-def test_generate_writes_the_corpus_without_holding_its_text(tmp_path, monkeypatch):
-    real = biblio_bench.cli.render_corpus
-    peaks = []
+def test_generate_writes_the_corpus_without_holding_its_text(tmp_path):
+    import numpy.random  # noqa: F401  (its import is not the corpus's memory)
 
-    def traced(corpus, out):
-        tracemalloc.start()
-        try:
-            real(corpus, out)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-
-    monkeypatch.setattr(biblio_bench.cli, "render_corpus", traced)
-    out = generated_corpus(tmp_path, n_control=1500, n_stars=0)
+    config = write_config(tmp_path / "config.json", n_control=1500, n_stars=0)
+    out = tmp_path / "corpus.jsonl"
+    tracemalloc.start()
+    try:
+        assert main(["generate", "--seed-config", str(config), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     size = out.stat().st_size
     assert size > 1_000_000
-    # Rendering all lines at once would allocate at least the corpus size.
-    assert peaks[0] < size / 8, (peaks[0], size)
+    # Holding every paper takes several times the corpus size, and rendering
+    # all lines at once at least the corpus size. What remains, about 0.22 of
+    # it here, is one batch of lines and the author id lists and texts.
+    assert peak < size / 4, (peak, size)
 
 
 def test_generate_failure_leaves_no_partial_outputs(tmp_path, capsys):
@@ -201,6 +212,13 @@ def generated_corpus(tmp_path, **overrides):
     out = tmp_path / "corpus.jsonl"
     assert main(["generate", "--seed-config", str(config), "--out", str(out)]) == 0
     return out
+
+
+def test_generate_logs_the_paper_count_it_wrote(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("BIBLIO_BENCH_LOG", "INFO")
+    out = generated_corpus(tmp_path)
+    papers = len(out.read_text().splitlines())
+    assert f"generated {papers} papers for 3 stars and 8 controls" in caplog.messages
 
 
 def test_fit_writes_model(tmp_path):
@@ -253,6 +271,59 @@ def test_fit_year_max_alone(tmp_path):
     assert main(["fit", "--corpus", str(corpus), "--min-papers", "5",
                  "--year-max", "1995", "--out", str(model_path)]) == 0
     assert ExpectationModel.from_json(model_path.read_text()).fit_year_range == (1990, 1995)
+
+
+def test_fit_frees_the_corpus_before_fitting(tmp_path, monkeypatch):
+    # fit_expectation_model loads numpy; the corpus must be gone by then.
+    real_ingest = biblio_bench.cli.ingest_corpus
+    real_fit = biblio_bench.cli.fit_expectation_model
+    corpora, alive = [], []
+
+    def ingest(*args):
+        corpus = real_ingest(*args)
+        corpora.append(weakref.ref(corpus))
+        return corpus
+
+    def fit(*args, **kwargs):
+        alive.append(corpora[0]() is not None)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(biblio_bench.cli, "ingest_corpus", ingest)
+    monkeypatch.setattr(biblio_bench.cli, "fit_expectation_model", fit)
+    assert main(["fit", "--corpus", str(DATA / "fixture_corpus.jsonl"),
+                 "--min-papers", "1", "--out", str(tmp_path / "model.json")]) == 0
+    assert alive == [False]
+
+
+def test_fit_counts_years_beyond_int64_exactly(tmp_path):
+    # As floats 10**20 and 10**20 + 1 are one year; only exact counting drops
+    # the second, which has fewer than --min-papers papers.
+    big = 10**20
+    records = [
+        ("a", 2000, [2000, 2001]),
+        ("b", 2000, [2003]),
+        ("c", big, [big, big, big + 4]),
+        ("d", big, []),
+        ("e", big + 1, [big + 1]),
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"paper_id": paper_id, "pub_year": year, "author_count": 1,
+                    "citing_years": citing}) + "\n"
+        for paper_id, year, citing in records
+    ))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--corpus", str(corpus), "--min-papers", "2",
+                 "--out", str(model)]) == 0
+    fits = [(5e-21, 0.5), (0.0, 1.0), (0.0, 1.0), (-5e-21, 1.5), (0.0, 1.5)]
+    assert model.read_text() == json.dumps({
+        "fit_year_range": [2000, big],
+        "floor": 1.0,
+        "window_fits": {
+            str(w): {"slope": slope, "intercept": intercept, "n_points": 4}
+            for w, (slope, intercept) in enumerate(fits, start=1)
+        },
+    }, indent=2) + "\n"
 
 
 def test_indicators_reproduces_fixture(tmp_path):

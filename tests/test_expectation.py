@@ -1,5 +1,6 @@
 import json
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,16 @@ def test_json_readers_reject_any_value_with_value_error(reader, name, data):
         pass
 
 
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "1.0", "one"])
+def test_model_window_keys_must_be_plain_integers(key):
+    # int() reads all but the last two; "01" would overwrite window 1.
+    payload = json.loads((DATA / "constant_model.json").read_text())
+    payload["window_fits"][key] = payload["window_fits"]["1"]
+    with pytest.raises(ValueError) as err:
+        ExpectationModel.from_json(json.dumps(payload))
+    assert str(err.value) == f"window_fits keys must be integers, got {key!r}"
+
+
 def test_expected_citations_applies_floor():
     model = make_model([0.5], [-996.0], floor=1.0)
     # line value at 1996: 0.5*1996 - 996 = 2.0
@@ -156,10 +167,18 @@ def test_collect_window_points():
         '{"paper_id": "p2", "pub_year": 2001, "author_count": 9,'
         ' "citing_years": [2002]}',
     ])
-    points = dict(collect_window_points(corpus, window_count=5))
+    points = collect_window_points(corpus, window_count=5)
+    assert len(points) == 2
+    # machine-integer columns refer to no object of the corpus
+    assert {type(column) for column in (points.pub_year, *points.windows)} == {array}
+    by_year = dict(points)
     # cumulative counts for windows 1..5: pub year alone, then one more year each
-    assert points[2000] == (1, 3, 3, 4, 5)
-    assert points[2001] == (0, 1, 1, 1, 1)
+    assert by_year[2000] == (1, 3, 3, 4, 5)
+    assert by_year[2001] == (0, 1, 1, 1, 1)
+    # with no windows each paper still yields its year
+    assert list(collect_window_points(corpus, window_count=0)) == [
+        (2000, ()), (2001, ())
+    ]
 
 
 def years_points(year_to_counts, copies=1):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biblio_bench.corpus import build_author_record
+from biblio_bench.corpus import Corpus, build_author_record
 from biblio_bench.indicators import indicator_vector
 from biblio_bench.stats import compare_cohorts
 from biblio_bench.synth import (
@@ -22,6 +22,12 @@ from biblio_bench.synth import (
 from oracles import constant_model, corpus_text
 
 DATA = Path(__file__).parent / "data"
+
+
+def generated(config):
+    """generate_corpus with its papers held in a Corpus."""
+    papers, stars, controls = generate_corpus(config)
+    return Corpus.from_papers(papers), stars, controls
 
 
 def small_config(**overrides):
@@ -91,6 +97,33 @@ def test_config_accepts_the_rates_numpy_can_draw(scale, dispersion):
         assert str(exc).startswith("start_year_range and annual_growth_factor ")
         accepted = False
     assert accepted == drawable == (scale < 1)
+
+
+@pytest.mark.parametrize("scale", [0.999, 1.0, 1.001])
+def test_config_accepts_the_paper_means_numpy_can_draw(scale):
+    mean = scale * (2**63 - 1 - 10 * math.sqrt(2**63 - 1))
+    try:
+        np.random.default_rng(0).poisson(mean)
+        drawable = True
+    except ValueError:
+        drawable = False
+    try:
+        small_config(papers_per_year_mean=mean)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "papers_per_year_mean is too large to draw"
+        accepted = False
+    assert accepted == drawable == (scale <= 1)
+
+
+@pytest.mark.parametrize("key", ["02", " 2", "+2", "2_0", "2.0", "two"])
+def test_config_coauthor_keys_must_be_plain_integers(key):
+    # int() reads all but the last two; "02" would overwrite the count 2.
+    payload = json.loads(small_config().to_json())
+    payload["coauthor_distribution"][key] = 0.0
+    with pytest.raises(ValueError) as err:
+        SynthConfig.from_json(json.dumps(payload))
+    assert str(err.value) == f"coauthor_distribution keys must be integers, got {key!r}"
 
 
 def test_config_json_round_trip():
@@ -170,11 +203,11 @@ def test_null_multiplier_equalizes_rates():
 
 def test_same_seed_same_bytes():
     config = small_config()
-    corpus_a, stars_a, controls_a = generate_corpus(config)
-    corpus_b, stars_b, controls_b = generate_corpus(config)
+    corpus_a, stars_a, controls_a = generated(config)
+    corpus_b, stars_b, controls_b = generated(config)
     assert corpus_text(corpus_a) == corpus_text(corpus_b)
     assert stars_a == stars_b and controls_a == controls_b
-    other, _, _ = generate_corpus(small_config(seed=102))
+    other, _, _ = generated(small_config(seed=102))
     assert corpus_text(other) != corpus_text(corpus_a)
 
 
@@ -182,7 +215,7 @@ def test_null_config_corpus_bytes_are_pinned():
     # The seeded draw order is part of the output: any change to which draws
     # are made, or in what order, changes these bytes.
     config = SynthConfig.from_json((DATA / "experiment_null_config.json").read_text())
-    corpus, _, _ = generate_corpus(config)
+    corpus, _, _ = generated(config)
     digest = hashlib.sha256(corpus_text(corpus).encode("utf-8")).hexdigest()
     assert digest == (
         "e0a1a3c2d569322a7f5aee8d724239f2f429e941864079edce2d3ce1ab7b985b"
@@ -211,7 +244,7 @@ def test_coauthor_draw_matches_generator_choice(seed, weights):
 
 
 def test_empty_config_gives_empty_corpus():
-    corpus, stars, controls = generate_corpus(
+    corpus, stars, controls = generated(
         small_config(n_control=0, n_stars=0)
     )
     assert len(corpus) == 0
@@ -220,7 +253,7 @@ def test_empty_config_gives_empty_corpus():
 
 def test_generated_structure():
     config = small_config()
-    corpus, stars, controls = generate_corpus(config)
+    corpus, stars, controls = generated(config)
     assert len(stars) == 4 and len(controls) == 12
     assert set(stars).isdisjoint(controls)
     year_lo, year_hi = config.start_year_range
@@ -243,7 +276,7 @@ def test_author_counts_follow_distribution():
         seed=500, n_control=300, n_stars=0,
         coauthor_distribution={2: 0.5, 7: 0.5},
     )
-    corpus, _, _ = generate_corpus(config)
+    corpus, _, _ = generated(config)
     counts = [p.author_count for p in corpus.papers.values()]
     assert set(counts) <= {2, 7}
     share = counts.count(2) / len(counts)
@@ -252,7 +285,7 @@ def test_author_counts_follow_distribution():
 
 def test_mean_citations_track_growth_factor():
     config = SynthConfig.from_json((DATA / "inflation_config.json").read_text())
-    corpus, _, _ = generate_corpus(config)
+    corpus, _, _ = generated(config)
     assert len(corpus) >= 2000
     by_year = {}
     for paper in corpus.papers.values():
@@ -270,7 +303,7 @@ def test_null_effect_keeps_comparison_flat():
         seed=913, n_control=40, n_stars=40, star_effect_multiplier=1.0,
         start_year_range=(1995, 1995),
     )
-    corpus, stars, controls = generate_corpus(config)
+    corpus, stars, controls = generated(config)
     model = constant_model(expected=5.0)
     vec_s = [indicator_vector(build_author_record(corpus, a), model) for a in stars]
     vec_c = [indicator_vector(build_author_record(corpus, a), model) for a in controls]
