@@ -229,6 +229,22 @@ def _parse_max_start_year(raw: str) -> int | None:
         ) from None
 
 
+def _listed_authors(text: str) -> list[str]:
+    """The author ids of an --authors file: one per line, '#' lines skipped."""
+    lines: dict[str, int] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        entry = line.strip()
+        if not entry or entry.startswith("#"):
+            continue
+        if entry in lines:
+            raise ValueError(
+                f"--authors lists {entry!r} twice, on lines {lines[entry]} "
+                f"and {lineno}"
+            )
+        lines[entry] = lineno
+    return list(lines)
+
+
 def cmd_indicators(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
     corpus = ingest_corpus(Path(args.corpus), inputs["corpus"])
@@ -239,17 +255,15 @@ def cmd_indicators(args: argparse.Namespace) -> int:
             f"but --windows is {args.windows}"
         )
 
+    author_ids = None
     if args.authors:
-        author_ids = []
-        for line in _read(args, inputs, "authors").splitlines():
-            entry = line.strip()
-            if entry and not entry.startswith("#"):
-                author_ids.append(entry)
-    else:
-        author_ids = sorted(corpus.author_index)
+        author_ids = _listed_authors(_read(args, inputs, "authors"))
+    groups = corpus.papers_by_author(author_ids)
+    # Papers no listed author wrote are freed before the records are built.
+    del corpus
     records = [
-        build_author_record(corpus, author_id, window_years=args.windows)
-        for author_id in author_ids
+        build_author_record(author_id, papers, window_years=args.windows)
+        for author_id, papers in groups.items()
     ]
     spec = FilterSpec(
         mean_coauthors_min=args.coauthor_min,
@@ -340,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ind.add_argument(
         "--authors",
         default=None,
-        help="file with one author id per line; default: every indexed author",
+        help="file with one author id per line; default: every author in the corpus",
     )
     p_ind.add_argument(
         "--coauthor-min",

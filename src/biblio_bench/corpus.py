@@ -23,6 +23,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Iterable,
+    Sequence,
     get_args,
     get_origin,
     get_type_hints,
@@ -160,7 +161,29 @@ def open_text(
     return io.TextIOWrapper(buffered, encoding="utf-8", newline=newline)
 
 
-@dataclass(frozen=True, init=False)
+def _per_year(
+    paper_id: str, citing_years: Iterable[int] | dict[int, int]
+) -> tuple[list[int], list[int]]:
+    """Distinct citing years, ascending, and the events through each."""
+    if isinstance(citing_years, dict):
+        for year, n in citing_years.items():
+            if n < 0:
+                raise ValueError(
+                    f"paper {paper_id}: citing year {year} has a negative "
+                    f"count, {n}"
+                )
+        years = sorted(y for y, n in citing_years.items() if n > 0)
+        return years, list(accumulate(map(citing_years.__getitem__, years)))
+    events = sorted(citing_years)
+    years, counts, end = [], [], 0
+    while end < len(events):  # one step per distinct year, not per event
+        years.append(events[end])
+        end = bisect_right(events, events[end], end)
+        counts.append(end)
+    return years, counts
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Paper:
     """One publication; ``counts[i]`` of its citations fall in ``years[i]`` or before.
 
@@ -183,17 +206,21 @@ class Paper:
         citing_years: Iterable[int] | dict[int, int] = (),
         author_ids: tuple[str, ...] | None = None,
     ) -> None:
-        """``citing_years``: each event's year, or {year: events} as in a Counter."""
-        if isinstance(citing_years, dict):
-            years = sorted(y for y, n in citing_years.items() if n > 0)
-            counts = list(accumulate(map(citing_years.__getitem__, years)))
-        else:
-            events = sorted(citing_years)
-            years, counts, end = [], [], 0
-            while end < len(events):  # one step per distinct year, not per event
-                years.append(events[end])
-                end = bisect_right(events, events[end], end)
-                counts.append(end)
+        """``citing_years``: each event's year, or {year: events} as in a
+        Counter, where a zero count is dropped and a negative one rejected."""
+        years, counts = _per_year(paper_id, citing_years)
+        self._fill(paper_id, pub_year, author_count, years, counts, author_ids)
+
+    def _fill(
+        self,
+        paper_id: str,
+        pub_year: int,
+        author_count: int,
+        years: list[int],
+        counts: list[int],
+        author_ids: tuple[str, ...] | None,
+    ) -> None:
+        """Check and set every field, from the form _per_year returns."""
         object.__setattr__(self, "paper_id", paper_id)
         object.__setattr__(self, "pub_year", pub_year)
         object.__setattr__(self, "author_count", author_count)
@@ -225,7 +252,7 @@ class Paper:
         return self.counts[index - 1] if index else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordPaper:
     """A paper as seen inside an author record: windowed citation count c."""
 
@@ -293,10 +320,9 @@ class FilterSpec:
 
 @dataclass
 class Corpus:
-    """All papers, indexed by paper id and by author id."""
+    """All papers, by paper id, in the order they were added."""
 
     papers: dict[str, Paper] = field(default_factory=dict)
-    author_index: dict[str, list[str]] = field(default_factory=dict)
 
     @classmethod
     def from_papers(cls, papers: Iterable[Paper]) -> Corpus:
@@ -309,11 +335,31 @@ class Corpus:
         if paper.paper_id in self.papers:
             raise CorpusFormatError(f"duplicate paper_id {paper.paper_id!r}")
         self.papers[paper.paper_id] = paper
-        for author_id in paper.author_ids or ():
-            self.author_index.setdefault(author_id, []).append(paper.paper_id)
 
     def __len__(self) -> int:
         return len(self.papers)
+
+    def papers_by_author(
+        self, author_ids: Iterable[str] | None = None
+    ) -> dict[str, list[Paper]]:
+        """Each author's papers in corpus order, grouped in one pass.
+
+        Only the listed ``author_ids`` are grouped, in their order; one that
+        no paper names gets an empty list. Without them, every author some
+        paper names is grouped, in sorted order.
+        """
+        everyone = author_ids is None
+        groups: dict[str, list[Paper]] = (
+            {} if everyone else {author_id: [] for author_id in author_ids}
+        )
+        for paper in self.papers.values():
+            for author_id in paper.author_ids or ():
+                papers = groups.get(author_id)
+                if papers is not None:
+                    papers.append(paper)
+                elif everyone:
+                    groups[author_id] = [paper]
+        return dict(sorted(groups.items())) if everyone else groups
 
 
 # Built once: json.loads re-scans whitespace a stripped line does not have,
@@ -363,9 +409,13 @@ def _split_rendered(text: str) -> tuple[str, dict[int, int]] | None:
     return text[:cut] + "}", dict(zip(years, counts))
 
 
-def _parse_line(text: str, per_year: dict[int, int] | None = None) -> Paper:
+def _parse_line(
+    text: str, ints: dict[int, int], per_year: dict[int, int] | None = None
+) -> Paper:
     """Decode and check one record; ``per_year`` replaces its citing_years.
 
+    Each year becomes the equal int object already in ``ints``, or is added
+    to it, so the papers parsed with one ``ints`` share one int per year.
     A line ending in an event list as render_paper_line writes it is read
     per year: its record without the list, plus the list's counts. If that
     fails, the whole line is decoded below, with the general path's results.
@@ -374,13 +424,17 @@ def _parse_line(text: str, per_year: dict[int, int] | None = None) -> Paper:
         rendered = _split_rendered(text)
         if rendered is not None:
             try:
-                return _parse_line(*rendered)
+                return _parse_line(rendered[0], ints, rendered[1])
             except ValueError:
                 pass
     try:
         record, end = _decode(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON ({exc.msg})") from exc
+        # U+FEFF is not whitespace, so strip() leaves a byte-order mark.
+        reason = exc.msg
+        if text.startswith("\ufeff"):
+            reason = "starts with a UTF-8 byte-order mark"
+        raise ValueError(f"invalid JSON ({reason})") from exc
     if end != len(text):
         raise ValueError("invalid JSON (Extra data)")
     if not isinstance(record, dict):
@@ -415,12 +469,21 @@ def _parse_line(text: str, per_year: dict[int, int] | None = None) -> Paper:
         if author_count is None:
             author_count = len(author_ids)
 
-    if per_year is not None:
-        return Paper(paper_id, pub_year, author_count, per_year, author_ids)
-    citing_years = record.get("citing_years", [])
-    if type(citing_years) is not list or not set(map(type, citing_years)) <= {int}:
-        raise ValueError("citing_years must be a list of integers")
-    return Paper(paper_id, pub_year, author_count, citing_years, author_ids)
+    if per_year is None:
+        per_year = record.get("citing_years", [])
+        if type(per_year) is not list or not set(map(type, per_year)) <= {int}:
+            raise ValueError("citing_years must be a list of integers")
+    years, counts = _per_year(paper_id, per_year)
+    paper = Paper.__new__(Paper)
+    paper._fill(
+        paper_id,
+        ints.setdefault(pub_year, pub_year),
+        author_count,
+        list(map(ints.setdefault, years, years)),
+        counts,
+        author_ids,
+    )
+    return paper
 
 
 def ingest_corpus(
@@ -437,12 +500,13 @@ def ingest_corpus(
         with open_text(source, digest=digest) as handle:
             return ingest_corpus(handle)
     corpus = Corpus()
+    ints: dict[int, int] = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            corpus._add(_parse_line(line))
+            corpus._add(_parse_line(line, ints))
         except ValueError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
     return corpus
@@ -484,20 +548,20 @@ def render_corpus(papers: Iterable[Paper], out: IO[str]) -> int:
 
 
 def build_author_record(
-    corpus: Corpus, author_id: str, window_years: int = 5
+    author_id: str, papers: Sequence[Paper], window_years: int = 5
 ) -> AuthorRecord:
     """Restrict an author's papers and citations to their first window.
 
-    The window starts with the calendar year of the author's first paper and
-    spans window_years years inclusive. Papers published later are dropped;
-    citation events after the window's last year are not counted.
+    ``papers`` are the author's papers, as Corpus.papers_by_author groups
+    them; the record keeps their order. The window starts with the calendar
+    year of the author's first paper and spans window_years years inclusive.
+    Papers published later are dropped; citation events after the window's
+    last year are not counted.
     """
     if window_years < 1:
         raise ValueError("window_years must be >= 1")
-    paper_ids = corpus.author_index.get(author_id)
-    if not paper_ids:
+    if not papers:
         raise UnknownAuthorError(f"author {author_id!r} not found in corpus")
-    papers = [corpus.papers[pid] for pid in paper_ids]
     first_year = min(p.pub_year for p in papers)
     last_year = first_year + window_years - 1
     kept = tuple(

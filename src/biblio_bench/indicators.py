@@ -228,8 +228,8 @@ def parse_table(kind: type, text: str, key: str | None = None) -> list[Any]:
     """Read a table written by render_table with the same `kind` and `key`.
 
     Each cell is decoded by its field's type hint, str, int or float. A
-    wrong header, a row of the wrong width and a number cell that is not a
-    finite number are rejected with their line number.
+    wrong header, a row of the wrong width, a repeated `key` and a number
+    cell that is not a finite number are rejected with their line number.
     """
     types = get_type_hints(kind)
     columns = [(f.name, types[f.name]) for f in fields(kind)]
@@ -244,6 +244,7 @@ def parse_table(kind: type, text: str, key: str | None = None) -> list[Any]:
             f"line {header_lineno}: unexpected {kind.__name__} table header: {header!r}"
         )
     rows = []
+    key_lines: dict[str, int] = {}
     for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != len(columns):
@@ -251,6 +252,12 @@ def parse_table(kind: type, text: str, key: str | None = None) -> list[Any]:
                 f"line {lineno}: row has {len(cells)} columns, not {len(columns)}: "
                 f"{line!r}"
             )
+        if key is not None:
+            first = key_lines.setdefault(cells[0], lineno)
+            if first != lineno:
+                raise ValueError(
+                    f"line {lineno}: {key} {cells[0]!r} repeats line {first}"
+                )
         values = []
         for (name, cast), cell in zip(columns, cells):
             try:

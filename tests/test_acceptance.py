@@ -267,8 +267,8 @@ def test_inflation_recovery():
 
 def _cohort_vectors(corpus, author_ids, model):
     return [
-        indicator_vector(build_author_record(corpus, author_id), model)
-        for author_id in author_ids
+        indicator_vector(build_author_record(author_id, papers), model)
+        for author_id, papers in corpus.papers_by_author(author_ids).items()
     ]
 
 

@@ -295,6 +295,25 @@ def test_fit_frees_the_corpus_before_fitting(tmp_path, monkeypatch):
     assert alive == [False]
 
 
+def test_fit_builds_no_author_index(tmp_path, monkeypatch):
+    real_ingest = biblio_bench.cli.ingest_corpus
+    corpora = []
+
+    def ingest(*args):
+        corpora.append(real_ingest(*args))
+        return corpora[-1]
+
+    def group(self, author_ids=None):
+        raise AssertionError("fit grouped papers by author")
+
+    monkeypatch.setattr(biblio_bench.cli, "ingest_corpus", ingest)
+    monkeypatch.setattr(biblio_bench.corpus.Corpus, "papers_by_author", group)
+    assert main(["fit", "--corpus", str(DATA / "fixture_corpus.jsonl"),
+                 "--min-papers", "1", "--out", str(tmp_path / "model.json")]) == 0
+    # The corpus holds its papers and nothing else.
+    assert vars(corpora[0]) == {"papers": corpora[0].papers}
+
+
 def test_fit_counts_years_beyond_int64_exactly(tmp_path):
     # As floats 10**20 and 10**20 + 1 are one year; only exact counting drops
     # the second, which has fewer than --min-papers papers.
@@ -482,7 +501,37 @@ def test_indicators_unknown_author(tmp_path, capsys):
             "--authors", str(listing), *RELAXED,
             "--out", str(tmp_path / "v.tsv")]
     assert main(args) == 1
-    assert "ghost" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: author 'ghost' not found in corpus\n"
+
+
+def test_indicators_groups_only_listed_authors(tmp_path, monkeypatch):
+    real_group = biblio_bench.corpus.Corpus.papers_by_author
+    groups = []
+
+    def group(self, author_ids=None):
+        groups.append(real_group(self, author_ids))
+        return groups[-1]
+
+    monkeypatch.setattr(biblio_bench.corpus.Corpus, "papers_by_author", group)
+    assert main(["indicators", *FIXTURE_ARGS, *RELAXED,
+                 "--out", str(tmp_path / "v.tsv")]) == 0
+    # The fixture corpus has six authors; the list names three.
+    assert [list(g) for g in groups] == [["alice", "bob", "carol"]]
+
+
+def test_indicators_rejects_an_author_listed_twice(tmp_path, capsys):
+    listing = tmp_path / "authors.txt"
+    listing.write_text("carol\n# a comment\nalice\n\n  carol\n")
+    out = tmp_path / "v.tsv"
+    args = ["indicators",
+            "--corpus", str(DATA / "fixture_corpus.jsonl"),
+            "--model", str(DATA / "constant_model.json"),
+            "--authors", str(listing), *RELAXED, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: --authors lists 'carol' twice, on lines 1 and 5\n"
+    )
+    assert not out.exists()
 
 
 def test_indicators_stdout_uses_three_decimals(capsys):
@@ -639,6 +688,20 @@ def test_compare_rejects_nan_cell(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: norm_citations is 'nan'")
     assert not (tmp_path / "c.tsv").exists()
+
+
+def test_compare_rejects_a_repeated_author_row(tmp_path, capsys):
+    full = cohort_table(tmp_path / "full.tsv", 1, 5, 1.0)
+    header, first, *rest = full.read_text().splitlines()
+    repeated = tmp_path / "repeated.tsv"
+    repeated.write_text("\n".join([header, first, *rest, first]) + "\n")
+    out = tmp_path / "c.tsv"
+    assert main(["compare", "--stars", str(full), "--control", str(repeated),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 7: author_id 'a000' repeats line 2\n"
+    )
+    assert not out.exists()
 
 
 def test_compare_rejects_cell_beyond_float_range(tmp_path, capsys):

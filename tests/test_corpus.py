@@ -3,6 +3,7 @@ import io
 import json
 import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from unittest import mock
 
@@ -23,8 +24,10 @@ from biblio_bench.corpus import (
     filter_cohort,
     ingest_corpus,
     open_text,
+    render_corpus,
     render_paper_line,
 )
+from biblio_bench.synth import SynthConfig, generate_corpus
 from oracles import corpus_text
 
 DATA = Path(__file__).parent / "data"
@@ -38,10 +41,9 @@ def line(**kwargs):
 def test_ingest_fixture_counts():
     corpus = ingest_corpus(FIXTURE)
     assert len(corpus) == 9
-    assert sorted(corpus.author_index) == [
-        "alice", "bob", "carol", "dave", "erin", "frank",
-    ]
-    assert corpus.author_index["carol"] == ["pC1", "pC2", "pC3", "pC4"]
+    groups = corpus.papers_by_author()
+    assert list(groups) == ["alice", "bob", "carol", "dave", "erin", "frank"]
+    assert [p.paper_id for p in groups["carol"]] == ["pC1", "pC2", "pC3", "pC4"]
 
 
 def test_ingest_accepts_stream_and_iterable():
@@ -173,6 +175,17 @@ def test_parse_errors(bad, fragment):
     assert fragment in str(err.value)
 
 
+def test_byte_order_mark_error_says_why(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    record = line(paper_id="p", pub_year=2000, author_count=1, citing_years=[])
+    path.write_bytes(b"\xef\xbb\xbf" + record.encode() + b"\n")
+    with pytest.raises(CorpusFormatError) as err:
+        ingest_corpus(path)
+    assert str(err.value) == (
+        "line 1: invalid JSON (starts with a UTF-8 byte-order mark)"
+    )
+
+
 # A small alphabet: str.splitlines() also splits on U+2028 and U+0085,
 # which json.dumps leaves unescaped.
 IDS = st.text(alphabet="abz09_é", min_size=1, max_size=5)
@@ -216,6 +229,61 @@ def test_storage_grows_with_distinct_citing_years():
     assert (paper.years, paper.counts) == ((1, 1 + 10**9), (1, 2))
     assert paper.citations_through(10**9) == 1
     assert paper_with({1: 0, 3: 2, 5: 0}, pub_year=1).years == (3,)
+
+
+def test_negative_citation_count_is_rejected():
+    with pytest.raises(ValueError) as err:
+        Paper("p", 2000, 1, {2001: -3, 2002: 2})
+    assert str(err.value) == "paper p: citing year 2001 has a negative count, -3"
+
+
+def test_papers_are_slotted_and_frozen():
+    paper = Paper("p", 2000, 2, [2003, 2001, 2001], ("a", "b"))
+    record = RecordPaper(paper_id="p", pub_year=2000, author_count=2, citations=3)
+    for frozen in (paper, record):
+        assert not hasattr(frozen, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            frozen.pub_year = 1999
+    assert paper == Paper("p", 2000, 2, {2001: 2, 2003: 1}, ("a", "b"))
+    assert hash(paper) == hash(("p", 2000, 2, (2001, 2003), (2, 3), ("a", "b")))
+    assert record == RecordPaper("p", 2000, 2, 3)
+    assert record != RecordPaper("p", 2000, 2, 4)
+    assert hash(record) == hash(("p", 2000, 2, 3))
+
+
+def test_ingest_shares_one_int_per_distinct_year():
+    # Years above 256, which CPython does not cache. Paper i has 8 * i events
+    # over i + 1 years, so papers 8 and 9 take the per-year read.
+    papers = [
+        Paper(f"p{i}", 2000 + i % 3, 1,
+              [2000 + i % 3 + k % (i + 1) for k in range(8 * i)])
+        for i in range(12)
+    ]
+    lines = corpus_text(Corpus.from_papers(papers)).splitlines()
+    assert [i for i, text in enumerate(lines)
+            if corpus_module._split_rendered(text)] == [8, 9]
+    ingested = ingest_corpus(lines).papers
+    assert list(ingested.values()) == papers
+    years = [y for p in ingested.values() for y in (p.pub_year, *p.years)]
+    assert len({id(y) for y in years}) == len(set(years)) == 14
+
+
+def test_ingest_holds_under_700_bytes_per_paper():
+    # A seeded corpus shaped like the paper's setup: 3,940 papers.
+    config = SynthConfig.from_json((DATA / "experiment_fit_config.json").read_text())
+    out = io.StringIO()
+    render_corpus(generate_corpus(config)[0], out)
+    lines = out.getvalue().splitlines()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = ingest_corpus(lines)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # CPython 3.11 measured 570 bytes per paper; a __dict__ per paper, an
+    # author index and an int per year as decoded take it to 1,008.
+    assert held / len(corpus) < 700, held / len(corpus)
 
 
 def test_ingest_retains_less_than_a_byte_per_citation_event():
@@ -419,32 +487,35 @@ def test_blank_lines_skipped():
     assert len(corpus) == 1
 
 
+def fixture_record(author_id, window_years=5):
+    papers = ingest_corpus(FIXTURE).papers_by_author([author_id])[author_id]
+    return build_author_record(author_id, papers, window_years)
+
+
 def test_build_author_record_windows_citations():
-    corpus = ingest_corpus(FIXTURE)
-    carol = build_author_record(corpus, "carol")
+    carol = fixture_record("carol")
     assert carol.first_year == 1995
     assert [p.citations for p in carol.papers] == [100, 25, 25, 0]
     # dave shares carol's 1995 paper, so his window starts in 1995 and the
     # 2005 solo paper falls outside it
-    dave = build_author_record(corpus, "dave")
+    dave = fixture_record("dave")
     assert dave.first_year == 1995
     assert [p.paper_id for p in dave.papers] == ["pC1", "pC4"]
 
 
 def test_build_author_record_window_length():
-    corpus = ingest_corpus(FIXTURE)
-    short = build_author_record(corpus, "carol", window_years=3)
+    short = fixture_record("carol", window_years=3)
     # window 1995-1997: pC4 (1999) drops out, citations cut at 1997
     assert [p.paper_id for p in short.papers] == ["pC1", "pC2", "pC3"]
     assert [p.citations for p in short.papers] == [75, 18, 9]
     with pytest.raises(ValueError):
-        build_author_record(corpus, "carol", window_years=0)
+        fixture_record("carol", window_years=0)
 
 
 def test_unknown_author():
-    corpus = ingest_corpus(FIXTURE)
-    with pytest.raises(UnknownAuthorError, match="nobody"):
-        build_author_record(corpus, "nobody")
+    with pytest.raises(UnknownAuthorError) as err:
+        fixture_record("nobody")
+    assert str(err.value) == "author 'nobody' not found in corpus"
 
 
 def test_author_record_validation():

@@ -255,7 +255,8 @@ vectors = st.builds(
 )
 
 
-@given(st.lists(st.tuples(st.text("ab_1", min_size=1, max_size=6), vectors)))
+@given(st.lists(st.tuples(st.text("ab_1", min_size=1, max_size=6), vectors),
+                unique_by=lambda row: row[0]))
 def test_vector_table_round_trip_property(rows):
     assert parse_vector_table(render_vector_table(rows)) == rows
 

@@ -265,8 +265,8 @@ def test_generated_structure():
         for year in paper.citing_years:
             assert paper.pub_year <= year <= paper.pub_year + 4
     # every author has at least one paper, anchored within the start range
-    for author_id in stars + controls:
-        record = build_author_record(corpus, author_id)
+    for author_id, papers in corpus.papers_by_author(stars + controls).items():
+        record = build_author_record(author_id, papers)
         assert record.papers
         assert year_lo <= record.first_year <= year_hi
 
@@ -305,8 +305,13 @@ def test_null_effect_keeps_comparison_flat():
     )
     corpus, stars, controls = generated(config)
     model = constant_model(expected=5.0)
-    vec_s = [indicator_vector(build_author_record(corpus, a), model) for a in stars]
-    vec_c = [indicator_vector(build_author_record(corpus, a), model) for a in controls]
+    vec_s, vec_c = (
+        [
+            indicator_vector(build_author_record(a, papers), model)
+            for a, papers in corpus.papers_by_author(cohort).items()
+        ]
+        for cohort in (stars, controls)
+    )
     table = compare_cohorts(vec_s, vec_c)
     below = [row.indicator for row in table.rows if row.p < 0.05]
     assert len(below) < 3, below
