@@ -23,6 +23,7 @@ from .expectation import (
     ExpectationModel,
     InsufficientDataError,
     WindowFit,
+    WindowPoints,
     collect_window_points,
     fit_expectation_model,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "SynthConfig",
     "UnknownAuthorError",
     "WindowFit",
+    "WindowPoints",
     "boxplot_export",
     "build_author_record",
     "collect_window_points",

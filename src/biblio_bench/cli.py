@@ -36,6 +36,7 @@ from .expectation import (
 )
 from .indicators import (
     INDICATOR_FIELDS,
+    IndicatorVector,
     indicator_vector,
     parse_vector_table,
     render_vector_table,
@@ -281,14 +282,24 @@ def cmd_indicators(args: argparse.Namespace) -> int:
     return _emit(args, inputs, {"": table})
 
 
+def _cohort(
+    args: argparse.Namespace, inputs: dict[str, _Hash], option: str
+) -> list[IndicatorVector]:
+    """The vectors of the --stars or --control table; its errors name it."""
+    where = f"--{option} {getattr(args, option)}"
+    try:
+        rows = parse_vector_table(_read(args, inputs, option))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{where}: table has no rows")
+    return [vector for _, vector in rows]
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
-    stars = [v for _, v in parse_vector_table(_read(args, inputs, "stars"))]
-    control = [v for _, v in parse_vector_table(_read(args, inputs, "control"))]
-    if not stars:
-        raise ValueError(f"stars table {args.stars} has no rows")
-    if not control:
-        raise ValueError(f"control table {args.control} has no rows")
+    stars = _cohort(args, inputs, "stars")
+    control = _cohort(args, inputs, "control")
 
     table = compare_cohorts(stars, control)
     cohorts = {"stars": stars, "control": control}

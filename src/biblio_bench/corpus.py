@@ -234,6 +234,11 @@ class Paper:
                 f"paper {paper_id}: author_count {author_count} does not "
                 f"match {len(author_ids)} author ids"
             )
+        if author_ids is not None and len(set(author_ids)) < author_count:
+            repeated = next(a for i, a in enumerate(author_ids) if a in author_ids[:i])
+            raise ValueError(
+                f"paper {paper_id}: author id {repeated!r} is listed twice"
+            )
         if years and years[0] < pub_year:
             raise ValueError(
                 f"paper {paper_id}: citing year {years[0]} precedes "

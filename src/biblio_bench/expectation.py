@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Corpus, _finite, decode_typed
 
@@ -107,19 +107,18 @@ class WindowPoints:
     Columns are machine integers (``array("q")``), so they refer to no object
     of the corpus they were read from, and freeing the corpus frees its
     memory. A column with a value beyond int64 is a list of exact ints.
-    ``len()`` counts papers; iterating yields (pub_year, counts for w=1..W)
-    per paper.
+    ``len()`` counts papers.
     """
 
     pub_year: Sequence[int]
     windows: tuple[Sequence[int], ...]
 
+    def __post_init__(self) -> None:
+        if any(len(column) != len(self.pub_year) for column in self.windows):
+            raise ValueError("window counts must number one per paper in every window")
+
     def __len__(self) -> int:
         return len(self.pub_year)
-
-    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        counts = zip(*self.windows) if self.windows else repeat(())
-        return zip(self.pub_year, counts)
 
 
 def _column(values: list[int]) -> Sequence[int]:
@@ -153,34 +152,31 @@ def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def fit_expectation_model(
-    papers: Iterable[tuple[int, Sequence[int]]],
+    points: WindowPoints,
     window_count: int = 5,
     min_papers_per_year: int = 100,
     year_range: tuple[int | None, int | None] = (None, None),
 ) -> ExpectationModel:
     """Fit one least-squares line per window over individual papers.
 
-    ``papers`` yields (pub_year, cumulative citation counts for w=1..W).
-    Publication years outside ``year_range`` (low, high; None leaves that end
-    open) or with fewer than ``min_papers_per_year`` papers are left out of
-    the fit; at least two distinct years must remain.
+    ``points`` holds each paper's pub_year and cumulative citation counts for
+    w=1..W, column-wise. Publication years outside ``year_range`` (low, high;
+    None leaves that end open) or with fewer than ``min_papers_per_year``
+    papers are left out of the fit; at least two distinct years must remain.
     """
     import numpy as np
 
-    points = []
-    year_counts: dict[int, int] = {}
-    for year, counts in papers:
-        if len(counts) < window_count:
-            raise ValueError(
-                f"paper in year {year} has {len(counts)} window counts, "
-                f"need {window_count}"
-            )
-        points.append((year, counts))
-        year_counts[year] = year_counts.get(year, 0) + 1
+    if window_count < 1:
+        raise ValueError("window_count must be >= 1")
+    if len(points.windows) < window_count:
+        raise ValueError(
+            f"points have window counts for w=1..{len(points.windows)}, "
+            f"need w=1..{window_count}"
+        )
     low, high = year_range
     qualifying = {
         year
-        for year, count in year_counts.items()
+        for year, count in Counter(points.pub_year).items()
         if count >= min_papers_per_year
         and (low is None or low <= year)
         and (high is None or year <= high)
@@ -191,16 +187,16 @@ def fit_expectation_model(
             f"years (need at least 2 with >= {min_papers_per_year} papers)"
         )
 
-    kept = [(year, counts) for year, counts in points if year in qualifying]
-    x = np.array([year for year, _ in kept], dtype=float)
+    # Tested on the exact ints: distinct years beyond 2**53 can share a float.
+    kept = np.fromiter(map(qualifying.__contains__, points.pub_year), bool, len(points))
+    x = np.array(points.pub_year, dtype=float)[kept]
     fits = {}
     for w in range(1, window_count + 1):
-        y = np.array([counts[w - 1] for _, counts in kept], dtype=float)
+        y = np.array(points.windows[w - 1], dtype=float)[kept]
         slope, intercept = _ols_line(x, y)
-        fits[w] = WindowFit(slope=slope, intercept=intercept, n_points=len(kept))
+        fits[w] = WindowFit(slope=slope, intercept=intercept, n_points=len(x))
 
     return ExpectationModel(
         window_fits=fits,
         fit_year_range=(min(qualifying), max(qualifying)),
     )
-

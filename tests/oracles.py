@@ -12,8 +12,15 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from biblio_bench.corpus import AuthorRecord, Corpus, RecordPaper, render_corpus
-from biblio_bench.expectation import ExpectationModel, WindowFit
+from biblio_bench.expectation import (
+    ExpectationModel,
+    InsufficientDataError,
+    WindowFit,
+    WindowPoints,
+)
 
 
 def make_record(
@@ -252,3 +259,49 @@ def ols_closed_form(
     slope = (n * sum_xy - sum_x * sum_y) / denom
     intercept = (sum_y - slope * sum_x) / n
     return float(slope), float(intercept)
+
+
+def window_columns(papers: list[tuple[int, tuple[int, ...]]]) -> WindowPoints:
+    """The fit points of per-paper (pub_year, counts for w=1..W) pairs."""
+    counts = [c for _, c in papers]
+    return WindowPoints([year for year, _ in papers], tuple(map(list, zip(*counts))))
+
+
+def per_paper_fit(
+    papers: list[tuple[int, tuple[int, ...]]],
+    window_count: int,
+    min_papers_per_year: int,
+    year_range: tuple[int | None, int | None],
+) -> tuple[tuple[int, int], dict[int, tuple[float, float, int]]]:
+    """The expectation fit as it ran on one tuple per paper, as a reference.
+
+    Papers of qualifying years are kept in a list, each column becomes
+    ``np.array(..., dtype=float)``, and the line comes from the same centred
+    dot products as ``expectation._ols_line``. Returns the fitted year range
+    and {w: (slope, intercept, n_points)}; raises InsufficientDataError with
+    under two qualifying years.
+    """
+    year_counts: dict[int, int] = {}
+    for year, _ in papers:
+        year_counts[year] = year_counts.get(year, 0) + 1
+    low, high = year_range
+    qualifying = {
+        year
+        for year, count in year_counts.items()
+        if count >= min_papers_per_year
+        and (low is None or low <= year)
+        and (high is None or year <= high)
+    }
+    if len(qualifying) < 2:
+        raise InsufficientDataError(f"{len(qualifying)} qualifying years")
+    kept = [(year, counts) for year, counts in papers if year in qualifying]
+    x = np.array([year for year, _ in kept], dtype=float)
+    fits = {}
+    for w in range(1, window_count + 1):
+        y = np.array([counts[w - 1] for _, counts in kept], dtype=float)
+        x_centered = x - x.mean()
+        denom = float(x_centered @ x_centered)
+        slope = float(x_centered @ (y - y.mean())) / denom
+        intercept = float(y.mean()) - slope * float(x.mean())
+        fits[w] = (slope, intercept, len(kept))
+    return (min(qualifying), max(qualifying)), fits

@@ -36,6 +36,7 @@ from oracles import (
     oracle_h,
     oracle_h_m,
     rank_sum_counts,
+    window_columns,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -206,7 +207,7 @@ def test_regression_oracle():
                 increments = rng.integers(0, 40, size=4)
                 counts = tuple(np.cumsum([base, *increments]).tolist())
                 points.append((int(year), counts))
-        model = fit_expectation_model(points, min_papers_per_year=1)
+        model = fit_expectation_model(window_columns(points), min_papers_per_year=1)
         xs = [float(year) for year, _ in points]
         for w in range(1, 6):
             ys = [float(counts[w - 1]) for _, counts in points]
@@ -224,7 +225,7 @@ def test_regression_oracle():
         for year in range(1996, 2004)
         for _ in range(3)
     ]
-    clean_model = fit_expectation_model(clean, min_papers_per_year=1)
+    clean_model = fit_expectation_model(window_columns(clean), min_papers_per_year=1)
     exact = all(
         clean_model.window_fits[w].slope == float(w)
         and clean_model.window_fits[w].intercept == float(-1990 * w)

@@ -253,6 +253,15 @@ def test_fit_single_year_corpus_fails(tmp_path, capsys):
     assert "insufficient data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("windows", ["0", "-1"])
+def test_fit_rejects_windows_below_one(tmp_path, capsys, windows):
+    out = tmp_path / "model.json"
+    assert main(["fit", "--corpus", str(DATA / "fixture_corpus.jsonl"),
+                 "--min-papers", "1", "--windows", windows, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: window_count must be >= 1\n"
+    assert not out.exists()
+
+
 def test_fit_year_range_flags(tmp_path):
     corpus = generated_corpus(tmp_path, n_control=60, n_stars=0,
                               start_year_range=[1990, 1999])
@@ -382,6 +391,28 @@ def test_indicators_rejects_pub_year_beyond_float_range(tmp_path, capsys):
     assert main(args) == 1
     assert capsys.readouterr().err.startswith(
         "error: line 1: pub_year is beyond float range"
+    )
+    assert not out.exists()
+
+
+def test_indicators_rejects_an_author_id_repeated_in_a_paper(tmp_path, capsys):
+    # Counted twice, author a would read n=3 and citations=7 from two papers.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"paper_id": "p1", "pub_year": 1995, "author_ids": ["a", "a"],'
+        ' "citing_years": [1995, 1996, 1996]}\n'
+        '{"paper_id": "p2", "pub_year": 1996, "author_ids": ["a"],'
+        ' "citing_years": [1997]}\n'
+        '{"paper_id": "p3", "pub_year": 1996, "author_ids": ["b"],'
+        ' "citing_years": []}\n'
+    )
+    out = tmp_path / "v.tsv"
+    args = ["indicators", "--corpus", str(corpus),
+            "--model", str(DATA / "constant_model.json"), *RELAXED,
+            "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: paper p1: author id 'a' is listed twice\n"
     )
     assert not out.exists()
 
@@ -686,22 +717,33 @@ def test_compare_rejects_nan_cell(tmp_path, capsys):
     assert main(["compare", "--stars", str(nan_table), "--control", str(full),
                  "--out", str(tmp_path / "c.tsv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 2: norm_citations is 'nan'")
+    assert err.startswith(
+        f"error: --stars {nan_table}: line 2: norm_citations is 'nan'"
+    )
     assert not (tmp_path / "c.tsv").exists()
 
 
-def test_compare_rejects_a_repeated_author_row(tmp_path, capsys):
+def compare_with_a_repeated_author_row(tmp_path, capsys, faulty):
     full = cohort_table(tmp_path / "full.tsv", 1, 5, 1.0)
     header, first, *rest = full.read_text().splitlines()
     repeated = tmp_path / "repeated.tsv"
     repeated.write_text("\n".join([header, first, *rest, first]) + "\n")
+    tables = {"stars": full, "control": full, faulty: repeated}
     out = tmp_path / "c.tsv"
-    assert main(["compare", "--stars", str(full), "--control", str(repeated),
-                 "--out", str(out)]) == 1
+    assert main(["compare", "--stars", str(tables["stars"]),
+                 "--control", str(tables["control"]), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: line 7: author_id 'a000' repeats line 2\n"
+        f"error: --{faulty} {repeated}: line 7: author_id 'a000' repeats line 2\n"
     )
     assert not out.exists()
+
+
+def test_compare_rejects_a_repeated_author_row(tmp_path, capsys):
+    compare_with_a_repeated_author_row(tmp_path, capsys, "control")
+
+
+def test_compare_names_the_stars_table_at_fault(tmp_path, capsys):
+    compare_with_a_repeated_author_row(tmp_path, capsys, "stars")
 
 
 def test_compare_rejects_cell_beyond_float_range(tmp_path, capsys):
@@ -714,7 +756,10 @@ def test_compare_rejects_cell_beyond_float_range(tmp_path, capsys):
     assert main(["compare", "--stars", str(big_table), "--control", str(full),
                  "--out", str(tmp_path / "c.tsv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line 2: n is '{BEYOND_FLOAT}', not a finite number")
+    assert err.startswith(
+        f"error: --stars {big_table}: line 2: n is '{BEYOND_FLOAT}', "
+        "not a finite number"
+    )
     assert not (tmp_path / "c.tsv").exists()
 
 

@@ -167,6 +167,8 @@ def test_render_paper_line_key_order():
         ("{} {}", "line 1: invalid JSON (Extra data)"),
         ("\ufeff" + line(paper_id="p", pub_year=2000, author_count=1,
                           citing_years=[]), "line 1: invalid JSON"),
+        (line(paper_id="p1", pub_year=2000, author_ids=["a", "b", "a"],
+              citing_years=[]), "line 1: paper p1: author id 'a' is listed twice"),
     ],
 )
 def test_parse_errors(bad, fragment):
@@ -235,6 +237,12 @@ def test_negative_citation_count_is_rejected():
     with pytest.raises(ValueError) as err:
         Paper("p", 2000, 1, {2001: -3, 2002: 2})
     assert str(err.value) == "paper p: citing year 2001 has a negative count, -3"
+
+
+def test_repeated_author_id_is_rejected():
+    with pytest.raises(ValueError) as err:
+        Paper("p1", 2000, 2, {2001: 3}, ("a", "a"))
+    assert str(err.value) == "paper p1: author id 'a' is listed twice"
 
 
 def test_papers_are_slotted_and_frozen():
@@ -309,7 +317,7 @@ def corpora(draw):
     papers = []
     for paper_id in draw(st.lists(IDS, unique=True, max_size=8)):
         pub_year = draw(st.integers(1950, 2020))
-        authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4))
+        authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4, unique=True))
         papers.append(Paper(
             paper_id=paper_id,
             pub_year=pub_year,
@@ -336,7 +344,7 @@ def dense_papers(draw, paper_id="p"):
     """A paper with at least 64 events over 1 to 12 calendar years."""
     pub_year = draw(PUB_YEARS)
     span = draw(st.integers(0, 11))
-    authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4))
+    authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4, unique=True))
     return Paper(
         paper_id=paper_id,
         pub_year=pub_year,
@@ -448,7 +456,9 @@ ANY_YEARS = st.sampled_from([-5000, -1, 0, 1, 999, 1000, 9999, 10000]) | st.inte
     pub_year=ANY_YEARS,
     offsets=st.lists(st.integers(0, 30), max_size=80),
     far=st.booleans(),
-    authors=st.none() | st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=4),
+    authors=st.none() | st.lists(
+        st.text(min_size=1, max_size=5), min_size=1, max_size=4, unique=True
+    ),
     count=st.integers(1, 6),
 )
 def test_render_paper_line_matches_json_dumps(paper_id, pub_year, offsets, far, authors, count):

@@ -13,11 +13,12 @@ from biblio_bench.expectation import (
     ExpectationModel,
     InsufficientDataError,
     WindowFit,
+    WindowPoints,
     collect_window_points,
     fit_expectation_model,
 )
 from biblio_bench.synth import SynthConfig
-from oracles import ols_closed_form
+from oracles import ols_closed_form, per_paper_fit, window_columns
 
 DATA = Path(__file__).parent / "data"
 
@@ -171,21 +172,21 @@ def test_collect_window_points():
     assert len(points) == 2
     # machine-integer columns refer to no object of the corpus
     assert {type(column) for column in (points.pub_year, *points.windows)} == {array}
-    by_year = dict(points)
+    by_year = dict(zip(points.pub_year, zip(*points.windows)))
     # cumulative counts for windows 1..5: pub year alone, then one more year each
     assert by_year[2000] == (1, 3, 3, 4, 5)
     assert by_year[2001] == (0, 1, 1, 1, 1)
-    # with no windows each paper still yields its year
-    assert list(collect_window_points(corpus, window_count=0)) == [
-        (2000, ()), (2001, ())
+    # with no windows each paper still has its year
+    bare = collect_window_points(corpus, window_count=0)
+    assert (list(bare.pub_year), bare.windows) == ([2000, 2001], ())
+
+
+def years_points(year_to_counts, copies=1, extra=()):
+    """Columns of `copies` papers per year with that year's counts, then `extra`."""
+    papers = [
+        (year, counts) for year, counts in year_to_counts.items() for _ in range(copies)
     ]
-
-
-def years_points(year_to_counts, copies=1):
-    points = []
-    for year, counts in year_to_counts.items():
-        points.extend([(year, counts)] * copies)
-    return points
+    return window_columns(papers + list(extra))
 
 
 def test_fit_recovers_noiseless_lines_exactly():
@@ -214,7 +215,9 @@ def test_fit_matches_closed_form_on_noisy_data():
             for _ in range(3):
                 counts = tuple(int(c) for c in rng.integers(0, 400, size=2))
                 points.append((int(year), counts))
-        model = fit_expectation_model(points, window_count=2, min_papers_per_year=1)
+        model = fit_expectation_model(
+            window_columns(points), window_count=2, min_papers_per_year=1
+        )
         xs = [year for year, _ in points]
         for w in (1, 2):
             ys = [counts[w - 1] for _, counts in points]
@@ -227,7 +230,7 @@ def test_fit_matches_closed_form_on_noisy_data():
 
 def test_fit_min_papers_filters_years():
     data = {1995: (1, 2), 1996: (2, 3), 1997: (3, 4)}
-    points = years_points(data, copies=10) + [(1998, (9, 9))]
+    points = years_points(data, copies=10, extra=[(1998, (9, 9))])
     model = fit_expectation_model(points, window_count=2, min_papers_per_year=5)
     assert model.fit_year_range == (1995, 1997)
     # the lone 1998 paper stays out of the fit
@@ -274,7 +277,77 @@ def test_fit_insufficient_years_raises():
 
 
 def test_fit_rejects_short_count_tuples():
+    # a window column shorter than pub_year, and too few window columns
     with pytest.raises(ValueError, match="window counts"):
-        fit_expectation_model([(1995, (1, 2)), (1996, (1,))], window_count=2,
+        WindowPoints(array("q", [1995, 1996]), (array("q", [1, 1]), array("q", [2])))
+    with pytest.raises(ValueError, match="window counts"):
+        fit_expectation_model(years_points({1995: (1,), 1996: (1,)}), window_count=2,
                               min_papers_per_year=1)
+
+
+@pytest.mark.parametrize("window_count", [0, -1])
+def test_fit_rejects_window_count_below_one(window_count):
+    with pytest.raises(ValueError, match=r"^window_count must be >= 1$"):
+        fit_expectation_model(years_points({1995: (1,), 1996: (2,)}),
+                              window_count=window_count, min_papers_per_year=1)
+
+
+BEYOND_INT64 = 2**63
+
+
+@st.composite
+def fit_inputs(draw):
+    """Drawn columns, each an int64 array or a list, plus the fit's arguments.
+
+    A value beyond int64 makes its column a list of exact ints, as _column
+    keeps it. The years 2**63 and 2**63 + 1 differ but share one float.
+    """
+    n = draw(st.integers(0, 40))
+    years = st.integers(1990, 1996)
+    if draw(st.booleans()):
+        years = st.integers(1990, 1992) | st.sampled_from(
+            [BEYOND_INT64, BEYOND_INT64 + 1]
+        )
+    pub_year = draw(st.lists(years, min_size=n, max_size=n))
+    windows = [
+        draw(st.lists(st.integers(0, 500), min_size=n, max_size=n))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    if n and draw(st.booleans()):
+        windows[0][draw(st.integers(0, n - 1))] = draw(st.integers(2**63, 2**70))
+    columns = [
+        array("q", c) if max(c, default=0) < 2**63 and draw(st.booleans()) else c
+        for c in (pub_year, *windows)
+    ]
+    low = draw(st.none() | st.integers(1989, 1997))
+    high = draw(st.none() | st.integers(1989, 1997) | st.just(BEYOND_INT64))
+    return (
+        WindowPoints(columns[0], tuple(columns[1:])),
+        draw(st.integers(1, len(windows))),
+        draw(st.integers(1, 3)),
+        (low, high),
+    )
+
+
+@given(fit_inputs())
+def test_column_fit_is_bit_equal_to_per_paper_fit(inputs):
+    points, window_count, min_papers, year_range = inputs
+    args = (window_count, min_papers, year_range)
+    try:
+        fitted_years, fits = per_paper_fit(
+            list(zip(points.pub_year, zip(*points.windows))), *args
+        )
+    # ZeroDivisionError: every kept year converts to the same float
+    except (InsufficientDataError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            fit_expectation_model(points, *args)
+        return
+    model = fit_expectation_model(points, *args)
+    assert model.fit_year_range == fitted_years
+    for w, (slope, intercept, n_points) in fits.items():
+        fit = model.window_fits[w]
+        # float.hex tells every bit apart, the sign of a zero included
+        assert (fit.slope.hex(), fit.intercept.hex(), fit.n_points) == (
+            slope.hex(), intercept.hex(), n_points
+        )
 
