@@ -248,7 +248,11 @@ def _listed_authors(text: str) -> list[str]:
 
 def cmd_indicators(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
-    corpus = ingest_corpus(Path(args.corpus), inputs["corpus"])
+    author_ids = None
+    if args.authors:
+        author_ids = _listed_authors(_read(args, inputs, "authors"))
+    # Only papers a listed author wrote are built; every line is checked.
+    corpus = ingest_corpus(Path(args.corpus), inputs["corpus"], authors=author_ids)
     model = ExpectationModel.from_json(_read(args, inputs, "model"))
     if args.windows > model.window_count:
         raise ValueError(
@@ -256,11 +260,8 @@ def cmd_indicators(args: argparse.Namespace) -> int:
             f"but --windows is {args.windows}"
         )
 
-    author_ids = None
-    if args.authors:
-        author_ids = _listed_authors(_read(args, inputs, "authors"))
     groups = corpus.papers_by_author(author_ids)
-    # Papers no listed author wrote are freed before the records are built.
+    # The corpus is freed before the records are built.
     del corpus
     records = [
         build_author_record(author_id, papers, window_years=args.windows)

@@ -22,6 +22,7 @@ from typing import (
     IO,
     TYPE_CHECKING,
     Any,
+    Callable,
     Iterable,
     Sequence,
     get_args,
@@ -183,6 +184,36 @@ def _per_year(
     return years, counts
 
 
+def _check_paper(
+    paper_id: str,
+    pub_year: int,
+    author_count: int,
+    first_citing: int | None,
+    author_ids: Sequence[str] | None,
+) -> None:
+    """The checks every paper passes; ``first_citing`` is its earliest
+    citing year, None without citations."""
+    # render_paper_line writes both with int.__repr__, which writes a bool as
+    # 0 or 1.
+    if type(pub_year) is not int:
+        raise ValueError(f"paper {paper_id}: pub_year must be an integer")
+    if type(author_count) is not int or author_count < 1:
+        raise ValueError(f"paper {paper_id}: author_count must be an integer >= 1")
+    if author_ids is not None and len(author_ids) != author_count:
+        raise ValueError(
+            f"paper {paper_id}: author_count {author_count} does not "
+            f"match {len(author_ids)} author ids"
+        )
+    if author_ids is not None and len(set(author_ids)) < author_count:
+        repeated = next(a for i, a in enumerate(author_ids) if a in author_ids[:i])
+        raise ValueError(f"paper {paper_id}: author id {repeated!r} is listed twice")
+    if first_citing is not None and first_citing < pub_year:
+        raise ValueError(
+            f"paper {paper_id}: citing year {first_citing} precedes "
+            f"publication year {pub_year}"
+        )
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Paper:
     """One publication; ``counts[i]`` of its citations fall in ``years[i]`` or before.
@@ -221,29 +252,16 @@ class Paper:
         author_ids: tuple[str, ...] | None,
     ) -> None:
         """Check and set every field, from the form _per_year returns."""
-        object.__setattr__(self, "paper_id", paper_id)
-        object.__setattr__(self, "pub_year", pub_year)
-        object.__setattr__(self, "author_count", author_count)
-        object.__setattr__(self, "years", tuple(years))
-        object.__setattr__(self, "counts", tuple(counts))
-        object.__setattr__(self, "author_ids", author_ids)
-        if author_count < 1:
-            raise ValueError(f"paper {paper_id}: author_count must be >= 1")
-        if author_ids is not None and len(author_ids) != author_count:
-            raise ValueError(
-                f"paper {paper_id}: author_count {author_count} does not "
-                f"match {len(author_ids)} author ids"
-            )
-        if author_ids is not None and len(set(author_ids)) < author_count:
-            repeated = next(a for i, a in enumerate(author_ids) if a in author_ids[:i])
-            raise ValueError(
-                f"paper {paper_id}: author id {repeated!r} is listed twice"
-            )
-        if years and years[0] < pub_year:
-            raise ValueError(
-                f"paper {paper_id}: citing year {years[0]} precedes "
-                f"publication year {pub_year}"
-            )
+        _check_paper(
+            paper_id, pub_year, author_count, years[0] if years else None, author_ids
+        )
+        set_id, set_year, set_count, set_years, set_counts, set_ids = _PAPER_SETTERS
+        set_id(self, paper_id)
+        set_year(self, pub_year)
+        set_count(self, author_count)
+        set_years(self, tuple(years))
+        set_counts(self, tuple(counts))
+        set_ids(self, author_ids)
 
     @property
     def citing_years(self) -> tuple[int, ...]:
@@ -265,6 +283,16 @@ class RecordPaper:
     pub_year: int
     author_count: int
     citations: int
+
+
+def _slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    """Each field's slot setter, in field order: it sets a frozen field
+    without the attribute lookup object.__setattr__ makes."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+_PAPER_SETTERS = _slot_setters(Paper)
+_RECORD_PAPER_SETTERS = _slot_setters(RecordPaper)
 
 
 @dataclass(frozen=True)
@@ -367,10 +395,10 @@ class Corpus:
         return dict(sorted(groups.items())) if everyone else groups
 
 
-# Built once: json.loads re-scans whitespace a stripped line does not have,
-# and json.dumps builds a new encoder for every call with ensure_ascii=False.
+# Built once: json.loads re-scans whitespace a stripped line does not have.
 _decode = json.JSONDecoder().raw_decode
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+# A JSON string literal, non-ASCII characters kept, as ensure_ascii=False writes.
+_quote = json.encoder.encode_basestring
 
 # render_paper_line writes the event list last, after this key.
 _EVENTS_KEY = ', "citing_years": ['
@@ -415,12 +443,19 @@ def _split_rendered(text: str) -> tuple[str, dict[int, int]] | None:
 
 
 def _parse_line(
-    text: str, ints: dict[int, int], per_year: dict[int, int] | None = None
-) -> Paper:
-    """Decode and check one record; ``per_year`` replaces its citing_years.
+    text: str,
+    ints: dict[int, int],
+    listed: abc.Set[str] | None = None,
+    per_year: dict[int, int] | None = None,
+) -> tuple[str, Paper | None]:
+    """Decode and check one record: its paper_id, and its Paper, or None
+    when ``listed`` is given and the record names none of those author ids.
 
-    Each year becomes the equal int object already in ``ints``, or is added
-    to it, so the papers parsed with one ``ints`` share one int per year.
+    A record not built passes every check a built one does, so either way a
+    faulty line fails with the same first error. ``per_year`` replaces the
+    record's citing_years. Each year of a built Paper becomes the equal int
+    object already in ``ints``, or is added to it, so the papers parsed with
+    one ``ints`` share one int per year.
     A line ending in an event list as render_paper_line writes it is read
     per year: its record without the list, plus the list's counts. If that
     fails, the whole line is decoded below, with the general path's results.
@@ -429,7 +464,7 @@ def _parse_line(
         rendered = _split_rendered(text)
         if rendered is not None:
             try:
-                return _parse_line(rendered[0], ints, rendered[1])
+                return _parse_line(rendered[0], ints, listed, rendered[1])
             except ValueError:
                 pass
     try:
@@ -452,8 +487,8 @@ def _parse_line(
     if not isinstance(paper_id, str) or not paper_id:
         raise ValueError("paper_id must be a non-empty string")
     pub_year = record["pub_year"]
-    # Paper checks values. `type(v) is int` rejects JSON booleans; the bound
-    # keeps float(pub_year), as in fit and E(c), from overflowing.
+    # _check_paper checks values. `type(v) is int` rejects JSON booleans; the
+    # bound keeps float(pub_year), as in fit and E(c), from overflowing.
     if type(pub_year) is not int:
         raise ValueError("pub_year must be an integer")
     if not -_FLOAT_MAX <= pub_year <= _FLOAT_MAX:
@@ -466,18 +501,26 @@ def _parse_line(
     if author_count is not None and type(author_count) is not int:
         raise ValueError("author_count must be an integer >= 1")
     if author_ids is not None:
-        if not isinstance(author_ids, list) or not all(
-            isinstance(a, str) and a for a in author_ids
+        if (
+            type(author_ids) is not list
+            or not {str}.issuperset(map(type, author_ids))
+            or "" in author_ids
         ):
             raise ValueError("author_ids must be a list of non-empty strings")
-        author_ids = tuple(author_ids)
         if author_count is None:
             author_count = len(author_ids)
 
     if per_year is None:
         per_year = record.get("citing_years", [])
-        if type(per_year) is not list or not set(map(type, per_year)) <= {int}:
+        if type(per_year) is not list or not {int}.issuperset(map(type, per_year)):
             raise ValueError("citing_years must be a list of integers")
+    if listed is not None and (author_ids is None or listed.isdisjoint(author_ids)):
+        # min(per_year) is the first citing year: the least event, or the
+        # first key of _split_rendered's counts, which is never 0.
+        _check_paper(
+            paper_id, pub_year, author_count, min(per_year, default=None), author_ids
+        )
+        return paper_id, None
     years, counts = _per_year(paper_id, per_year)
     paper = Paper.__new__(Paper)
     paper._fill(
@@ -486,13 +529,15 @@ def _parse_line(
         author_count,
         list(map(ints.setdefault, years, years)),
         counts,
-        author_ids,
+        None if author_ids is None else tuple(author_ids),
     )
-    return paper
+    return paper_id, paper
 
 
 def ingest_corpus(
-    source: str | Path | Iterable[str], digest: _Hash | None = None
+    source: str | Path | Iterable[str],
+    digest: _Hash | None = None,
+    authors: Iterable[str] | None = None,
 ) -> Corpus:
     """Parse line-delimited JSON paper records into a Corpus.
 
@@ -500,35 +545,51 @@ def ingest_corpus(
     and exactly one of author_ids / author_count (when both, they must
     agree). Errors report the 1-based line number. A file ``source`` is read
     once; ``digest``, if given, is updated with its bytes as they are read.
+    With ``authors``, the Corpus holds only the papers whose author_ids name
+    one of them, in line order; every line is still checked in full, and
+    paper_ids must still differ across all lines.
     """
     if isinstance(source, (str, Path)):
         with open_text(source, digest=digest) as handle:
-            return ingest_corpus(handle)
+            return ingest_corpus(handle, authors=authors)
+    listed = None if authors is None else frozenset(authors)
     corpus = Corpus()
+    papers = corpus.papers
+    unbuilt: set[str] = set()
     ints: dict[int, int] = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            corpus._add(_parse_line(line, ints))
+            paper_id, paper = _parse_line(line, ints, listed)
+            if paper_id in papers or paper_id in unbuilt:
+                raise ValueError(f"duplicate paper_id {paper_id!r}")
         except ValueError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        if paper is None:
+            unbuilt.add(paper_id)
+        else:
+            papers[paper_id] = paper
     return corpus
 
 
 def render_paper_line(paper: Paper) -> str:
-    """Serialize one paper in the ingestion line format, events last."""
-    record: dict[str, object] = {
-        "paper_id": paper.paper_id,
-        "pub_year": paper.pub_year,
-    }
-    if paper.author_ids is not None:
-        record["author_ids"] = list(paper.author_ids)
+    """Serialize one paper in the ingestion line format, events last.
+
+    The line is json.dumps(record, ensure_ascii=False) of its fields, written
+    with the functions that JSON encoder applies to strings and ints.
+    """
+    if paper.author_ids is None:
+        authors = f'"author_count": {int.__repr__(paper.author_count)}'
     else:
-        record["author_count"] = paper.author_count
+        authors = f'"author_ids": [{", ".join(map(_quote, paper.author_ids))}]'
     events = _event_list(paper.years, map(sub, paper.counts, (0, *paper.counts)))
-    return f"{_encode(record)[:-1]}{_EVENTS_KEY}{events}]}}"
+    return (
+        f'{{"paper_id": {_quote(paper.paper_id)}, '
+        f'"pub_year": {int.__repr__(paper.pub_year)}, '
+        f"{authors}{_EVENTS_KEY}{events}]}}"
+    )
 
 
 # Papers rendered per write: a few hundred KB of text on citation-dense corpora.
@@ -552,6 +613,18 @@ def render_corpus(papers: Iterable[Paper], out: IO[str]) -> int:
     return written
 
 
+def _record_paper(paper: Paper, citations: int) -> RecordPaper:
+    """RecordPaper(paper's id, year and author count, citations), built
+    through the slot setters, at less than half the cost of its __init__."""
+    set_id, set_year, set_count, set_citations = _RECORD_PAPER_SETTERS
+    record_paper = RecordPaper.__new__(RecordPaper)
+    set_id(record_paper, paper.paper_id)
+    set_year(record_paper, paper.pub_year)
+    set_count(record_paper, paper.author_count)
+    set_citations(record_paper, citations)
+    return record_paper
+
+
 def build_author_record(
     author_id: str, papers: Sequence[Paper], window_years: int = 5
 ) -> AuthorRecord:
@@ -570,12 +643,7 @@ def build_author_record(
     first_year = min(p.pub_year for p in papers)
     last_year = first_year + window_years - 1
     kept = tuple(
-        RecordPaper(
-            paper_id=p.paper_id,
-            pub_year=p.pub_year,
-            author_count=p.author_count,
-            citations=p.citations_through(last_year),
-        )
+        _record_paper(p, p.citations_through(last_year))
         for p in papers
         if p.pub_year <= last_year
     )

@@ -146,6 +146,12 @@ def collect_window_points(corpus: Corpus, window_count: int = 5) -> WindowPoints
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     x_centered = x - x.mean()
     denom = float(x_centered @ x_centered)
+    if denom == 0.0:
+        # Distinct years beyond 2**53 can share one float.
+        raise InsufficientDataError(
+            "insufficient data: the qualifying publication years all convert "
+            "to one float"
+        )
     slope = float(x_centered @ (y - y.mean())) / denom
     intercept = float(y.mean()) - slope * float(x.mean())
     return slope, intercept

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from operator import attrgetter
-from statistics import median
 from typing import Any, Iterable, get_type_hints
 
 from .corpus import AuthorRecord, RecordPaper, _finite
@@ -145,6 +144,22 @@ def g_m_index(ranked: RankedPapers) -> float:
         if total * scale >= rank * rank:
             best = rank
     return best / scale
+
+
+def median(values: Iterable[float]) -> float:
+    """The middle value, or the mean of the middle two, as statistics.median
+    gives it: with an odd count, the element itself, so an int stays an int.
+
+    Written here because the statistics module costs every command its
+    fractions and decimal imports.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    if not n:
+        raise ValueError("no median for empty data")
+    if n % 2:
+        return ordered[n // 2]
+    return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
 
 
 def indicator_vector(

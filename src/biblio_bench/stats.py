@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import median
 from typing import Mapping, Sequence
 
-from .indicators import INDICATOR_FIELDS, IndicatorVector, parse_table, render_table
+from .indicators import (
+    INDICATOR_FIELDS, IndicatorVector, median, parse_table, render_table
+)
 
 
 def _average_ranks(values: Sequence[float]) -> tuple[list[float], int]:

@@ -142,11 +142,13 @@ def _coauthor_sampler(
 def _generate_author(
     rng: np.random.Generator,
     draw_coauthors: Callable[[np.random.Generator], int],
+    ramp: np.ndarray,
     config: SynthConfig,
     author_id: str,
     is_star: bool,
 ) -> Iterator[Paper]:
-    """One author's papers, each drawn as it is taken."""
+    """One author's papers, each drawn as it is taken; ``ramp`` is
+    CITATION_RAMP as an array."""
     lo, hi = config.start_year_range
     start_year = int(rng.integers(lo, hi + 1))
     paper_counts = rng.poisson(config.papers_per_year_mean, WINDOW_YEARS)
@@ -168,7 +170,7 @@ def _generate_author(
             total = _draw_citations(
                 rng, citation_rate(config, pub_year, is_star), config.dispersion
             )
-            spread = rng.multinomial(total, CITATION_RAMP).tolist()
+            spread = rng.multinomial(total, ramp).tolist()
             yield Paper(
                 paper_id=paper_id,
                 pub_year=pub_year,
@@ -200,7 +202,9 @@ def _draw_papers(
 
     rng = np.random.default_rng(config.seed)
     draw = _coauthor_sampler(config.coauthor_distribution)
+    # multinomial converts its pvals to this array on every call otherwise.
+    ramp = np.array(CITATION_RAMP, dtype=float)
     for author_id in star_ids:
-        yield from _generate_author(rng, draw, config, author_id, is_star=True)
+        yield from _generate_author(rng, draw, ramp, config, author_id, is_star=True)
     for author_id in control_ids:
-        yield from _generate_author(rng, draw, config, author_id, is_star=False)
+        yield from _generate_author(rng, draw, ramp, config, author_id, is_star=False)

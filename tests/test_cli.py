@@ -253,6 +253,23 @@ def test_fit_single_year_corpus_fails(tmp_path, capsys):
     assert "insufficient data" in capsys.readouterr().err
 
 
+def test_fit_years_sharing_one_float_fail_cleanly(tmp_path, capsys):
+    # Two distinct years, one float: no line can be fitted through them.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"paper_id": "p1", "pub_year": 100000000000000000, "author_count": 1}\n'
+        '{"paper_id": "p2", "pub_year": 100000000000000001, "author_count": 1}\n'
+    )
+    out = tmp_path / "m.json"
+    assert main(["fit", "--corpus", str(corpus), "--min-papers", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: insufficient data: the qualifying publication years all "
+        "convert to one float\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("windows", ["0", "-1"])
 def test_fit_rejects_windows_below_one(tmp_path, capsys, windows):
     out = tmp_path / "model.json"
@@ -565,6 +582,47 @@ def test_indicators_rejects_an_author_listed_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+def bad_line_corpus(tmp_path):
+    """The fixture corpus plus a tenth line, by an unlisted author, that
+    cites a year before its publication."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        (DATA / "fixture_corpus.jsonl").read_text()
+        + '{"paper_id": "pZ1", "pub_year": 2000, "author_ids": ["zed"],'
+        ' "citing_years": [2001, 1999]}\n'
+    )
+    return corpus
+
+
+def test_indicators_checks_lines_of_unlisted_authors(tmp_path, capsys):
+    # zed is not in --authors, so line 10 builds no paper; it is still checked.
+    out = tmp_path / "v.tsv"
+    args = ["indicators", "--corpus", str(bad_line_corpus(tmp_path)),
+            "--model", str(DATA / "constant_model.json"),
+            "--authors", str(DATA / "fixture_authors.txt"), *RELAXED,
+            "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: line 10: paper pZ1: citing year 1999 precedes publication "
+        "year 2000\n"
+    )
+    assert not out.exists()
+
+
+def test_indicators_reports_a_bad_author_list_before_a_bad_corpus(
+    tmp_path, capsys
+):
+    listing = tmp_path / "authors.txt"
+    listing.write_text("carol\ncarol\n")
+    args = ["indicators", "--corpus", str(bad_line_corpus(tmp_path)),
+            "--model", str(DATA / "constant_model.json"),
+            "--authors", str(listing), "--out", str(tmp_path / "v.tsv")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: --authors lists 'carol' twice, on lines 1 and 2\n"
+    )
+
+
 def test_indicators_stdout_uses_three_decimals(capsys):
     assert main(["indicators", *FIXTURE_ARGS, *RELAXED]) == 0
     out = capsys.readouterr().out
@@ -820,22 +878,25 @@ STARTUP_PROBE = """
 import sys
 import biblio_bench.cli as cli
 stars, control, *indicator_args = sys.argv[1:]
-assert "numpy" not in sys.modules, "import"
+def unloaded(step):
+    for name in ("numpy", "statistics"):
+        assert name not in sys.modules, (name, step)
+unloaded("import")
 try:
     cli.main(["--version"])
 except SystemExit:
     pass
-assert "numpy" not in sys.modules, "--version"
+unloaded("--version")
 assert cli.main(["indicators", *indicator_args]) == 0
-assert "numpy" not in sys.modules, "indicators"
+unloaded("indicators")
 assert cli.main(["compare", "--stars", stars, "--control", control]) == 0
-assert "numpy" not in sys.modules, "compare"
+unloaded("compare")
 """
 
 
 def test_version_and_indicators_do_not_load_numpy(tmp_path):
     # numpy's import is most of the start-up time; only generate and fit
-    # need it.
+    # need it. statistics brings fractions and decimal, about 5 ms.
     header, *rows = (DATA / "expected_vectors.tsv").read_text().splitlines()
     stars, control = tmp_path / "stars.tsv", tmp_path / "control.tsv"
     stars.write_text("\n".join([header, *rows[:2]]) + "\n")
@@ -955,28 +1016,39 @@ def test_each_input_is_opened_once_and_hashed_whole(tmp_path, monkeypatch, open_
             assert entry["sha256"] == sha256(path)
 
 
-def test_commands_look_up_traced_names_at_call_time(tmp_path, monkeypatch):
-    # The benchmark's traced run (perfbench/tracing.py) swaps these module
-    # attributes; a command that bound one at import time would escape it.
+# The modules whose attributes the benchmark's traced run swaps.
+TRACED_MODULES = {"cli": biblio_bench.cli, "indicators": biblio_bench.indicators}
+
+
+def load_tracing():
+    """The benchmark's span recorder, perfbench/tracing.py, as it stands."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    modules = {"cli": biblio_bench.cli, "indicators": biblio_bench.indicators}
-    calls = {}
+    return tracing
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
 
-        return wrapper
-
+def test_traced_names_resolve_to_callables():
+    # tracing.py wraps these names from outside the package, so a rename
+    # would break the benchmark's traced run.
+    tracing = load_tracing()
     for module, attr, _, _ in tracing.WRAPPED:
-        target = modules[module]
-        wrapped = counting(f"{module}.{attr}", getattr(target, attr))
-        monkeypatch.setattr(target, attr, wrapped)
-    run_effect_pipeline(tmp_path, monkeypatch)
-    expected = {f"{module}.{attr}" for module, attr, _, _ in tracing.WRAPPED}
-    assert expected - set(calls) == set()
+        assert callable(getattr(TRACED_MODULES[module], attr, None)), (module, attr)
+
+
+def test_commands_look_up_traced_names_at_call_time(tmp_path, monkeypatch):
+    # The benchmark's traced run (perfbench/tracing.py) swaps these module
+    # attributes; a command that bound one at import time would escape it.
+    # Its counters read each call's arguments and result, so this also
+    # catches a changed signature.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, TRACED_MODULES):
+        run_effect_pipeline(tmp_path, monkeypatch)
+    spans = {span[0] for span in tracer.spans}
+    assert {name for _, _, name, _ in tracing.WRAPPED} - spans == set()
+    assert tracer.check_nesting() == []
+    # fit and the two indicators runs each read the corpus once.
+    assert tracer.counts["corpus.ingest_calls"] == 3

@@ -175,6 +175,25 @@ def test_parse_errors(bad, fragment):
     with pytest.raises(CorpusFormatError) as err:
         ingest_corpus([bad])
     assert fragment in str(err.value)
+    # No line names "nobody", so no Paper is built, and every check still runs.
+    with pytest.raises(CorpusFormatError) as unbuilt:
+        ingest_corpus([bad], authors=["nobody"])
+    assert str(unbuilt.value) == str(err.value)
+
+
+@pytest.mark.parametrize(
+    "authors, listed_first",
+    [(["a"], True), (["a"], False), (["nobody"], True)],
+)
+def test_duplicate_paper_id_is_caught_across_built_and_unbuilt_lines(
+    authors, listed_first
+):
+    by_a = line(paper_id="p", pub_year=2000, author_ids=["a"], citing_years=[])
+    by_b = line(paper_id="p", pub_year=2001, author_ids=["b"], citing_years=[])
+    lines = [by_a, by_b] if listed_first else [by_b, by_a]
+    with pytest.raises(CorpusFormatError) as err:
+        ingest_corpus(lines, authors=authors)
+    assert str(err.value) == "line 2: duplicate paper_id 'p'"
 
 
 def test_byte_order_mark_error_says_why(tmp_path):
@@ -237,6 +256,19 @@ def test_negative_citation_count_is_rejected():
     with pytest.raises(ValueError) as err:
         Paper("p", 2000, 1, {2001: -3, 2002: 2})
     assert str(err.value) == "paper p: citing year 2001 has a negative count, -3"
+
+
+@pytest.mark.parametrize("pub_year, author_count, message", [
+    (True, 1, "paper p: pub_year must be an integer"),
+    (2000.0, 1, "paper p: pub_year must be an integer"),
+    (2000, True, "paper p: author_count must be an integer >= 1"),
+    (2000, 0, "paper p: author_count must be an integer >= 1"),
+])
+def test_paper_takes_int_years_and_counts_only(pub_year, author_count, message):
+    # A line writes both with int.__repr__, which writes True as 1.
+    with pytest.raises(ValueError) as err:
+        Paper("p", pub_year, author_count)
+    assert str(err.value) == message
 
 
 def test_repeated_author_id_is_rejected():
@@ -362,10 +394,29 @@ def test_ingest_render_round_trip_property_dense(papers):
     assert ingest_corpus(corpus_text(corpus).splitlines()).papers == corpus.papers
 
 
-def ingested(text):
+@given(
+    corpora() | st.lists(IDS, unique=True, max_size=6).flatmap(
+        lambda ids: st.tuples(*map(dense_papers, ids))).map(Corpus.from_papers),
+    st.data(),
+)
+def test_ingest_for_listed_authors_equals_filtered_full_ingest(corpus, data):
+    named = sorted({a for p in corpus.papers.values() for a in p.author_ids or ()})
+    authors = data.draw(st.lists(st.sampled_from(named), unique=True)
+                        if named else st.just([]))
+    authors += data.draw(st.lists(IDS, max_size=2))
+    lines = corpus_text(corpus).splitlines()
+    expected = [
+        (paper_id, paper)
+        for paper_id, paper in ingest_corpus(lines).papers.items()
+        if not set(authors).isdisjoint(paper.author_ids or ())
+    ]
+    assert list(ingest_corpus(lines, authors=authors).papers.items()) == expected
+
+
+def ingested(text, authors=None):
     """The papers one line ingests to, or the error message it raises."""
     try:
-        return list(ingest_corpus([text]).papers.values())
+        return list(ingest_corpus([text], authors=authors).papers.values())
     except CorpusFormatError as exc:
         return str(exc)
 
@@ -417,6 +468,8 @@ def test_per_year_read_matches_general_path(paper, mutation, data):
     with mock.patch.object(corpus_module, "_split_rendered", lambda text: None):
         expected = ingested(text)
     assert ingested(text) == expected
+    # Not built for "nobody", the line is still checked, through min(events).
+    assert ingested(text, ["nobody"]) == ([] if type(expected) is list else expected)
     if mutation == "none":
         assert expected == [paper]
         span = paper.years[-1] - paper.years[0]

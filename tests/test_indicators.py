@@ -1,3 +1,4 @@
+import statistics
 from dataclasses import replace
 from typing import get_type_hints
 
@@ -18,6 +19,7 @@ from biblio_bench.indicators import (
     h_index,
     h_m_index,
     indicator_vector,
+    median,
     parse_vector_table,
     rank_papers,
     render_vector_table,
@@ -219,6 +221,21 @@ def test_non_rank_indicators_match_exact_oracle(first_year, papers):
     assert tuple(expected) == INDICATOR_FIELDS[:11]
     v = indicator_vector(record, DRIFTING_MODEL)
     assert {name: getattr(v, name) for name in expected} == expected
+
+
+@given(st.lists(
+    st.integers(-10**30, 10**30) | st.floats(allow_nan=False), min_size=1
+))
+def test_median_matches_statistics_median(values):
+    ours, reference = median(values), statistics.median(values)
+    # the same value and type: an odd count returns the element itself
+    assert type(ours) is type(reference)
+    assert ours == reference or (ours != ours and reference != reference)
+
+
+def test_median_of_nothing_is_an_error():
+    with pytest.raises(ValueError, match="^no median for empty data$"):
+        median([])
 
 
 def test_format_decimal():
