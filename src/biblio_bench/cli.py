@@ -233,7 +233,7 @@ def _parse_max_start_year(raw: str) -> int | None:
 def _listed_authors(text: str) -> list[str]:
     """The author ids of an --authors file: one per line, '#' lines skipped."""
     lines: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         entry = line.strip()
         if not entry or entry.startswith("#"):
             continue

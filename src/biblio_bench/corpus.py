@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import mul, sub
 from pathlib import Path
 from typing import (
@@ -162,24 +162,16 @@ def open_text(
     return io.TextIOWrapper(buffered, encoding="utf-8", newline=newline)
 
 
-def _per_year(
-    paper_id: str, citing_years: Iterable[int] | dict[int, int]
-) -> tuple[list[int], list[int]]:
-    """Distinct citing years, ascending, and the events through each."""
+def _per_year(citing_years: list[int] | dict[int, int]) -> tuple[list[int], list[int]]:
+    """Distinct citing years, ascending, and the events through each, from
+    citing years as _check_paper returns them."""
     if isinstance(citing_years, dict):
-        for year, n in citing_years.items():
-            if n < 0:
-                raise ValueError(
-                    f"paper {paper_id}: citing year {year} has a negative "
-                    f"count, {n}"
-                )
-        years = sorted(y for y, n in citing_years.items() if n > 0)
+        years = sorted(compress(citing_years, citing_years.values()))
         return years, list(accumulate(map(citing_years.__getitem__, years)))
-    events = sorted(citing_years)
     years, counts, end = [], [], 0
-    while end < len(events):  # one step per distinct year, not per event
-        years.append(events[end])
-        end = bisect_right(events, events[end], end)
+    while end < len(citing_years):  # one step per distinct year, not per event
+        years.append(citing_years[end])
+        end = bisect_right(citing_years, citing_years[end], end)
         counts.append(end)
     return years, counts
 
@@ -188,30 +180,62 @@ def _check_paper(
     paper_id: str,
     pub_year: int,
     author_count: int,
-    first_citing: int | None,
     author_ids: Sequence[str] | None,
-) -> None:
-    """The checks every paper passes; ``first_citing`` is its earliest
-    citing year, None without citations."""
-    # render_paper_line writes both with int.__repr__, which writes a bool as
-    # 0 or 1.
+    citing_years: Sequence[int] | dict[int, int],
+) -> list[int] | dict[int, int]:
+    """Check every field of a paper, for Paper(...) and each corpus line
+    alike; return its citing years for _per_year: the events sorted, or the
+    {year: events} given.
+
+    A line writes ids as JSON strings and numbers with int.__repr__, which
+    writes a bool as 0 or 1, so each must be of exactly that type. The bound
+    keeps float(pub_year), as in fit and E(c), from overflowing.
+    """
+    if type(paper_id) is not str or not paper_id:
+        raise ValueError("paper_id must be a non-empty string")
     if type(pub_year) is not int:
         raise ValueError(f"paper {paper_id}: pub_year must be an integer")
+    if not -_FLOAT_MAX <= pub_year <= _FLOAT_MAX:
+        raise ValueError(f"paper {paper_id}: pub_year is beyond float range")
     if type(author_count) is not int or author_count < 1:
         raise ValueError(f"paper {paper_id}: author_count must be an integer >= 1")
-    if author_ids is not None and len(author_ids) != author_count:
+    if author_ids is not None:
+        if not {str}.issuperset(map(type, author_ids)) or "" in author_ids:
+            raise ValueError(f"paper {paper_id}: author_ids must be non-empty strings")
+        if len(author_ids) != author_count:
+            raise ValueError(
+                f"paper {paper_id}: author_count {author_count} does not "
+                f"match {len(author_ids)} author ids"
+            )
+        if len(set(author_ids)) < author_count:
+            repeated = next(a for i, a in enumerate(author_ids) if a in author_ids[:i])
+            raise ValueError(
+                f"paper {paper_id}: author id {repeated!r} is listed twice"
+            )
+    if isinstance(citing_years, dict):
+        counts = citing_years.values()
+        if not {int}.issuperset(map(type, chain(citing_years, counts))):
+            raise ValueError(
+                f"paper {paper_id}: citing years and counts must be integers"
+            )
+        if citing_years and min(counts) < 0:
+            year, n = next((y, n) for y, n in citing_years.items() if n < 0)
+            raise ValueError(
+                f"paper {paper_id}: citing year {year} has a negative count, {n}"
+            )
+        # A year with a zero count is checked too, though it is dropped.
+        first = min(citing_years) if citing_years else pub_year
+    else:
+        if not {int}.issuperset(map(type, citing_years)):
+            raise ValueError(f"paper {paper_id}: citing_years must be integers")
+        citing_years = sorted(citing_years)
+        first = citing_years[0] if citing_years else pub_year
+    if first < pub_year:
         raise ValueError(
-            f"paper {paper_id}: author_count {author_count} does not "
-            f"match {len(author_ids)} author ids"
-        )
-    if author_ids is not None and len(set(author_ids)) < author_count:
-        repeated = next(a for i, a in enumerate(author_ids) if a in author_ids[:i])
-        raise ValueError(f"paper {paper_id}: author id {repeated!r} is listed twice")
-    if first_citing is not None and first_citing < pub_year:
-        raise ValueError(
-            f"paper {paper_id}: citing year {first_citing} precedes "
+            f"paper {paper_id}: citing year {first} precedes "
             f"publication year {pub_year}"
         )
+    return citing_years
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -234,13 +258,18 @@ class Paper:
         paper_id: str,
         pub_year: int,
         author_count: int,
-        citing_years: Iterable[int] | dict[int, int] = (),
-        author_ids: tuple[str, ...] | None = None,
+        citing_years: Sequence[int] | dict[int, int] = (),
+        author_ids: Sequence[str] | None = None,
     ) -> None:
         """``citing_years``: each event's year, or {year: events} as in a
-        Counter, where a zero count is dropped and a negative one rejected."""
-        years, counts = _per_year(paper_id, citing_years)
-        self._fill(paper_id, pub_year, author_count, years, counts, author_ids)
+        Counter, where a zero count is dropped and a negative one rejected.
+        ``author_ids`` are kept as a tuple."""
+        if author_ids is not None:
+            author_ids = tuple(author_ids)
+        events = _check_paper(
+            paper_id, pub_year, author_count, author_ids, citing_years
+        )
+        self._fill(paper_id, pub_year, author_count, *_per_year(events), author_ids)
 
     def _fill(
         self,
@@ -251,10 +280,7 @@ class Paper:
         counts: list[int],
         author_ids: tuple[str, ...] | None,
     ) -> None:
-        """Check and set every field, from the form _per_year returns."""
-        _check_paper(
-            paper_id, pub_year, author_count, years[0] if years else None, author_ids
-        )
+        """Set every field, as _check_paper and _per_year return them."""
         set_id, set_year, set_count, set_years, set_counts, set_ids = _PAPER_SETTERS
         set_id(self, paper_id)
         set_year(self, pub_year)
@@ -371,13 +397,10 @@ class Corpus:
     def from_papers(cls, papers: Iterable[Paper]) -> Corpus:
         corpus = cls()
         for paper in papers:
-            corpus._add(paper)
+            if paper.paper_id in corpus.papers:
+                raise CorpusFormatError(f"duplicate paper_id {paper.paper_id!r}")
+            corpus.papers[paper.paper_id] = paper
         return corpus
-
-    def _add(self, paper: Paper) -> None:
-        if paper.paper_id in self.papers:
-            raise CorpusFormatError(f"duplicate paper_id {paper.paper_id!r}")
-        self.papers[paper.paper_id] = paper
 
     def __len__(self) -> int:
         return len(self.papers)
@@ -452,31 +475,28 @@ def _split_rendered(text: str) -> tuple[str, dict[int, int]] | None:
     return text[:cut] + "}", dict(zip(years, counts))
 
 
-def _parse_line(
-    text: str,
-    ints: dict[int, int],
-    listed: abc.Set[str] | None = None,
-    per_year: dict[int, int] | None = None,
-) -> tuple[str, Paper | None]:
-    """Decode and check one record: its paper_id, and its Paper, or None
-    when ``listed`` is given and the record names none of those author ids.
+def _parse_line(text: str) -> tuple[Any, Any, Any, Any, Any]:
+    """One record's fields, decoded but not checked: paper_id, pub_year,
+    author_count, author_ids or None, and the citing years.
 
-    A record not built passes every check a built one does, so either way a
-    faulty line fails with the same first error. ``per_year`` replaces the
-    record's citing_years. Each year of a built Paper becomes the equal int
-    object already in ``ints``, or is added to it, so the papers parsed with
-    one ``ints`` share one int per year.
     A line ending in an event list as render_paper_line writes it is read
-    per year: its record without the list, plus the list's counts. If that
-    fails, the whole line is decoded below, with the general path's results.
+    per year: its record without the list, plus {year: events} from the
+    list's counts. If that fails, the whole line is decoded, with the
+    general path's results.
     """
-    if per_year is None and len(text) > _DENSE_MIN_CHARS:
-        rendered = _split_rendered(text)
-        if rendered is not None:
-            try:
-                return _parse_line(rendered[0], ints, listed, rendered[1])
-            except ValueError:
-                pass
+    rendered = len(text) > _DENSE_MIN_CHARS and _split_rendered(text)
+    if rendered:
+        try:
+            paper_id, pub_year, author_count, author_ids, _ = _parse_record(rendered[0])
+            return paper_id, pub_year, author_count, author_ids, rendered[1]
+        except ValueError:
+            pass
+    return _parse_record(text)
+
+
+def _parse_record(text: str) -> tuple[Any, Any, Any, Any, Any]:
+    """_parse_line's fields from a JSON record: its shape is checked, its
+    values are not. author_count defaults to the number of author_ids."""
     try:
         record, end = _decode(text)
     except json.JSONDecodeError as exc:
@@ -489,59 +509,22 @@ def _parse_line(
         raise ValueError("invalid JSON (Extra data)")
     if not isinstance(record, dict):
         raise ValueError("record is not an object")
-
     for key in ("paper_id", "pub_year"):
         if key not in record:
             raise ValueError(f"missing field {key!r}")
-    paper_id = record["paper_id"]
-    if not isinstance(paper_id, str) or not paper_id:
-        raise ValueError("paper_id must be a non-empty string")
-    pub_year = record["pub_year"]
-    # _check_paper checks values. `type(v) is int` rejects JSON booleans; the
-    # bound keeps float(pub_year), as in fit and E(c), from overflowing.
-    if type(pub_year) is not int:
-        raise ValueError("pub_year must be an integer")
-    if not -_FLOAT_MAX <= pub_year <= _FLOAT_MAX:
-        raise ValueError("pub_year is beyond float range")
-
     author_ids = record.get("author_ids")
     author_count = record.get("author_count")
     if author_ids is None and author_count is None:
         raise ValueError("one of author_ids or author_count is required")
-    if author_count is not None and type(author_count) is not int:
-        raise ValueError("author_count must be an integer >= 1")
     if author_ids is not None:
-        if (
-            type(author_ids) is not list
-            or not {str}.issuperset(map(type, author_ids))
-            or "" in author_ids
-        ):
-            raise ValueError("author_ids must be a list of non-empty strings")
+        if type(author_ids) is not list:
+            raise ValueError("author_ids must be a list")
         if author_count is None:
             author_count = len(author_ids)
-
-    if per_year is None:
-        per_year = record.get("citing_years", [])
-        if type(per_year) is not list or not {int}.issuperset(map(type, per_year)):
-            raise ValueError("citing_years must be a list of integers")
-    if listed is not None and (author_ids is None or listed.isdisjoint(author_ids)):
-        # min(per_year) is the first citing year: the least event, or the
-        # first key of _split_rendered's counts, which is never 0.
-        _check_paper(
-            paper_id, pub_year, author_count, min(per_year, default=None), author_ids
-        )
-        return paper_id, None
-    years, counts = _per_year(paper_id, per_year)
-    paper = Paper.__new__(Paper)
-    paper._fill(
-        paper_id,
-        ints.setdefault(pub_year, pub_year),
-        author_count,
-        list(map(ints.setdefault, years, years)),
-        counts,
-        None if author_ids is None else tuple(author_ids),
-    )
-    return paper_id, paper
+    citing = record.get("citing_years", [])
+    if type(citing) is not list:
+        raise ValueError("citing_years must be a list")
+    return record["paper_id"], record["pub_year"], author_count, author_ids, citing
 
 
 def ingest_corpus(
@@ -566,21 +549,34 @@ def ingest_corpus(
     corpus = Corpus()
     papers = corpus.papers
     unbuilt: set[str] = set()
+    # Each year of a built Paper becomes the equal int object already in
+    # ``ints``, or is added to it, so the papers share one int per year.
     ints: dict[int, int] = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            paper_id, paper = _parse_line(line, ints, listed)
+            paper_id, pub_year, author_count, author_ids, citing = _parse_line(line)
+            events = _check_paper(paper_id, pub_year, author_count, author_ids, citing)
             if paper_id in papers or paper_id in unbuilt:
                 raise ValueError(f"duplicate paper_id {paper_id!r}")
         except ValueError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-        if paper is None:
+        if listed is not None and (author_ids is None or listed.isdisjoint(author_ids)):
             unbuilt.add(paper_id)
-        else:
-            papers[paper_id] = paper
+            continue
+        years, counts = _per_year(events)
+        paper = Paper.__new__(Paper)
+        paper._fill(
+            paper_id,
+            ints.setdefault(pub_year, pub_year),
+            author_count,
+            list(map(ints.setdefault, years, years)),
+            counts,
+            None if author_ids is None else tuple(author_ids),
+        )
+        papers[paper_id] = paper
     return corpus
 
 

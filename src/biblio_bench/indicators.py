@@ -250,7 +250,7 @@ def parse_table(kind: type, text: str, key: str | None = None) -> list[Any]:
     columns = [(f.name, types[f.name]) for f in fields(kind)]
     if key is not None:
         columns.insert(0, (key, str))
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not lines:
         raise ValueError(f"{kind.__name__} table has no header row")
     header_lineno, header = lines[0]

@@ -176,7 +176,7 @@ def _generate_author(
                 pub_year=pub_year,
                 author_count=n_authors,
                 citing_years=dict(enumerate(spread, start=pub_year)),
-                author_ids=tuple(author_ids),
+                author_ids=author_ids,
             )
 
 

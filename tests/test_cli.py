@@ -394,7 +394,7 @@ def test_fit_rejects_pub_year_beyond_float_range(tmp_path, capsys):
     assert main(["fit", "--corpus", str(corpus), "--min-papers", "1",
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: line 1: pub_year is beyond float range"
+        "error: line 1: paper pA1: pub_year is beyond float range"
     )
     assert not out.exists()
 
@@ -407,7 +407,7 @@ def test_indicators_rejects_pub_year_beyond_float_range(tmp_path, capsys):
             "--out", str(out)]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith(
-        "error: line 1: pub_year is beyond float range"
+        "error: line 1: paper pA1: pub_year is beyond float range"
     )
     assert not out.exists()
 
@@ -621,6 +621,40 @@ def test_indicators_reports_a_bad_author_list_before_a_bad_corpus(
     assert capsys.readouterr().err == (
         "error: --authors lists 'carol' twice, on lines 1 and 2\n"
     )
+
+
+# U+2028 ends a line for str.splitlines(), but is a valid character of an id.
+SEPARATED_ID = "ali\u2028ce"
+
+
+def corpus_by_separated_id(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    text = (DATA / "fixture_corpus.jsonl").read_text()
+    corpus.write_text(text.replace('"alice"', json.dumps(SEPARATED_ID)))
+    return corpus
+
+
+def test_indicators_lists_an_author_id_holding_a_line_separator(tmp_path):
+    listing = tmp_path / "authors.txt"
+    listing.write_text(f"{SEPARATED_ID}\nbob\n", encoding="utf-8")
+    out = tmp_path / "v.tsv"
+    args = ["indicators", "--corpus", str(corpus_by_separated_id(tmp_path)),
+            "--model", str(DATA / "constant_model.json"),
+            "--authors", str(listing), *RELAXED, "--out", str(out)]
+    assert main(args) == 0
+    rows = out.read_text(encoding="utf-8").split("\n")[1:-1]
+    assert [row.split("\t")[0] for row in rows] == [SEPARATED_ID, "bob"]
+
+
+def test_compare_reads_an_author_id_holding_a_line_separator(tmp_path):
+    table = tmp_path / "v.tsv"
+    assert main(["indicators", "--corpus", str(corpus_by_separated_id(tmp_path)),
+                 "--model", str(DATA / "constant_model.json"), *RELAXED,
+                 "--out", str(table)]) == 0
+    assert SEPARATED_ID in table.read_text(encoding="utf-8")
+    out = tmp_path / "c.tsv"
+    assert main(["compare", "--stars", str(table), "--control", str(table),
+                 "--out", str(out)]) == 0
 
 
 def test_indicators_stdout_uses_three_decimals(capsys):

@@ -169,6 +169,11 @@ def test_render_paper_line_key_order():
                           citing_years=[]), "line 1: invalid JSON"),
         (line(paper_id="p1", pub_year=2000, author_ids=["a", "b", "a"],
               citing_years=[]), "line 1: paper p1: author id 'a' is listed twice"),
+        # A bool and a value below 1 fail the same check, with one text.
+        (line(paper_id="p", pub_year=2000, author_count=True, citing_years=[]),
+         "line 1: paper p: author_count must be an integer >= 1"),
+        (line(paper_id="p", pub_year=2000, author_count=0, citing_years=[]),
+         "line 1: paper p: author_count must be an integer >= 1"),
     ],
 )
 def test_parse_errors(bad, fragment):
@@ -269,6 +274,52 @@ def test_paper_takes_int_years_and_counts_only(pub_year, author_count, message):
     with pytest.raises(ValueError) as err:
         Paper("p", pub_year, author_count)
     assert str(err.value) == message
+
+
+# Values of a kind, or beyond a range, that some field of a line may not hold.
+ODD = st.sampled_from([True, False, 2001.0, 2001.5, 10**400, -(10**400), "", None])
+YEARS_OR_ODD = st.integers(1985, 2015) | ODD
+ODD_ARGUMENTS = {
+    "paper_id": ODD | st.integers(),
+    "pub_year": ODD | st.integers(),
+    "author_count": ODD | st.integers(-2, 5),
+    "citing_years": st.lists(YEARS_OR_ODD, max_size=6) | st.dictionaries(
+        YEARS_OR_ODD, st.integers(-2, 5) | ODD, max_size=4
+    ),
+    "author_ids": st.lists(IDS | ODD, max_size=3),
+}
+
+
+@st.composite
+def paper_arguments(draw):
+    """Paper(...) keyword arguments for a valid paper, with at most one of
+    them replaced by an odd value."""
+    pub_year = draw(st.integers(1990, 2010))
+    authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=3, unique=True))
+    events = st.integers(pub_year, pub_year + 9)
+    arguments = {
+        "paper_id": draw(IDS),
+        "pub_year": pub_year,
+        "author_count": len(authors) if authors else draw(st.integers(1, 3)),
+        # Up to 80 events over 10 years: some lines take the per-year read.
+        "citing_years": draw(st.lists(events, max_size=80)
+                             | st.dictionaries(events, st.integers(0, 80))),
+        "author_ids": authors,
+    }
+    odd = draw(st.sampled_from([None, *ODD_ARGUMENTS]))
+    if odd is not None:
+        arguments[odd] = draw(ODD_ARGUMENTS[odd])
+    return arguments
+
+
+@given(paper_arguments())
+def test_paper_accepts_exactly_what_a_line_may_hold(arguments):
+    try:
+        paper = Paper(**arguments)
+    except ValueError:
+        return
+    hash(paper)
+    assert ingest_corpus([render_paper_line(paper)]).papers == {paper.paper_id: paper}
 
 
 def test_repeated_author_id_is_rejected():
