@@ -254,7 +254,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
     # Only papers a listed author wrote are built; every line is checked.
     corpus = ingest_corpus(Path(args.corpus), inputs["corpus"], authors=author_ids)
     model = ExpectationModel.from_json(_read(args, inputs, "model"))
-    if args.windows > model.window_count:
+    if not 1 <= args.windows <= model.window_count:
         raise ValueError(
             f"model provides windows 1..{model.window_count} "
             f"but --windows is {args.windows}"

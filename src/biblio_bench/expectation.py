@@ -12,7 +12,6 @@ normalize observed counts.
 from __future__ import annotations
 
 import json
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -104,10 +103,8 @@ class WindowPoints:
     """Fit points column-wise: ``pub_year[i]`` is paper i's publication year
     and ``windows[w - 1][i]`` its cumulative citations for window w.
 
-    Columns are machine integers (``array("q")``), so they refer to no object
-    of the corpus they were read from, and freeing the corpus frees its
-    memory. A column with a value beyond int64 is a list of exact ints.
-    ``len()`` counts papers.
+    Columns are lists of ints; a year is the corpus's one shared int per
+    distinct year. ``len()`` counts papers.
     """
 
     pub_year: Sequence[int]
@@ -121,14 +118,6 @@ class WindowPoints:
         return len(self.pub_year)
 
 
-def _column(values: list[int]) -> Sequence[int]:
-    try:
-        return array("q", values)
-    except OverflowError:
-        # Each int rebuilt from its digits, so none is the corpus's own object.
-        return [int(str(v)) for v in values]
-
-
 def collect_window_points(corpus: Corpus, window_count: int = 5) -> WindowPoints:
     """Per-paper fit points: pub_year and cumulative citations for w=1..W.
 
@@ -137,10 +126,10 @@ def collect_window_points(corpus: Corpus, window_count: int = 5) -> WindowPoints
     """
     papers = corpus.papers.values()
     windows = tuple(
-        _column([p.citations_through(p.pub_year + k) for p in papers])
+        [p.citations_through(p.pub_year + k) for p in papers]
         for k in range(window_count)
     )
-    return WindowPoints(_column([p.pub_year for p in papers]), windows)
+    return WindowPoints([p.pub_year for p in papers], windows)
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

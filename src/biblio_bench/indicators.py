@@ -13,32 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import accumulate
 from operator import attrgetter
 from typing import Any, Iterable, get_type_hints
 
 from .corpus import AuthorRecord, RecordPaper, _finite
 from .expectation import ExpectationModel
-
-
-@dataclass(frozen=True)
-class RankedPapers:
-    """Papers ordered by descending citations, with E(c) and scaled ranks.
-
-    expected[i] is the expected citation count E(c) of entries[i]. The
-    effective rank r_eff(r) is the sum of 1/a over the top r papers.
-    With scale L, the lcm of the author counts, scaled_ranks[r-1] is the
-    integer r_eff(r)*L, so rank thresholds compare exactly in integers.
-    Ties in citations break by ascending author count, then paper id.
-    """
-
-    entries: tuple[RecordPaper, ...]
-    expected: tuple[float, ...]
-    scale: int
-    scaled_ranks: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -66,84 +45,60 @@ class IndicatorVector:
 
 INDICATOR_FIELDS = tuple(f.name for f in fields(IndicatorVector))
 
+Ranked = tuple[tuple[RecordPaper, float], ...]
 
-def rank_papers(record: AuthorRecord, model: ExpectationModel) -> RankedPapers:
-    """Order a record's papers by descending citations and attach E(c).
 
-    A paper's window length is the number of calendar years from its
-    publication through the end of the author's window, so a paper from the
-    record's first year gets the full window and one from the last year
-    gets a single year.
+def rank_papers(record: AuthorRecord, model: ExpectationModel) -> Ranked:
+    """A record's papers by descending citations, each paired with its E(c).
+
+    Ties in citations break by ascending author count, then paper id. A
+    paper's window runs from its publication year through the end of the
+    author's window: the full window for a first-year paper, one year for a
+    last-year one.
     """
     window_end = record.first_year + record.window_years
-    entries = tuple(
-        sorted(record.papers, key=lambda p: (-p.citations, p.author_count, p.paper_id))
-    )
-    scale = math.lcm(*(p.author_count for p in entries))
-    return RankedPapers(
-        entries=entries,
-        expected=tuple(
-            model.expected_citations(p.pub_year, window_end - p.pub_year)
-            for p in entries
-        ),
-        scale=scale,
-        scaled_ranks=tuple(accumulate(scale // p.author_count for p in entries)),
+    expected = model.expected_citations
+    return tuple(
+        (p, expected(p.pub_year, window_end - p.pub_year))
+        for p in sorted(
+            record.papers, key=lambda p: (-p.citations, p.author_count, p.paper_id)
+        )
     )
 
 
-def h_index(ranked: RankedPapers) -> int:
-    """Largest rank r with c_r >= r."""
-    h = 0
-    for r, entry in enumerate(ranked.entries, start=1):
-        if entry.citations >= r:
+def rank_indices(ranked: Ranked) -> tuple[int, int, float, int, float]:
+    """(h, g, h_m, g_f, g_m) of papers in rank order, from one pass.
+
+    With c and a the citations and author count of the paper at rank r, and
+    the effective rank r_eff(r) the sum of 1/a over the top r papers:
+    - h: the largest r with c >= r.
+    - g: the largest r (so at most n) whose top-r citation sum reaches r^2.
+    - h_m: r_eff(r) at the largest r with c >= r_eff(r).
+    - g_f: the largest r whose top-r fractional sum of c/a reaches r^2.
+    - g_m: r_eff(r) at the largest r whose fractional sum reaches r_eff(r)^2.
+    Fractional sums and effective ranks are kept times L, the lcm of the
+    author counts, so every threshold compares exactly in integers.
+    """
+    scale = math.lcm(*(p.author_count for p, _ in ranked))
+    h = g = h_m = g_f = g_m = 0
+    total = fractional = rank = 0  # fractional and rank times scale
+    for r, (p, _) in enumerate(ranked, start=1):
+        share = scale // p.author_count
+        total += p.citations
+        fractional += p.citations * share
+        rank += share
+        if p.citations >= r:
             h = r
-    return h
-
-
-def g_index(ranked: RankedPapers) -> int:
-    """Largest rank r (capped at n) whose top-r citation sum reaches r^2."""
-    g = 0
-    total = 0
-    for r, entry in enumerate(ranked.entries, start=1):
-        total += entry.citations
         if total >= r * r:
             g = r
-    return g
-
-
-def h_m_index(ranked: RankedPapers) -> float:
-    """Effective rank r_eff(r*) at the largest r with c_r >= r_eff(r)."""
-    scale = ranked.scale
-    best = 0
-    for entry, rank in zip(ranked.entries, ranked.scaled_ranks):
-        if entry.citations * scale >= rank:
-            best = rank
-    # int / int is correctly rounded: the float nearest to the exact ratio.
-    return best / scale
-
-
-def g_f_index(ranked: RankedPapers) -> int:
-    """Largest rank r whose top-r fractional citation sum reaches r^2."""
-    scale = ranked.scale
-    g_f = 0
-    total = 0  # scale times the fractional sum of c/a
-    for r, entry in enumerate(ranked.entries, start=1):
-        total += entry.citations * (scale // entry.author_count)
-        if total >= r * r * scale:
+        if p.citations * scale >= rank:
+            h_m = rank
+        if fractional >= r * r * scale:
             g_f = r
-    return g_f
-
-
-def g_m_index(ranked: RankedPapers) -> float:
-    """r_eff(r*) at the largest r whose fractional sum reaches r_eff(r)^2."""
-    scale = ranked.scale
-    best = 0
-    total = 0  # scale times the fractional sum of c/a
-    for entry, rank in zip(ranked.entries, ranked.scaled_ranks):
-        total += entry.citations * (scale // entry.author_count)
-        if total * scale >= rank * rank:
-            best = rank
-    return best / scale
+        if fractional * scale >= rank * rank:
+            g_m = rank
+    # int / int is correctly rounded: the float nearest to the exact ratio.
+    return h, g, h_m / scale, g_f, g_m / scale
 
 
 def median(values: Iterable[float]) -> float:
@@ -167,33 +122,32 @@ def indicator_vector(
 ) -> IndicatorVector:
     """Compute all 17 indicators for one author record."""
     ranked = rank_papers(record, model)
-    papers = ranked.entries
-    n = len(papers)
-    f = math.fsum(1.0 / p.author_count for p in papers)
-    citations = sum(p.citations for p in papers)
-    fractional = [p.citations / p.author_count for p in papers]
+    n = len(ranked)
+    f = math.fsum(1.0 / p.author_count for p, _ in ranked)
+    citations = sum(p.citations for p, _ in ranked)
+    fractional = [p.citations / p.author_count for p, _ in ranked]
     fract_citations = math.fsum(fractional)
-    pairs = tuple(zip(papers, ranked.expected))
+    h, g, h_m, g_f, g_m = rank_indices(ranked)
     return IndicatorVector(
         n=n,
         f=f,
         citations=citations,
-        norm_citations=math.fsum(p.citations / e for p, e in pairs),
-        j_index=math.fsum(math.sqrt(p.citations) for p in papers),
+        norm_citations=math.fsum(p.citations / e for p, e in ranked),
+        j_index=math.fsum(math.sqrt(p.citations) for p, _ in ranked),
         fract_citations=fract_citations,
         # c / (E(c) a), not (c / a) / E(c): the two round differently.
         fract_norm_citations=math.fsum(
-            p.citations / (e * p.author_count) for p, e in pairs
+            p.citations / (e * p.author_count) for p, e in ranked
         ),
         mean_citations=citations / n,
         mean_fract_citations=fract_citations / n,
         median_fract_citations=median(fractional),
         max_fract_citations=max(fractional),
-        h=h_index(ranked),
-        g=g_index(ranked),
-        h_m=h_m_index(ranked),
-        g_f=g_f_index(ranked),
-        g_m=g_m_index(ranked),
+        h=h,
+        g=g,
+        h_m=h_m,
+        g_f=g_f,
+        g_m=g_m,
         collab_coeff=1.0 - f / n,
     )
 

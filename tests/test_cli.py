@@ -540,6 +540,24 @@ def test_indicators_window_mismatch(tmp_path, capsys):
     assert "model provides windows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("windows", ["0", "-1"])
+@pytest.mark.parametrize("listed", ["", "alice\n"])
+def test_indicators_rejects_windows_below_one(tmp_path, capsys, windows, listed):
+    # with no listed author no record is built, so nothing else would catch it
+    listing = tmp_path / "authors.txt"
+    listing.write_text(listed)
+    args = ["indicators",
+            "--corpus", str(DATA / "fixture_corpus.jsonl"),
+            "--model", str(DATA / "constant_model.json"),
+            "--authors", str(listing), *RELAXED, "--windows", windows,
+            "--out", str(tmp_path / "v.tsv")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: model provides windows 1..5 but --windows is {windows}\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["authors.txt"]
+
+
 def test_indicators_unknown_author(tmp_path, capsys):
     listing = tmp_path / "authors.txt"
     listing.write_text("alice\nghost\n")

@@ -170,8 +170,8 @@ def test_collect_window_points():
     ])
     points = collect_window_points(corpus, window_count=5)
     assert len(points) == 2
-    # machine-integer columns refer to no object of the corpus
-    assert {type(column) for column in (points.pub_year, *points.windows)} == {array}
+    # the columns are plain lists
+    assert {type(column) for column in (points.pub_year, *points.windows)} == {list}
     by_year = dict(zip(points.pub_year, zip(*points.windows)))
     # cumulative counts for windows 1..5: pub year alone, then one more year each
     assert by_year[2000] == (1, 3, 3, 4, 5)
@@ -299,8 +299,8 @@ BEYOND_INT64 = 2**63
 def fit_inputs(draw):
     """Drawn columns, each an int64 array or a list, plus the fit's arguments.
 
-    A value beyond int64 makes its column a list of exact ints, as _column
-    keeps it. The years 2**63 and 2**63 + 1 differ but share one float.
+    A column with a value beyond int64 is always a list of exact ints. The
+    years 2**63 and 2**63 + 1 differ but share one float.
     """
     n = draw(st.integers(0, 40))
     years = st.integers(1990, 1996)

@@ -13,14 +13,10 @@ from biblio_bench.indicators import (
     INDICATOR_FIELDS,
     IndicatorVector,
     format_decimal,
-    g_f_index,
-    g_index,
-    g_m_index,
-    h_index,
-    h_m_index,
     indicator_vector,
     median,
     parse_vector_table,
+    rank_indices,
     rank_papers,
     render_vector_table,
 )
@@ -40,6 +36,15 @@ MODEL = constant_model(expected=2.5)
 
 def vector_of(pairs):
     return indicator_vector(make_record(pairs), MODEL)
+
+
+def indices_of(pairs):
+    return rank_indices(rank_papers(make_record(pairs), MODEL))
+
+
+def oracle_indices(pairs):
+    return (oracle_h(pairs), oracle_g(pairs), oracle_h_m(pairs),
+            oracle_g_f(pairs), oracle_g_m(pairs))
 
 
 def test_single_cited_solo_paper():
@@ -76,7 +81,7 @@ def test_ranking_breaks_ties_by_author_count_then_id():
     ranked = rank_papers(record, MODEL)
     # p002 has 7 citations; the three 5-citation papers order by author
     # count, with the two solo papers ordered by paper id (p001 before p003)
-    assert [e.paper_id for e in ranked.entries] == ["p002", "p001", "p003", "p000"]
+    assert [p.paper_id for p, _ in ranked] == ["p002", "p001", "p003", "p000"]
 
 
 def test_rank_papers_assigns_window_lengths():
@@ -100,17 +105,18 @@ def test_rank_papers_assigns_window_lengths():
         window_years=5,
     )
     ranked = rank_papers(record, model)
-    by_id = {e.paper_id: x for e, x in zip(ranked.entries, ranked.expected)}
+    by_id = {p.paper_id: e for p, e in ranked}
     # first-year paper gets the 5-year window, last-year paper a 1-year window
     assert by_id["early"] == 50.0
     assert by_id["late"] == 10.0
 
 
 def test_effective_ranks():
-    ranked = rank_papers(make_record([(9, 2), (5, 4), (2, 1)]), MODEL)
-    # L = lcm(2, 4, 1) = 4; r_eff = 1/2, 3/4, 7/4
-    assert ranked.scale == 4
-    assert ranked.scaled_ranks == (2, 3, 7)
+    # L = lcm(2, 4, 1) = 4; r_eff = 1/2, 3/4, 7/4, and c = 9, 5, 2 reaches
+    # each, so h_m = g_m = r_eff(3) = 7/4 exactly
+    assert indices_of([(9, 2), (5, 4), (2, 1)]) == (2, 3, 1.75, 2, 1.75)
+    # c = 0 at rank 3 stops h_m at r_eff(2) = 3/4
+    assert indices_of([(9, 2), (5, 4), (0, 1)]) == (2, 3, 0.75, 2, 1.75)
 
 
 def test_index_edge_cases_match_oracles():
@@ -124,36 +130,26 @@ def test_index_edge_cases_match_oracles():
         [(50, 5), (10, 1), (10, 2), (2, 2), (1, 9)],
     ]
     for pairs in cases:
-        ranked = rank_papers(make_record(pairs), MODEL)
-        assert h_index(ranked) == oracle_h(pairs), pairs
-        assert g_index(ranked) == oracle_g(pairs), pairs
-        assert h_m_index(ranked) == oracle_h_m(pairs), pairs
-        assert g_f_index(ranked) == oracle_g_f(pairs), pairs
-        assert g_m_index(ranked) == oracle_g_m(pairs), pairs
+        assert indices_of(pairs) == oracle_indices(pairs), pairs
 
 
 # Author counts up to 40 make the scale L = lcm(a) as large as about 5e15.
 @given(st.lists(st.tuples(st.integers(0, 500), st.integers(1, 40)),
                 min_size=1, max_size=40))
 def test_scaled_integer_indices_match_fraction_oracles(pairs):
-    ranked = rank_papers(make_record(pairs), MODEL)
-    assert h_m_index(ranked) == oracle_h_m(pairs)
-    assert g_f_index(ranked) == oracle_g_f(pairs)
-    assert g_m_index(ranked) == oracle_g_m(pairs)
+    assert indices_of(pairs) == oracle_indices(pairs)
 
 
 def test_exact_threshold_ties():
     # nine papers with a=3: r_eff(9) = 3 exactly, and the fractional sum
     # at rank 9 is exactly 9, so g_m sits right on its threshold
     pairs = [(3, 3)] * 9
-    ranked = rank_papers(make_record(pairs), MODEL)
-    assert g_m_index(ranked) == 3.0
-    assert g_m_index(ranked) == oracle_g_m(pairs)
+    indices = indices_of(pairs)
+    assert indices[4] == 3.0
+    assert indices == oracle_indices(pairs)
     # fifths: 27 papers with a=5, c=5: fractional sum r, r_eff r/5
     pairs = [(5, 5)] * 27
-    ranked = rank_papers(make_record(pairs), MODEL)
-    assert g_m_index(ranked) == oracle_g_m(pairs)
-    assert h_m_index(ranked) == oracle_h_m(pairs)
+    assert indices_of(pairs) == oracle_indices(pairs)
 
 
 def test_norm_uses_sum_of_ratios():
