@@ -12,7 +12,6 @@ from .corpus import (
     CorpusFormatError,
     FilterSpec,
     Paper,
-    RecordPaper,
     UnknownAuthorError,
     build_author_record,
     filter_cohort,
@@ -61,7 +60,6 @@ __all__ = [
     "IndicatorVector",
     "InsufficientDataError",
     "Paper",
-    "RecordPaper",
     "SynthConfig",
     "UnknownAuthorError",
     "WindowFit",

@@ -261,7 +261,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         )
 
     groups = corpus.papers_by_author(author_ids)
-    # The corpus is freed before the records are built.
+    # Frees only the corpus's id dict: the groups and records share its Papers.
     del corpus
     records = [
         build_author_record(author_id, papers, window_years=args.windows)

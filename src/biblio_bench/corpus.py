@@ -22,7 +22,6 @@ from typing import (
     IO,
     TYPE_CHECKING,
     Any,
-    Callable,
     Iterable,
     Sequence,
     get_args,
@@ -60,7 +59,8 @@ def decode_typed(kind: type, text: str, what: str) -> Any:
     """A ``kind`` dataclass from JSON text, each value typed by its field's hint.
 
     Errors name the field, as in ``window_fits['1'].slope must be a finite
-    number``, or the document, ``what``, when it is not a JSON object.
+    number``, or the document, ``what``, when it is not a JSON object. A key
+    that names no field is an error too, at every level.
     """
     try:
         payload = json.loads(text)
@@ -78,6 +78,9 @@ def _typed_fields(kind: type, payload: dict, owner: str, prefix: str) -> Any:
         if f.name not in payload:
             raise ValueError(f"{owner} is missing required field: {f.name}")
         values[f.name] = _typed(prefix + f.name, types[f.name], payload[f.name])
+    if len(values) < len(payload):
+        unknown = next(key for key in payload if key not in values)
+        raise ValueError(f"{owner} has unknown field: {unknown!r}")
     return kind(**values)
 
 
@@ -262,10 +265,16 @@ class Paper:
         author_ids: Sequence[str] | None = None,
     ) -> None:
         """``citing_years``: each event's year, or {year: events} as in a
-        Counter, where a zero count is dropped and a negative one rejected.
-        ``author_ids`` are kept as a tuple."""
+        Counter, where a zero count is dropped and a negative one rejected;
+        any other iterable or mapping is read as these are. ``author_ids``
+        are kept as a tuple."""
+        if isinstance(author_ids, str):
+            raise ValueError(f"paper {paper_id}: author_ids must not be a string")
         if author_ids is not None:
             author_ids = tuple(author_ids)
+        if not isinstance(citing_years, dict):  # the checks read it twice
+            kind = dict if isinstance(citing_years, abc.Mapping) else list
+            citing_years = kind(citing_years)
         events = _check_paper(
             paper_id, pub_year, author_count, author_ids, citing_years
         )
@@ -301,55 +310,34 @@ class Paper:
         return self.counts[index - 1] if index else 0
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RecordPaper:
-    """A paper as seen inside an author record: windowed citation count c."""
-
-    paper_id: str
-    pub_year: int
-    author_count: int
-    citations: int
-
-    def __init__(
-        self, paper_id: str, pub_year: int, author_count: int, citations: int
-    ) -> None:
-        """Set each field through its slot setter, as Paper._fill does."""
-        set_id, set_year, set_count, set_citations = _RECORD_PAPER_SETTERS
-        set_id(self, paper_id)
-        set_year(self, pub_year)
-        set_count(self, author_count)
-        set_citations(self, citations)
-
-
-def _slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
-    """Each field's slot setter, in field order: it sets a frozen field
-    without the attribute lookup object.__setattr__ makes."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
-
-_PAPER_SETTERS = _slot_setters(Paper)
-_RECORD_PAPER_SETTERS = _slot_setters(RecordPaper)
+# Each field's slot setter, in field order: it sets a frozen field without
+# the attribute lookup object.__setattr__ makes.
+_PAPER_SETTERS = tuple(Paper.__dict__[f.name].__set__ for f in fields(Paper))
 
 
 @dataclass(frozen=True)
 class AuthorRecord:
-    """An author's papers and citations within their first publishing years."""
+    """An author's papers published within their first publishing years."""
 
     author_id: str
     first_year: int
-    papers: tuple[RecordPaper, ...]
+    papers: tuple[Paper, ...]
     window_years: int = 5
 
     def __post_init__(self) -> None:
         if not self.papers:
             raise ValueError(f"author {self.author_id}: record has no papers")
-        last = self.first_year + self.window_years - 1
         for p in self.papers:
-            if not self.first_year <= p.pub_year <= last:
+            if not self.first_year <= p.pub_year <= self.last_year:
                 raise ValueError(
                     f"author {self.author_id}: paper {p.paper_id} published "
-                    f"{p.pub_year}, outside {self.first_year}..{last}"
+                    f"{p.pub_year}, outside {self.first_year}..{self.last_year}"
                 )
+
+    @property
+    def last_year(self) -> int:
+        """The last calendar year of the window, inclusive."""
+        return self.first_year + self.window_years - 1
 
     @property
     def mean_coauthors(self) -> float:
@@ -625,10 +613,9 @@ def build_author_record(
     """Restrict an author's papers and citations to their first window.
 
     ``papers`` are the author's papers, as Corpus.papers_by_author groups
-    them; the record keeps their order. The window starts with the calendar
-    year of the author's first paper and spans window_years years inclusive.
-    Papers published later are dropped; citation events after the window's
-    last year are not counted.
+    them; the record keeps the papers published within the window, in their
+    order. The window starts with the calendar year of the author's first
+    paper and spans window_years years inclusive.
     """
     if window_years < 1:
         raise ValueError("window_years must be >= 1")
@@ -636,19 +623,8 @@ def build_author_record(
         raise UnknownAuthorError(f"author {author_id!r} not found in corpus")
     first_year = min(p.pub_year for p in papers)
     last_year = first_year + window_years - 1
-    kept = tuple(
-        RecordPaper(
-            p.paper_id, p.pub_year, p.author_count, p.citations_through(last_year)
-        )
-        for p in papers
-        if p.pub_year <= last_year
-    )
-    return AuthorRecord(
-        author_id=author_id,
-        first_year=first_year,
-        papers=kept,
-        window_years=window_years,
-    )
+    kept = tuple(p for p in papers if p.pub_year <= last_year)
+    return AuthorRecord(author_id, first_year, kept, window_years)
 
 
 def filter_cohort(

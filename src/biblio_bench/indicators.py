@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Any, Iterable, get_type_hints
 
-from .corpus import AuthorRecord, RecordPaper, _finite
+from .corpus import AuthorRecord, Paper, _finite
 from .expectation import ExpectationModel
 
 
@@ -45,24 +45,23 @@ class IndicatorVector:
 
 INDICATOR_FIELDS = tuple(f.name for f in fields(IndicatorVector))
 
-Ranked = tuple[tuple[RecordPaper, float], ...]
+Ranked = tuple[tuple[Paper, int, float], ...]
 
 
 def rank_papers(record: AuthorRecord, model: ExpectationModel) -> Ranked:
-    """A record's papers by descending citations, each paired with its E(c).
+    """A record's papers as (paper, c, E(c)), by descending c.
 
-    Ties in citations break by ascending author count, then paper id. A
-    paper's window runs from its publication year through the end of the
-    author's window: the full window for a first-year paper, one year for a
-    last-year one.
+    c counts the paper's citations through the record's last year. Ties in c
+    break by ascending author count, then paper id. A paper's window runs
+    from its publication year through the record's last year: the full
+    window for a first-year paper, one year for a last-year one.
     """
-    window_end = record.first_year + record.window_years
+    last_year = record.last_year
     expected = model.expected_citations
+    counted = [(p, p.citations_through(last_year)) for p in record.papers]
+    counted.sort(key=lambda pc: (-pc[1], pc[0].author_count, pc[0].paper_id))
     return tuple(
-        (p, expected(p.pub_year, window_end - p.pub_year))
-        for p in sorted(
-            record.papers, key=lambda p: (-p.citations, p.author_count, p.paper_id)
-        )
+        (p, c, expected(p.pub_year, last_year + 1 - p.pub_year)) for p, c in counted
     )
 
 
@@ -79,19 +78,19 @@ def rank_indices(ranked: Ranked) -> tuple[int, int, float, int, float]:
     Fractional sums and effective ranks are kept times L, the lcm of the
     author counts, so every threshold compares exactly in integers.
     """
-    scale = math.lcm(*(p.author_count for p, _ in ranked))
+    scale = math.lcm(*(p.author_count for p, _, _ in ranked))
     h = g = h_m = g_f = g_m = 0
     total = fractional = rank = 0  # fractional and rank times scale
-    for r, (p, _) in enumerate(ranked, start=1):
+    for r, (p, c, _) in enumerate(ranked, start=1):
         share = scale // p.author_count
-        total += p.citations
-        fractional += p.citations * share
+        total += c
+        fractional += c * share
         rank += share
-        if p.citations >= r:
+        if c >= r:
             h = r
         if total >= r * r:
             g = r
-        if p.citations * scale >= rank:
+        if c * scale >= rank:
             h_m = rank
         if fractional >= r * r * scale:
             g_f = r
@@ -123,21 +122,21 @@ def indicator_vector(
     """Compute all 17 indicators for one author record."""
     ranked = rank_papers(record, model)
     n = len(ranked)
-    f = math.fsum(1.0 / p.author_count for p, _ in ranked)
-    citations = sum(p.citations for p, _ in ranked)
-    fractional = [p.citations / p.author_count for p, _ in ranked]
+    f = math.fsum(1.0 / p.author_count for p, _, _ in ranked)
+    citations = sum(c for _, c, _ in ranked)
+    fractional = [c / p.author_count for p, c, _ in ranked]
     fract_citations = math.fsum(fractional)
     h, g, h_m, g_f, g_m = rank_indices(ranked)
     return IndicatorVector(
         n=n,
         f=f,
         citations=citations,
-        norm_citations=math.fsum(p.citations / e for p, e in ranked),
-        j_index=math.fsum(math.sqrt(p.citations) for p, _ in ranked),
+        norm_citations=math.fsum(c / e for _, c, e in ranked),
+        j_index=math.fsum(math.sqrt(c) for _, c, _ in ranked),
         fract_citations=fract_citations,
         # c / (E(c) a), not (c / a) / E(c): the two round differently.
         fract_norm_citations=math.fsum(
-            p.citations / (e * p.author_count) for p, e in ranked
+            c / (e * p.author_count) for p, c, e in ranked
         ),
         mean_citations=citations / n,
         mean_fract_citations=fract_citations / n,

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from biblio_bench.corpus import AuthorRecord, Corpus, RecordPaper, render_corpus
+from biblio_bench.corpus import AuthorRecord, Corpus, Paper, render_corpus
 from biblio_bench.expectation import (
     ExpectationModel,
     InsufficientDataError,
@@ -28,12 +28,7 @@ def make_record(
 ) -> AuthorRecord:
     """Record with papers[(citations, author_count), ...] all in one year."""
     papers = tuple(
-        RecordPaper(
-            paper_id=f"p{i:03d}",
-            pub_year=first_year,
-            author_count=a,
-            citations=c,
-        )
+        Paper(f"p{i:03d}", first_year, a, {first_year: c})
         for i, (c, a) in enumerate(pairs)
     )
     return AuthorRecord(
@@ -65,19 +60,23 @@ def oracle_sums(
     """The 11 non-rank indicators, each sum taken exactly and rounded once.
 
     Each per-paper term is the float its definition gives: 1/a, c/E(c),
-    sqrt(c), c/a and c/(E(c)*a), where E(c) is the paper's window line at its
-    publication year, clamped from below at the model's floor. The terms of
-    each indicator are summed as Fractions; each mean is its rounded sum / n.
+    sqrt(c), c/a and c/(E(c)*a), where c counts the paper's citing years up to
+    the window's end and E(c) is the paper's window line at its publication
+    year, clamped from below at the model's floor. The terms of each
+    indicator are summed as Fractions; each mean is its rounded sum / n.
     """
     window_end = record.first_year + record.window_years
     terms: dict[str, list[float]] = {
         "f": [], "norm_citations": [], "j_index": [],
         "fract_citations": [], "fract_norm_citations": [],
     }
+    cited: list[int] = []
     for p in record.papers:
         fit = model.window_fits[window_end - p.pub_year]
         e = max(fit.slope * p.pub_year + fit.intercept, model.floor)
-        c, a = p.citations, p.author_count
+        c = sum(1 for year in p.citing_years if year < window_end)
+        a = p.author_count
+        cited.append(c)
         terms["f"].append(1 / a)
         terms["norm_citations"].append(c / e)
         terms["j_index"].append(math.sqrt(c))
@@ -85,7 +84,7 @@ def oracle_sums(
         terms["fract_norm_citations"].append(c / (e * a))
     sums = {name: float(sum(map(Fraction, t))) for name, t in terms.items()}
     n = len(record.papers)
-    citations = sum(p.citations for p in record.papers)
+    citations = sum(cited)
     fractional = sorted(terms["fract_citations"])
     middle = fractional[(n - 1) // 2 : n // 2 + 1]
     return {

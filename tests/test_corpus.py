@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from pathlib import Path
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -18,7 +19,6 @@ from biblio_bench.corpus import (
     CorpusFormatError,
     FilterSpec,
     Paper,
-    RecordPaper,
     UnknownAuthorError,
     build_author_record,
     filter_cohort,
@@ -276,6 +276,26 @@ def test_paper_takes_int_years_and_counts_only(pub_year, author_count, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("citing_years, author_ids", [
+    (iter([2003, 2001, 2001]), ["a", "b"]),
+    ((year for year in (2001, 2003, 2001)), ("a", "b")),
+    (MappingProxyType({2001: 2, 2003: 1, 2004: 0}), ("a", "b")),
+    ([2001, 2003, 2001], "ab"),
+])
+def test_paper_reads_an_iterator_or_mapping_and_rejects_a_string(
+    citing_years, author_ids
+):
+    # An iterator is read once, a mapping by its counts; a string is not a
+    # sequence of ids, though iterating it gives strings.
+    if isinstance(author_ids, str):
+        with pytest.raises(ValueError) as err:
+            Paper("p", 2000, 2, citing_years, author_ids)
+        assert str(err.value) == "paper p: author_ids must not be a string"
+    else:
+        paper = Paper("p", 2000, 2, citing_years, author_ids)
+        assert paper == Paper("p", 2000, 2, [2001, 2001, 2003], ("a", "b"))
+
+
 # Values of a kind, or beyond a range, that some field of a line may not hold.
 ODD = st.sampled_from([True, False, 2001.0, 2001.5, 10**400, -(10**400), "", None])
 YEARS_OR_ODD = st.integers(1985, 2015) | ODD
@@ -330,16 +350,11 @@ def test_repeated_author_id_is_rejected():
 
 def test_papers_are_slotted_and_frozen():
     paper = Paper("p", 2000, 2, [2003, 2001, 2001], ("a", "b"))
-    record = RecordPaper(paper_id="p", pub_year=2000, author_count=2, citations=3)
-    for frozen in (paper, record):
-        assert not hasattr(frozen, "__dict__")
-        with pytest.raises(FrozenInstanceError):
-            frozen.pub_year = 1999
+    assert not hasattr(paper, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        paper.pub_year = 1999
     assert paper == Paper("p", 2000, 2, {2001: 2, 2003: 1}, ("a", "b"))
     assert hash(paper) == hash(("p", 2000, 2, (2001, 2003), (2, 3), ("a", "b")))
-    assert record == RecordPaper("p", 2000, 2, 3)
-    assert record != RecordPaper("p", 2000, 2, 4)
-    assert hash(record) == hash(("p", 2000, 2, 3))
 
 
 def test_ingest_shares_one_int_per_distinct_year():
@@ -608,8 +623,10 @@ def fixture_record(author_id, window_years=5):
 
 def test_build_author_record_windows_citations():
     carol = fixture_record("carol")
-    assert carol.first_year == 1995
-    assert [p.citations for p in carol.papers] == [100, 25, 25, 0]
+    assert (carol.first_year, carol.last_year) == (1995, 1999)
+    assert [p.citations_through(carol.last_year) for p in carol.papers] == [
+        100, 25, 25, 0
+    ]
     # dave shares carol's 1995 paper, so his window starts in 1995 and the
     # 2005 solo paper falls outside it
     dave = fixture_record("dave")
@@ -620,8 +637,9 @@ def test_build_author_record_windows_citations():
 def test_build_author_record_window_length():
     short = fixture_record("carol", window_years=3)
     # window 1995-1997: pC4 (1999) drops out, citations cut at 1997
+    assert short.last_year == 1997
     assert [p.paper_id for p in short.papers] == ["pC1", "pC2", "pC3"]
-    assert [p.citations for p in short.papers] == [75, 18, 9]
+    assert [p.citations_through(short.last_year) for p in short.papers] == [75, 18, 9]
     with pytest.raises(ValueError):
         fixture_record("carol", window_years=0)
 
@@ -635,16 +653,15 @@ def test_unknown_author():
 def test_author_record_validation():
     with pytest.raises(ValueError, match="no papers"):
         AuthorRecord(author_id="a", first_year=2000, papers=())
-    outside = RecordPaper(paper_id="p", pub_year=2010, author_count=1, citations=0)
-    with pytest.raises(ValueError, match="outside"):
+    outside = Paper("p", 2005, 1)
+    with pytest.raises(ValueError) as err:
         AuthorRecord(author_id="a", first_year=2000, papers=(outside,))
+    assert str(err.value) == "author a: paper p published 2005, outside 2000..2004"
+    assert AuthorRecord("a", 2000, (Paper("p", 2004, 1),)).last_year == 2004
 
 
 def make_record(author_counts, first_year=1995):
-    papers = tuple(
-        RecordPaper(paper_id=f"p{i}", pub_year=first_year, author_count=a, citations=0)
-        for i, a in enumerate(author_counts)
-    )
+    papers = tuple(Paper(f"p{i}", first_year, a) for i, a in enumerate(author_counts))
     return AuthorRecord(author_id="a", first_year=first_year, papers=papers)
 
 

@@ -130,6 +130,19 @@ def test_model_window_keys_must_be_plain_integers(key):
     assert str(err.value) == f"window_fits keys must be integers, got {key!r}"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["window_fits"]["2"].update(slop=0.1),
+     "window_fits['2'] has unknown field: 'slop'"),
+    (lambda m: m.update(floors=1.0), "model has unknown field: 'floors'"),
+])
+def test_model_rejects_unknown_field(edit, message):
+    payload = json.loads((DATA / "constant_model.json").read_text())
+    edit(payload)
+    with pytest.raises(ValueError) as err:
+        ExpectationModel.from_json(json.dumps(payload))
+    assert str(err.value) == message
+
+
 def test_expected_citations_applies_floor():
     model = make_model([0.5], [-996.0], floor=1.0)
     # line value at 1996: 0.5*1996 - 996 = 2.0

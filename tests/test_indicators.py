@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biblio_bench.corpus import AuthorRecord, RecordPaper
+from biblio_bench.corpus import AuthorRecord, Paper
 from biblio_bench.expectation import ExpectationModel, WindowFit
 from biblio_bench.indicators import (
     INDICATOR_FIELDS,
@@ -81,7 +81,7 @@ def test_ranking_breaks_ties_by_author_count_then_id():
     ranked = rank_papers(record, MODEL)
     # p002 has 7 citations; the three 5-citation papers order by author
     # count, with the two solo papers ordered by paper id (p001 before p003)
-    assert [p.paper_id for p, _ in ranked] == ["p002", "p001", "p003", "p000"]
+    assert [p.paper_id for p, _, _ in ranked] == ["p002", "p001", "p003", "p000"]
 
 
 def test_rank_papers_assigns_window_lengths():
@@ -97,18 +97,17 @@ def test_rank_papers_assigns_window_lengths():
         author_id="a",
         first_year=1995,
         papers=(
-            RecordPaper(paper_id="early", pub_year=1995, author_count=1,
-                        citations=9),
-            RecordPaper(paper_id="late", pub_year=1999, author_count=1,
-                        citations=8),
+            Paper("early", 1995, 1, {1995: 5, 1999: 4, 2000: 7}),
+            Paper("late", 1999, 1, {1999: 8, 2003: 2}),
         ),
         window_years=5,
     )
     ranked = rank_papers(record, model)
-    by_id = {p.paper_id: e for p, e in ranked}
-    # first-year paper gets the 5-year window, last-year paper a 1-year window
-    assert by_id["early"] == 50.0
-    assert by_id["late"] == 10.0
+    by_id = {p.paper_id: (c, e) for p, c, e in ranked}
+    # first-year paper gets the 5-year window, last-year paper a 1-year
+    # window; citations after 1999 are not counted
+    assert by_id["early"] == (9, 50.0)
+    assert by_id["late"] == (8, 10.0)
 
 
 def test_effective_ranks():
@@ -167,8 +166,8 @@ def test_norm_uses_sum_of_ratios():
         author_id="a",
         first_year=1995,
         papers=(
-            RecordPaper(paper_id="p", pub_year=1995, author_count=1, citations=8),
-            RecordPaper(paper_id="q", pub_year=1998, author_count=1, citations=4),
+            Paper("p", 1995, 1, {1995: 8}),
+            Paper("q", 1998, 1, {1998: 4}),
         ),
         window_years=5,
     )
@@ -194,10 +193,16 @@ DRIFTING_MODEL = ExpectationModel(
 )
 
 
+# A paper published `offset` years into the window is cited `k` years after
+# publication, so an offset + k above 4 falls after the window's last year.
 @given(
     st.integers(1990, 2000),
     st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 500), st.integers(1, 8)),
+        st.tuples(
+            st.integers(0, 4),
+            st.dictionaries(st.integers(0, 9), st.integers(0, 200), max_size=6),
+            st.integers(1, 8),
+        ),
         min_size=1,
         max_size=40,
     ),
@@ -207,9 +212,9 @@ def test_non_rank_indicators_match_exact_oracle(first_year, papers):
         author_id="a",
         first_year=first_year,
         papers=tuple(
-            RecordPaper(paper_id=f"p{i:03d}", pub_year=first_year + offset,
-                        author_count=a, citations=c)
-            for i, (offset, c, a) in enumerate(papers)
+            Paper(f"p{i:03d}", first_year + offset, a,
+                  {first_year + offset + k: n for k, n in cited.items()})
+            for i, (offset, cited, a) in enumerate(papers)
         ),
         window_years=5,
     )
@@ -217,6 +222,11 @@ def test_non_rank_indicators_match_exact_oracle(first_year, papers):
     assert tuple(expected) == INDICATOR_FIELDS[:11]
     v = indicator_vector(record, DRIFTING_MODEL)
     assert {name: getattr(v, name) for name in expected} == expected
+    pairs = [
+        (sum(n for k, n in cited.items() if offset + k <= 4), a)
+        for offset, cited, a in papers
+    ]
+    assert (v.h, v.g, v.h_m, v.g_f, v.g_m) == oracle_indices(pairs)
 
 
 @given(st.lists(

@@ -180,6 +180,14 @@ def test_config_rejects_non_finite_floats(field, value):
         SynthConfig.from_json(json.dumps(payload))
 
 
+def test_config_from_json_rejects_unknown_field():
+    payload = json.loads(small_config().to_json())
+    payload["star_effect_multipler"] = 3.0
+    with pytest.raises(ValueError) as err:
+        SynthConfig.from_json(json.dumps(payload))
+    assert str(err.value) == "config has unknown field: 'star_effect_multipler'"
+
+
 def test_config_from_json_rejects_bad_json():
     with pytest.raises(ValueError, match="JSON"):
         SynthConfig.from_json("{nope")
