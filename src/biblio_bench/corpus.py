@@ -266,13 +266,23 @@ class Paper:
     ) -> None:
         """``citing_years``: each event's year, or {year: events} as in a
         Counter, where a zero count is dropped and a negative one rejected;
-        any other iterable or mapping is read as these are. ``author_ids``
-        are kept as a tuple."""
-        if isinstance(author_ids, str):
-            raise ValueError(f"paper {paper_id}: author_ids must not be a string")
+        any other iterable or mapping is read as these are, but bytes are not
+        years. ``author_ids`` are kept as a tuple; a string or a mapping is
+        not a sequence of ids, though iterating it gives strings."""
         if author_ids is not None:
+            # A list or tuple skips the isinstance test, slow against an ABC.
+            if type(author_ids) not in (list, tuple) and isinstance(
+                author_ids, (str, abc.Mapping)
+            ):
+                kind = "a string" if isinstance(author_ids, str) else "a mapping"
+                raise ValueError(f"paper {paper_id}: author_ids must not be {kind}")
             author_ids = tuple(author_ids)
         if not isinstance(citing_years, dict):  # the checks read it twice
+            if isinstance(citing_years, (bytes, bytearray, memoryview)):
+                raise ValueError(
+                    f"paper {paper_id}: citing_years must not be "
+                    f"{type(citing_years).__name__}"
+                )
             kind = dict if isinstance(citing_years, abc.Mapping) else list
             citing_years = kind(citing_years)
         events = _check_paper(
@@ -416,6 +426,29 @@ class Corpus:
         return dict(sorted(groups.items())) if everyone else groups
 
 
+@dataclass(frozen=True)
+class WindowPoints:
+    """Fit points column-wise: ``pub_year[i]`` is paper i's publication year
+    and ``windows[w - 1][i]`` its citations within its first w years, the
+    publication year counted as year one.
+
+    ``ingest_corpus(source, window_count=W)`` reads them straight from the
+    corpus lines, and ``collect_window_points`` from a Corpus. Columns are
+    lists of ints; a year is one shared int per distinct year. ``len()``
+    counts papers.
+    """
+
+    pub_year: Sequence[int]
+    windows: tuple[Sequence[int], ...]
+
+    def __post_init__(self) -> None:
+        if any(len(column) != len(self.pub_year) for column in self.windows):
+            raise ValueError("window counts must number one per paper in every window")
+
+    def __len__(self) -> int:
+        return len(self.pub_year)
+
+
 # Built once: json.loads re-scans whitespace a stripped line does not have.
 _decode = json.JSONDecoder().raw_decode
 # A JSON string literal, non-ASCII characters kept, as ensure_ascii=False writes.
@@ -519,27 +552,41 @@ def ingest_corpus(
     source: str | Path | Iterable[str],
     digest: _Hash | None = None,
     authors: Iterable[str] | None = None,
-) -> Corpus:
-    """Parse line-delimited JSON paper records into a Corpus.
+    window_count: int | None = None,
+) -> Corpus | WindowPoints:
+    """Parse line-delimited JSON paper records into a Corpus, or their
+    WindowPoints.
 
     Each non-empty line is one record with paper_id, pub_year, citing_years,
     and exactly one of author_ids / author_count (when both, they must
     agree). Errors report the 1-based line number. A file ``source`` is read
     once; ``digest``, if given, is updated with its bytes as they are read.
     With ``authors``, the Corpus holds only the papers whose author_ids name
-    one of them, in line order; every line is still checked in full, and
-    paper_ids must still differ across all lines.
+    one of them, in line order. With ``window_count`` W instead, no Paper is
+    built: the result is the WindowPoints of every line, in line order, with
+    the citations within each of the first W years of the paper. Either way
+    every line is still checked in full, and paper_ids must still differ
+    across all lines.
     """
+    if window_count is not None:
+        if window_count < 1:
+            raise ValueError("window_count must be >= 1")
+        if authors is not None:
+            raise ValueError("authors and window_count cannot be given together")
     if isinstance(source, (str, Path)):
         with open_text(source, digest=digest) as handle:
-            return ingest_corpus(handle, authors=authors)
+            return ingest_corpus(handle, authors=authors, window_count=window_count)
     listed = None if authors is None else frozenset(authors)
-    corpus = Corpus()
-    papers = corpus.papers
+    papers: dict[str, Paper] = {}
     unbuilt: set[str] = set()
-    # Each year of a built Paper becomes the equal int object already in
-    # ``ints``, or is added to it, so the papers share one int per year.
+    # Each year of a built Paper or a window point becomes the equal int
+    # object already in ``ints``, or is added to it, so they share one int
+    # per year.
     ints: dict[int, int] = {}
+    pub_years: list[int] = []
+    # Every line's W window counts, one line after the other.
+    window_counts: list[int] = []
+    offsets = range(window_count or 0)
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
@@ -551,6 +598,20 @@ def ingest_corpus(
                 raise ValueError(f"duplicate paper_id {paper_id!r}")
         except ValueError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        if offsets:
+            unbuilt.add(paper_id)
+            pub_years.append(ints.setdefault(pub_year, pub_year))
+            # Window w ends with the year pub_year + w - 1. No event precedes
+            # pub_year, so a per-year line sums its counts from pub_year on.
+            if type(events) is dict:
+                total = 0
+                for k in offsets:
+                    total += events.get(pub_year + k, 0)
+                    window_counts.append(total)
+            else:
+                for k in offsets:
+                    window_counts.append(bisect_right(events, pub_year + k))
+            continue
         if listed is not None and (author_ids is None or listed.isdisjoint(author_ids)):
             unbuilt.add(paper_id)
             continue
@@ -565,7 +626,10 @@ def ingest_corpus(
             None if author_ids is None else tuple(author_ids),
         )
         papers[paper_id] = paper
-    return corpus
+    if offsets:
+        windows = tuple(window_counts[k :: len(offsets)] for k in offsets)
+        return WindowPoints(pub_years, windows)
+    return Corpus(papers)
 
 
 def render_paper_line(paper: Paper) -> str:

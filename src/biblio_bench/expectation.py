@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from .corpus import Corpus, _finite, decode_typed
+from .corpus import Corpus, WindowPoints, _finite, decode_typed
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
@@ -98,38 +98,33 @@ class ExpectationModel:
         return decode_typed(cls, text, "model")
 
 
-@dataclass(frozen=True)
-class WindowPoints:
-    """Fit points column-wise: ``pub_year[i]`` is paper i's publication year
-    and ``windows[w - 1][i]`` its cumulative citations for window w.
-
-    Columns are lists of ints; a year is the corpus's one shared int per
-    distinct year. ``len()`` counts papers.
-    """
-
-    pub_year: Sequence[int]
-    windows: tuple[Sequence[int], ...]
-
-    def __post_init__(self) -> None:
-        if any(len(column) != len(self.pub_year) for column in self.windows):
-            raise ValueError("window counts must number one per paper in every window")
-
-    def __len__(self) -> int:
-        return len(self.pub_year)
-
-
-def collect_window_points(corpus: Corpus, window_count: int = 5) -> WindowPoints:
+def collect_window_points(
+    corpus: Corpus | WindowPoints, window_count: int = 5
+) -> WindowPoints:
     """Per-paper fit points: pub_year and cumulative citations for w=1..W.
 
     The w-year count includes citing years from the publication year through
-    w-1 years later.
+    w-1 years later. From a Corpus the points are counted from its papers;
+    WindowPoints, as ``ingest_corpus(path, window_count=W)`` returns them,
+    are returned as they are, once they are checked to hold w=1..W.
     """
+    if isinstance(corpus, WindowPoints):
+        _check_windows(corpus, window_count)
+        return corpus
     papers = corpus.papers.values()
     windows = tuple(
         [p.citations_through(p.pub_year + k) for p in papers]
         for k in range(window_count)
     )
     return WindowPoints([p.pub_year for p in papers], windows)
+
+
+def _check_windows(points: WindowPoints, window_count: int) -> None:
+    if len(points.windows) < window_count:
+        raise ValueError(
+            f"points have window counts for w=1..{len(points.windows)}, "
+            f"need w=1..{window_count}"
+        )
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -163,11 +158,7 @@ def fit_expectation_model(
 
     if window_count < 1:
         raise ValueError("window_count must be >= 1")
-    if len(points.windows) < window_count:
-        raise ValueError(
-            f"points have window counts for w=1..{len(points.windows)}, "
-            f"need w=1..{window_count}"
-        )
+    _check_windows(points, window_count)
     low, high = year_range
     qualifying = {
         year

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import json
@@ -6,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -271,12 +271,16 @@ def test_fit_years_sharing_one_float_fail_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("windows", ["0", "-1"])
-def test_fit_rejects_windows_below_one(tmp_path, capsys, windows):
+def test_fit_rejects_windows_below_one(tmp_path, capsys, open_spy, windows):
+    # The option is checked before the corpus is opened.
     out = tmp_path / "model.json"
-    assert main(["fit", "--corpus", str(DATA / "fixture_corpus.jsonl"),
-                 "--min-papers", "1", "--windows", windows, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: window_count must be >= 1\n"
-    assert not out.exists()
+    with open_spy.recording() as opened:
+        assert main(["fit", "--corpus", str(DATA / "fixture_corpus.jsonl"),
+                     "--min-papers", "1", "--windows", windows,
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --windows must be >= 1, got {windows}\n"
+    assert opened == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fit_year_range_flags(tmp_path):
@@ -299,45 +303,64 @@ def test_fit_year_max_alone(tmp_path):
     assert ExpectationModel.from_json(model_path.read_text()).fit_year_range == (1990, 1995)
 
 
-def test_fit_frees_the_corpus_before_fitting(tmp_path, monkeypatch):
-    # fit_expectation_model loads numpy; the corpus must be gone by then.
-    real_ingest = biblio_bench.cli.ingest_corpus
-    real_fit = biblio_bench.cli.fit_expectation_model
-    corpora, alive = [], []
+def _live(cls):
+    gc.collect()
+    return sum(isinstance(obj, cls) for obj in gc.get_objects())
 
-    def ingest(*args):
-        corpus = real_ingest(*args)
-        corpora.append(weakref.ref(corpus))
-        return corpus
+
+def test_fit_frees_the_corpus_before_fitting(tmp_path, monkeypatch):
+    # fit_expectation_model loads numpy; by then fit holds no corpus and no
+    # Paper of its own, since it never builds one.
+    Corpus, Paper = biblio_bench.corpus.Corpus, biblio_bench.corpus.Paper
+    real_fit = biblio_bench.cli.fit_expectation_model
+    before = (_live(Corpus), _live(Paper))
+    alive = []
 
     def fit(*args, **kwargs):
-        alive.append(corpora[0]() is not None)
+        alive.append((_live(Corpus), _live(Paper)))
         return real_fit(*args, **kwargs)
 
-    monkeypatch.setattr(biblio_bench.cli, "ingest_corpus", ingest)
     monkeypatch.setattr(biblio_bench.cli, "fit_expectation_model", fit)
     assert main(["fit", "--corpus", str(DATA / "fixture_corpus.jsonl"),
                  "--min-papers", "1", "--out", str(tmp_path / "model.json")]) == 0
-    assert alive == [False]
+    assert alive == [before]
 
 
 def test_fit_builds_no_author_index(tmp_path, monkeypatch):
-    real_ingest = biblio_bench.cli.ingest_corpus
-    corpora = []
-
-    def ingest(*args):
-        corpora.append(real_ingest(*args))
-        return corpora[-1]
-
     def group(self, author_ids=None):
         raise AssertionError("fit grouped papers by author")
 
-    monkeypatch.setattr(biblio_bench.cli, "ingest_corpus", ingest)
+    def build(self, *args, **kwargs):
+        raise AssertionError("fit built a Corpus")
+
     monkeypatch.setattr(biblio_bench.corpus.Corpus, "papers_by_author", group)
+    monkeypatch.setattr(biblio_bench.corpus.Corpus, "__init__", build)
+    out = tmp_path / "model.json"
     assert main(["fit", "--corpus", str(DATA / "fixture_corpus.jsonl"),
-                 "--min-papers", "1", "--out", str(tmp_path / "model.json")]) == 0
-    # The corpus holds its papers and nothing else.
-    assert vars(corpora[0]) == {"papers": corpora[0].papers}
+                 "--min-papers", "1", "--out", str(out)]) == 0
+    assert ExpectationModel.from_json(out.read_text()).window_count == 5
+
+
+def test_fit_builds_no_paper_and_writes_the_pinned_model(tmp_path, monkeypatch):
+    # fit reads each line's window counts as it is checked: building a Paper
+    # fails, and the model is still the pinned one.
+    (tmp_path / "config.json").write_bytes(
+        (DATA / "experiment_effect_config.json").read_bytes()
+    )
+    monkeypatch.chdir(tmp_path)
+    generate, fit = EFFECT_PIPELINE[:2]
+    assert main(generate) == 0
+
+    def build(*args, **kwargs):
+        raise AssertionError("fit built a Paper")
+
+    # Paper(...) and ingest_corpus alike set a Paper's fields through _fill.
+    monkeypatch.setattr(biblio_bench.corpus.Paper, "_fill", build)
+    assert main(fit) == 0
+    manifest = tmp_path / "model.manifest.json"
+    assert sha256(manifest) == PINNED_MANIFESTS["model.manifest.json"]
+    outputs = json.loads(manifest.read_text())["outputs"]
+    assert outputs == [{"path": "model.json", "sha256": sha256(tmp_path / "model.json")}]
 
 
 def test_fit_counts_years_beyond_int64_exactly(tmp_path):

@@ -27,6 +27,7 @@ from biblio_bench.corpus import (
     render_corpus,
     render_paper_line,
 )
+from biblio_bench.expectation import collect_window_points
 from biblio_bench.synth import SynthConfig, generate_corpus
 from oracles import corpus_text
 
@@ -180,10 +181,14 @@ def test_parse_errors(bad, fragment):
     with pytest.raises(CorpusFormatError) as err:
         ingest_corpus([bad])
     assert fragment in str(err.value)
-    # No line names "nobody", so no Paper is built, and every check still runs.
+    # No line names "nobody", so no Paper is built, and every check still runs;
+    # the same holds when window counts are read.
     with pytest.raises(CorpusFormatError) as unbuilt:
         ingest_corpus([bad], authors=["nobody"])
     assert str(unbuilt.value) == str(err.value)
+    with pytest.raises(CorpusFormatError) as counted:
+        ingest_corpus([bad], window_count=5)
+    assert str(counted.value) == str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -199,6 +204,9 @@ def test_duplicate_paper_id_is_caught_across_built_and_unbuilt_lines(
     with pytest.raises(CorpusFormatError) as err:
         ingest_corpus(lines, authors=authors)
     assert str(err.value) == "line 2: duplicate paper_id 'p'"
+    with pytest.raises(CorpusFormatError) as counted:
+        ingest_corpus(lines, window_count=5)
+    assert str(counted.value) == str(err.value)
 
 
 def test_byte_order_mark_error_says_why(tmp_path):
@@ -296,6 +304,20 @@ def test_paper_reads_an_iterator_or_mapping_and_rejects_a_string(
         assert paper == Paper("p", 2000, 2, [2001, 2001, 2003], ("a", "b"))
 
 
+@pytest.mark.parametrize("citing_years, author_ids, message", [
+    (b"\x07\xd1", None, "paper p: citing_years must not be bytes"),
+    (bytearray(b"\x07\xd1"), None, "paper p: citing_years must not be bytearray"),
+    ([], {"a": 1}, "paper p: author_ids must not be a mapping"),
+])
+def test_paper_rejects_bytes_as_years_and_a_mapping_as_ids(
+    citing_years, author_ids, message
+):
+    # Iterating bytes gives ints (years 7 and 209), a mapping its keys.
+    with pytest.raises(ValueError) as err:
+        Paper("p", 5, 1, citing_years, author_ids)
+    assert str(err.value) == message
+
+
 # Values of a kind, or beyond a range, that some field of a line may not hold.
 ODD = st.sampled_from([True, False, 2001.0, 2001.5, 10**400, -(10**400), "", None])
 YEARS_OR_ODD = st.integers(1985, 2015) | ODD
@@ -372,6 +394,8 @@ def test_ingest_shares_one_int_per_distinct_year():
     assert list(ingested.values()) == papers
     years = [y for p in ingested.values() for y in (p.pub_year, *p.years)]
     assert len({id(y) for y in years}) == len(set(years)) == 14
+    counted = ingest_corpus(lines, window_count=5).pub_year
+    assert len({id(y) for y in counted}) == len(set(counted)) == 3
 
 
 def test_ingest_holds_under_700_bytes_per_paper():
@@ -411,20 +435,24 @@ def test_ingest_retains_less_than_a_byte_per_citation_event():
 
 
 @st.composite
-def corpora(draw):
-    papers = []
-    for paper_id in draw(st.lists(IDS, unique=True, max_size=8)):
-        pub_year = draw(st.integers(1950, 2020))
-        authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4, unique=True))
-        papers.append(Paper(
-            paper_id=paper_id,
-            pub_year=pub_year,
-            author_count=len(authors) if authors else draw(st.integers(1, 6)),
-            citing_years=tuple(draw(st.lists(st.integers(pub_year, pub_year + 12),
-                                             max_size=20))),
-            author_ids=tuple(authors) if authors else None,
-        ))
-    return Corpus.from_papers(papers)
+def sparse_papers(draw, paper_id):
+    """A paper with up to 20 events over 13 calendar years, perhaps none."""
+    pub_year = draw(st.integers(1950, 2020))
+    authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4, unique=True))
+    return Paper(
+        paper_id=paper_id,
+        pub_year=pub_year,
+        author_count=len(authors) if authors else draw(st.integers(1, 6)),
+        citing_years=tuple(draw(st.lists(st.integers(pub_year, pub_year + 12),
+                                         max_size=20))),
+        author_ids=tuple(authors) if authors else None,
+    )
+
+
+def corpora(papers=sparse_papers, max_size=8):
+    """Corpora of up to ``max_size`` papers, each drawn by ``papers(paper_id)``."""
+    return st.lists(IDS, unique=True, max_size=max_size).flatmap(
+        lambda ids: st.tuples(*map(papers, ids))).map(Corpus.from_papers)
 
 
 @given(corpora())
@@ -453,16 +481,41 @@ def dense_papers(draw, paper_id="p"):
     )
 
 
-@given(st.lists(IDS, unique=True, max_size=6).flatmap(
-    lambda ids: st.tuples(*map(dense_papers, ids))))
-def test_ingest_render_round_trip_property_dense(papers):
-    corpus = Corpus.from_papers(papers)
+@given(corpora(dense_papers, max_size=6))
+def test_ingest_render_round_trip_property_dense(corpus):
     assert ingest_corpus(corpus_text(corpus).splitlines()).papers == corpus.papers
 
 
+@given(corpora(lambda paper_id: sparse_papers(paper_id) | dense_papers(paper_id)),
+       st.integers(1, 6))
+def test_window_counts_read_from_lines_equal_counts_from_papers(corpus, window_count):
+    # Event lists and per-year lines, events past the last window, papers
+    # with no events, and lines with an author_count only, in one corpus.
+    lines = corpus_text(corpus).splitlines()
+    counted = ingest_corpus(lines, window_count=window_count)
+    expected = collect_window_points(ingest_corpus(lines), window_count)
+    assert counted.pub_year == expected.pub_year
+    assert len(counted.windows) == window_count
+    for column, expected_column in zip(counted.windows, expected.windows):
+        assert column == expected_column
+
+
+@pytest.mark.parametrize("arguments, message", [
+    ({"window_count": 0}, "window_count must be >= 1"),
+    ({"window_count": -1}, "window_count must be >= 1"),
+    ({"window_count": 5, "authors": ["a"]},
+     "authors and window_count cannot be given together"),
+])
+def test_window_count_is_checked_before_the_file_is_opened(
+    tmp_path, arguments, message
+):
+    with pytest.raises(ValueError) as err:
+        ingest_corpus(tmp_path / "missing.jsonl", **arguments)
+    assert str(err.value) == message
+
+
 @given(
-    corpora() | st.lists(IDS, unique=True, max_size=6).flatmap(
-        lambda ids: st.tuples(*map(dense_papers, ids))).map(Corpus.from_papers),
+    corpora() | corpora(dense_papers, max_size=6),
     st.data(),
 )
 def test_ingest_for_listed_authors_equals_filtered_full_ingest(corpus, data):

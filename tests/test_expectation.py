@@ -175,13 +175,22 @@ def test_model_json_round_trip(tmp_path):
 
 
 def test_collect_window_points():
-    corpus = ingest_corpus([
+    lines = [
         '{"paper_id": "p1", "pub_year": 2000, "author_count": 2,'
         ' "citing_years": [2000, 2001, 2001, 2003, 2004, 2007]}',
         '{"paper_id": "p2", "pub_year": 2001, "author_count": 9,'
         ' "citing_years": [2002]}',
-    ])
+    ]
+    corpus = ingest_corpus(lines)
     points = collect_window_points(corpus, window_count=5)
+    # read straight from the lines, the same points; they are returned as
+    # given if they hold the windows asked for
+    counted = ingest_corpus(lines, window_count=5)
+    assert (counted.pub_year, counted.windows) == (points.pub_year, points.windows)
+    assert collect_window_points(counted, window_count=3) is counted
+    with pytest.raises(ValueError) as err:
+        collect_window_points(counted, window_count=6)
+    assert str(err.value) == "points have window counts for w=1..5, need w=1..6"
     assert len(points) == 2
     # the columns are plain lists
     assert {type(column) for column in (points.pub_year, *points.windows)} == {list}
