@@ -17,6 +17,7 @@ from .corpus import (
     filter_cohort,
     ingest_corpus,
     render_corpus,
+    render_paper_line,
 )
 from .expectation import (
     ExpectationModel,
@@ -77,6 +78,7 @@ __all__ = [
     "render_boxplot_table",
     "render_comparison_table",
     "render_corpus",
+    "render_paper_line",
     "render_vector_table",
     "wilcoxon_rank_sum",
 ]

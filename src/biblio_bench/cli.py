@@ -167,11 +167,11 @@ def _staged() -> Iterator[Callable[[Path, _Content], str]]:
 def cmd_generate(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
     config = SynthConfig.from_json(_read(args, inputs, "seed_config"))
-    papers, star_ids, control_ids = generate_corpus(config)
+    lines, star_ids, control_ids = generate_corpus(config)
 
     def write_corpus(out: IO[str]) -> None:
-        # The papers are drawn as they are written.
-        count = render_corpus(papers, out)
+        # The papers are drawn as their lines are written.
+        count = render_corpus(lines, out)
         logger.info(
             "generated %d papers for %d stars and %d controls",
             count,

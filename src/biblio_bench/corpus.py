@@ -454,7 +454,7 @@ _decode = json.JSONDecoder().raw_decode
 # A JSON string literal, non-ASCII characters kept, as ensure_ascii=False writes.
 _quote = json.encoder.encode_basestring
 
-# render_paper_line writes the event list last, after this key.
+# _paper_line writes the event list last, after this key.
 _EVENTS_KEY = ', "citing_years": ['
 # On a 2-vCPU VM (CPython 3.11) a JSON int costs about 0.15 us to decode and
 # check. Reading a list per year costs about 9 us per line over a line with no
@@ -500,7 +500,7 @@ def _parse_line(text: str) -> tuple[Any, Any, Any, Any, Any]:
     """One record's fields, decoded but not checked: paper_id, pub_year,
     author_count, author_ids or None, and the citing years.
 
-    A line ending in an event list as render_paper_line writes it is read
+    A line ending in an event list as _paper_line writes it is read
     per year: its record without the list, plus {year: events} from the
     list's counts. If that fails, the whole line is decoded, with the
     general path's results.
@@ -632,42 +632,59 @@ def ingest_corpus(
     return Corpus(papers)
 
 
-def render_paper_line(paper: Paper) -> str:
-    """Serialize one paper in the ingestion line format, events last.
+def _paper_line(
+    paper_id: str,
+    pub_year: int,
+    author_count: int,
+    author_ids: Sequence[str] | None,
+    years: Iterable[int],
+    per_year: Iterable[int],
+) -> str:
+    """One paper's line in the ingestion format, from fields as _check_paper
+    accepts them: ``per_year[i]`` citation events fall in ``years[i]``, and a
+    year with none is left out.
 
-    The line is json.dumps(record, ensure_ascii=False) of its fields, written
-    with the functions that JSON encoder applies to strings and ints.
+    The line is json.dumps(record, ensure_ascii=False) of the fields, written
+    with the functions that JSON encoder applies to strings and ints, events
+    last.
     """
-    if paper.author_ids is None:
-        authors = f'"author_count": {int.__repr__(paper.author_count)}'
+    if author_ids is None:
+        authors = f'"author_count": {int.__repr__(author_count)}'
     else:
-        authors = f'"author_ids": [{", ".join(map(_quote, paper.author_ids))}]'
-    events = _event_list(paper.years, map(sub, paper.counts, (0, *paper.counts)))
+        authors = f'"author_ids": [{", ".join(map(_quote, author_ids))}]'
     return (
-        f'{{"paper_id": {_quote(paper.paper_id)}, '
-        f'"pub_year": {int.__repr__(paper.pub_year)}, '
-        f"{authors}{_EVENTS_KEY}{events}]}}"
+        f'{{"paper_id": {_quote(paper_id)}, '
+        f'"pub_year": {int.__repr__(pub_year)}, '
+        f"{authors}{_EVENTS_KEY}{_event_list(years, per_year)}]}}"
     )
 
 
-# Papers rendered per write: a few hundred KB of text on citation-dense corpora.
+def render_paper_line(paper: Paper) -> str:
+    """Serialize one paper in the ingestion line format, as _paper_line does."""
+    per_year = map(sub, paper.counts, (0, *paper.counts))
+    return _paper_line(
+        paper.paper_id, paper.pub_year, paper.author_count, paper.author_ids,
+        paper.years, per_year,
+    )
+
+
+# Lines written per write: a few hundred KB of text on citation-dense corpora.
 _RENDER_BATCH = 256
 
 
-def render_corpus(papers: Iterable[Paper], out: IO[str]) -> int:
-    """Write papers to ``out`` as line-delimited JSON, one per line; return
-    how many were written.
+def render_corpus(lines: Iterable[str], out: IO[str]) -> int:
+    """Write corpus lines to ``out``, each ended by a newline; return how
+    many were written.
 
-    Lines are written in batches, as the papers are drawn from ``papers``, so
-    neither the whole text nor, from an iterator, every paper is held at once.
+    Lines are written in batches, as they are drawn from ``lines``, so
+    neither the whole text nor, from an iterator, every line is held at once.
+    Papers held in memory are written as ``map(render_paper_line, papers)``.
     """
-    papers = iter(papers)
+    lines = iter(lines)
     written = 0
-    while lines := [
-        f"{render_paper_line(p)}\n" for p in islice(papers, _RENDER_BATCH)
-    ]:
-        out.write("".join(lines))
-        written += len(lines)
+    while batch := list(islice(lines, _RENDER_BATCH)):
+        out.write("\n".join(batch) + "\n")
+        written += len(batch)
     return written
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, get_type_hints
 
-from .corpus import _FLOAT_MAX, Paper, _finite, decode_typed
+from .corpus import _FLOAT_MAX, _check_paper, _finite, _paper_line, decode_typed
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
@@ -49,10 +49,23 @@ class SynthConfig:
     star_effect_multiplier: float
 
     def __post_init__(self) -> None:
+        # As decode_typed reads them: an int field takes an int, not a bool or
+        # a float, which would fail at the draw or give to_json() text that
+        # from_json rejects.
         types = get_type_hints(type(self))
         for f in fields(self):
-            if types[f.name] is float and not _finite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if types[f.name] is float and not _finite(value):
                 raise ValueError(f"{f.name} must be a finite number")
+            if types[f.name] is int and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        for i, year in enumerate(self.start_year_range):
+            if type(year) is not int:
+                raise ValueError(
+                    f"start_year_range[{i}] must be an integer, got {year!r}"
+                )
+        if self.seed < 0:  # numpy seeds from non-negative ints only
+            raise ValueError("seed must be >= 0")
         if self.n_control < 0 or self.n_stars < 0:
             raise ValueError("author counts must be >= 0")
         lo, hi = self.start_year_range
@@ -86,8 +99,16 @@ class SynthConfig:
         if not self.coauthor_distribution:
             raise ValueError("coauthor_distribution must be non-empty")
         for count, prob in self.coauthor_distribution.items():
-            if not isinstance(count, int) or count < 1:
+            if type(count) is not int:
+                raise ValueError(
+                    f"coauthor_distribution keys must be integers, got {count!r}"
+                )
+            if count < 1:
                 raise ValueError("coauthor counts must be integers >= 1")
+            if not _finite(prob):
+                raise ValueError(
+                    f"coauthor_distribution[{count}] must be a finite number"
+                )
             if prob < 0:
                 raise ValueError("coauthor probabilities must be >= 0")
             if prob > 1:  # also keeps fsum below from overflowing
@@ -146,9 +167,9 @@ def _generate_author(
     config: SynthConfig,
     author_id: str,
     is_star: bool,
-) -> Iterator[Paper]:
-    """One author's papers, each drawn as it is taken; ``ramp`` is
-    CITATION_RAMP as an array."""
+) -> Iterator[str]:
+    """One author's corpus lines, each paper drawn and checked as it is
+    taken; ``ramp`` is CITATION_RAMP as an array."""
     lo, hi = config.start_year_range
     start_year = int(rng.integers(lo, hi + 1))
     paper_counts = rng.poisson(config.papers_per_year_mean, WINDOW_YEARS)
@@ -171,24 +192,23 @@ def _generate_author(
                 rng, citation_rate(config, pub_year, is_star), config.dispersion
             )
             spread = rng.multinomial(total, ramp).tolist()
-            yield Paper(
-                paper_id=paper_id,
-                pub_year=pub_year,
-                author_count=n_authors,
-                citing_years=dict(enumerate(spread, start=pub_year)),
-                author_ids=author_ids,
+            citing = dict(enumerate(spread, start=pub_year))
+            _check_paper(paper_id, pub_year, n_authors, author_ids, citing)
+            yield _paper_line(
+                paper_id, pub_year, n_authors, author_ids, citing, spread
             )
 
 
 def generate_corpus(
     config: SynthConfig,
-) -> tuple[Iterator[Paper], tuple[str, ...], tuple[str, ...]]:
-    """The papers of a synthetic corpus, plus the star and control author ids.
+) -> tuple[Iterator[str], tuple[str, ...], tuple[str, ...]]:
+    """The lines of a synthetic corpus, plus the star and control author ids.
 
-    The papers are drawn one at a time, as they are iterated, so the whole
-    corpus is never held; Corpus.from_papers holds them. Deterministic
-    for a fixed config: one generator seeded from config.seed drives every
-    draw in a fixed order.
+    Each paper is drawn, checked as a corpus line is, and written as its
+    line when the lines are iterated, so the whole corpus is never held;
+    ingest_corpus(lines) reads them into a Corpus. Deterministic for a fixed
+    config: one generator seeded from config.seed drives every draw in a
+    fixed order.
     """
     star_ids = tuple(f"star_{i:04d}" for i in range(1, config.n_stars + 1))
     control_ids = tuple(f"ctrl_{i:04d}" for i in range(1, config.n_control + 1))
@@ -197,7 +217,7 @@ def generate_corpus(
 
 def _draw_papers(
     config: SynthConfig, star_ids: tuple[str, ...], control_ids: tuple[str, ...]
-) -> Iterator[Paper]:
+) -> Iterator[str]:
     import numpy as np
 
     rng = np.random.default_rng(config.seed)

@@ -14,7 +14,13 @@ from itertools import combinations
 
 import numpy as np
 
-from biblio_bench.corpus import AuthorRecord, Corpus, Paper, render_corpus
+from biblio_bench.corpus import (
+    AuthorRecord,
+    Corpus,
+    Paper,
+    render_corpus,
+    render_paper_line,
+)
 from biblio_bench.expectation import (
     ExpectationModel,
     InsufficientDataError,
@@ -39,7 +45,7 @@ def make_record(
 def corpus_text(corpus: Corpus) -> str:
     """The text render_corpus writes for `corpus`."""
     out = io.StringIO()
-    render_corpus(corpus.papers.values(), out)
+    render_corpus(map(render_paper_line, corpus.papers.values()), out)
     return out.getvalue()
 
 

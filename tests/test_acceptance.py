@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from biblio_bench.cli import main
-from biblio_bench.corpus import Corpus, build_author_record
+from biblio_bench.corpus import build_author_record, ingest_corpus
 from biblio_bench.expectation import collect_window_points, fit_expectation_model
 from biblio_bench.indicators import indicator_vector, rank_indices, rank_papers
 from biblio_bench.stats import compare_cohorts, wilcoxon_rank_sum
@@ -226,7 +226,7 @@ def test_regression_oracle():
 def test_inflation_recovery():
     start = time.perf_counter()
     config = data_config("inflation_config.json")
-    corpus = Corpus.from_papers(generate_corpus(config)[0])
+    corpus = ingest_corpus(generate_corpus(config)[0])
     points = collect_window_points(corpus)
     model = fit_expectation_model(
         points, min_papers_per_year=50, year_range=(1980, 2000)
@@ -258,7 +258,7 @@ def _cohort_vectors(corpus, author_ids, model):
 
 def test_cohort_experiment():
     fit_config = data_config("experiment_fit_config.json")
-    fit_corpus = Corpus.from_papers(generate_corpus(fit_config)[0])
+    fit_corpus = ingest_corpus(generate_corpus(fit_config)[0])
     model = fit_expectation_model(
         collect_window_points(fit_corpus),
         min_papers_per_year=50,
@@ -266,8 +266,8 @@ def test_cohort_experiment():
     )
 
     effect_config = data_config("experiment_effect_config.json")
-    effect_papers, stars, controls = generate_corpus(effect_config)
-    effect_corpus = Corpus.from_papers(effect_papers)
+    effect_lines, stars, controls = generate_corpus(effect_config)
+    effect_corpus = ingest_corpus(effect_lines)
     table = compare_cohorts(
         _cohort_vectors(effect_corpus, stars, model),
         _cohort_vectors(effect_corpus, controls, model),
@@ -276,8 +276,8 @@ def test_cohort_experiment():
     fract_norm_rank = table.row("fract_norm_citations").rank
 
     null_config = data_config("experiment_null_config.json")
-    null_papers, null_stars, null_controls = generate_corpus(null_config)
-    null_corpus = Corpus.from_papers(null_papers)
+    null_lines, null_stars, null_controls = generate_corpus(null_config)
+    null_corpus = ingest_corpus(null_lines)
     null_table = compare_cohorts(
         _cohort_vectors(null_corpus, null_stars, model),
         _cohort_vectors(null_corpus, null_controls, model),

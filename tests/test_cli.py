@@ -17,6 +17,7 @@ import biblio_bench
 import biblio_bench.cli
 import biblio_bench.corpus
 import biblio_bench.indicators
+import biblio_bench.synth
 from biblio_bench.cli import main
 from biblio_bench.expectation import ExpectationModel
 from biblio_bench.indicators import indicator_vector, render_vector_table
@@ -156,24 +157,28 @@ def test_generate_rejects_rates_too_large_to_draw(tmp_path, capsys, last_start_y
 
 
 def test_generate_failure_mid_stream_leaves_no_partial_outputs(
-    tmp_path, monkeypatch, capsys
+    tmp_path, monkeypatch, capsys, caplog
 ):
-    config = write_config(tmp_path / "config.json")
+    # About 600 papers, so the corpus reaches its staged file in several writes.
+    config = write_config(tmp_path / "config.json", n_control=100)
     out = tmp_path / "corpus.jsonl"
-    real = biblio_bench.corpus.render_paper_line
-    rendered = []
+    real = biblio_bench.corpus._HashingFile.write
+    writes = []
 
-    def fail_on_third(paper):
-        rendered.append(paper)
-        if len(rendered) == 3:
+    def fail_on_second(self, data):
+        writes.append(len(data))
+        if len(writes) == 2:
             # the corpus is being streamed into its staged file
             assert (tmp_path / "corpus.jsonl.tmp").is_file()
             raise OSError("disk full")
-        return real(paper)
+        return real(self, data)
 
-    monkeypatch.setattr(biblio_bench.corpus, "render_paper_line", fail_on_third)
+    monkeypatch.setenv("BIBLIO_BENCH_LOG", "INFO")
+    monkeypatch.setattr(biblio_bench.corpus._HashingFile, "write", fail_on_second)
     assert main(["generate", "--seed-config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: disk full\n"
+    # render_corpus had not finished: it logs the count once it has.
+    assert not [m for m in caplog.messages if m.startswith("generated ")]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
@@ -190,8 +195,8 @@ def test_generate_writes_the_corpus_without_holding_its_text(tmp_path):
         tracemalloc.stop()
     size = out.stat().st_size
     assert size > 1_000_000
-    # Holding every paper takes several times the corpus size, and rendering
-    # all lines at once at least the corpus size. What remains, about 0.22 of
+    # Holding every paper takes several times the corpus size, and holding
+    # all lines at once at least the corpus size. What remains, about 0.23 of
     # it here, is one batch of lines and the author id lists and texts.
     assert peak < size / 4, (peak, size)
 
@@ -361,6 +366,47 @@ def test_fit_builds_no_paper_and_writes_the_pinned_model(tmp_path, monkeypatch):
     assert sha256(manifest) == PINNED_MANIFESTS["model.manifest.json"]
     outputs = json.loads(manifest.read_text())["outputs"]
     assert outputs == [{"path": "model.json", "sha256": sha256(tmp_path / "model.json")}]
+
+
+def test_generate_builds_no_paper_and_checks_every_paper(
+    tmp_path, monkeypatch, capsys
+):
+    # generate writes each drawn paper's line once _check_paper has passed
+    # it: building a Paper fails, and the corpus is still the pinned one.
+    config = (DATA / "experiment_effect_config.json").read_bytes()
+    for name in ("whole", "failing"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "config.json").write_bytes(config)
+    generate = EFFECT_PIPELINE[0]
+
+    def build(*args, **kwargs):
+        raise AssertionError("generate built a Paper")
+
+    monkeypatch.setattr(biblio_bench.corpus.Paper, "_fill", build)
+    real = biblio_bench.synth._check_paper
+    checked = []
+    fail_at = 0
+
+    def check(*args):
+        checked.append(args[0])
+        if len(checked) == fail_at:
+            raise ValueError(f"paper {args[0]}: rejected")
+        return real(*args)
+
+    monkeypatch.setattr(biblio_bench.synth, "_check_paper", check)
+    monkeypatch.chdir(tmp_path / "whole")
+    assert main(generate) == 0
+    manifest = Path("corpus.manifest.json")
+    assert sha256(manifest) == PINNED_MANIFESTS["corpus.manifest.json"]
+    lines = Path("corpus.jsonl").read_text().splitlines()
+    assert checked == [json.loads(line)["paper_id"] for line in lines]
+
+    checked.clear()
+    fail_at = 3
+    monkeypatch.chdir(tmp_path / "failing")
+    assert main(generate) == 1
+    assert capsys.readouterr().err == "error: paper star_0001_p003: rejected\n"
+    assert sorted(p.name for p in Path().iterdir()) == ["config.json"]
 
 
 def test_fit_counts_years_beyond_int64_exactly(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biblio_bench.corpus import Corpus, build_author_record
+from biblio_bench.corpus import build_author_record, ingest_corpus, render_paper_line
 from biblio_bench.indicators import indicator_vector
 from biblio_bench.stats import compare_cohorts
 from biblio_bench.synth import (
@@ -25,9 +25,9 @@ DATA = Path(__file__).parent / "data"
 
 
 def generated(config):
-    """generate_corpus with its papers held in a Corpus."""
-    papers, stars, controls = generate_corpus(config)
-    return Corpus.from_papers(papers), stars, controls
+    """generate_corpus with its lines read into a Corpus."""
+    lines, stars, controls = generate_corpus(config)
+    return ingest_corpus(lines), stars, controls
 
 
 def small_config(**overrides):
@@ -161,6 +161,29 @@ def test_config_from_json_rejects_loose_types(field, value):
         SynthConfig.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n_control": 2.5}, "n_control must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"n_stars": True}, "n_stars must be an integer, got True"),
+        ({"start_year_range": (1990.5, 1991)},
+         "start_year_range[0] must be an integer, got 1990.5"),
+        ({"coauthor_distribution": {True: 1.0}},
+         "coauthor_distribution keys must be integers, got True"),
+        ({"coauthor_distribution": {1: True}},
+         "coauthor_distribution[1] must be a finite number"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ],
+)
+def test_config_rejects_values_of_another_type(overrides, message):
+    # Built directly, not from JSON: each failed only at the draw, or gave
+    # to_json() text that from_json rejects.
+    with pytest.raises(ValueError) as err:
+        small_config(**overrides)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize(
     "field",
@@ -223,11 +246,36 @@ def test_null_config_corpus_bytes_are_pinned():
     # The seeded draw order is part of the output: any change to which draws
     # are made, or in what order, changes these bytes.
     config = SynthConfig.from_json((DATA / "experiment_null_config.json").read_text())
-    corpus, _, _ = generated(config)
-    digest = hashlib.sha256(corpus_text(corpus).encode("utf-8")).hexdigest()
+    text = "".join(f"{line}\n" for line in generate_corpus(config)[0])
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == (
         "e0a1a3c2d569322a7f5aee8d724239f2f429e941864079edce2d3ce1ab7b985b"
     )
+
+
+@st.composite
+def small_configs(draw):
+    """Configs of at most 5 authors, from no citations to hundreds per paper."""
+    lo = draw(st.integers(-20, 10_020))
+    return small_config(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_control=draw(st.integers(0, 3)),
+        n_stars=draw(st.integers(0, 2)),
+        start_year_range=(lo, lo + draw(st.integers(0, 3))),
+        papers_per_year_mean=draw(st.floats(0.0, 2.0)),
+        coauthor_distribution=draw(st.sampled_from(
+            [{1: 1.0}, {2: 0.5, 7: 0.5}, {1: 0.25, 2: 0.25, 3: 0.3, 4: 0.2}]
+        )),
+        base_expected_citations=draw(st.floats(0.1, 300.0)),
+        dispersion=draw(st.floats(0.3, 5.0)),
+    )
+
+
+@given(small_configs())
+def test_generated_lines_are_read_back_and_written_again(config):
+    lines = list(generate_corpus(config)[0])
+    papers = ingest_corpus(lines).papers.values()
+    assert list(map(render_paper_line, papers)) == lines
 
 
 @given(
