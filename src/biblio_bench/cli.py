@@ -256,18 +256,22 @@ def cmd_indicators(args: argparse.Namespace) -> int:
     author_ids = None
     if args.authors:
         author_ids = _listed_authors(_read(args, inputs, "authors"))
-    # Only papers a listed author wrote are built; every line is checked.
-    corpus = ingest_corpus(Path(args.corpus), inputs["corpus"], authors=author_ids)
+    # The model comes first: a listed author's window counts need --windows.
     model = ExpectationModel.from_json(_read(args, inputs, "model"))
     if not 1 <= args.windows <= model.window_count:
         raise ValueError(
             f"model provides windows 1..{model.window_count} "
             f"but --windows is {args.windows}"
         )
-
-    groups = corpus.papers_by_author(author_ids)
-    # Frees only the corpus's id dict: the groups and records share its Papers.
-    del corpus
+    corpus = Path(args.corpus)
+    if author_ids is None:
+        groups = ingest_corpus(corpus, inputs["corpus"]).papers_by_author()
+    else:
+        # Each line naming a listed author gives its window counts as it is
+        # checked: no Paper or Corpus is built, and every line is checked.
+        groups = ingest_corpus(
+            corpus, inputs["corpus"], authors=author_ids, window_count=args.windows
+        ).groups
     records = [
         build_author_record(author_id, papers, window_years=args.windows)
         for author_id, papers in groups.items()

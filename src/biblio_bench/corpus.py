@@ -327,11 +327,12 @@ _PAPER_SETTERS = tuple(Paper.__dict__[f.name].__set__ for f in fields(Paper))
 
 @dataclass(frozen=True)
 class AuthorRecord:
-    """An author's papers published within their first publishing years."""
+    """An author's papers published within their first publishing years:
+    Papers from a Corpus, or PaperWindows read from corpus lines."""
 
     author_id: str
     first_year: int
-    papers: tuple[Paper, ...]
+    papers: tuple[Paper | PaperWindows, ...]
     window_years: int = 5
 
     def __post_init__(self) -> None:
@@ -449,6 +450,52 @@ class WindowPoints:
         return len(self.pub_year)
 
 
+# Not frozen: a frozen dataclass's __init__ sets each field through
+# object.__setattr__, about three times the cost, once per listed line.
+@dataclass(slots=True)
+class PaperWindows:
+    """A paper as ``indicators --authors`` reads it from its corpus line:
+    ``counts[k]`` of its citations fall within its first k + 1 years, the
+    publication year counted as year one.
+
+    An AuthorRecord reads it as it reads a Paper, through ``paper_id``,
+    ``pub_year``, ``author_count`` and ``citations_through``, for a record
+    whose window is no longer than ``len(counts)`` years.
+    """
+
+    paper_id: str
+    pub_year: int
+    author_count: int
+    counts: tuple[int, ...]
+
+    def citations_through(self, last_year: int) -> int:
+        """Number of citation events with citing year <= last_year, which
+        may not lie past the paper's last window year."""
+        k = last_year - self.pub_year
+        if k >= len(self.counts):
+            raise ValueError(
+                f"paper {self.paper_id}: citations are counted through "
+                f"{self.pub_year + len(self.counts) - 1}, not {last_year}"
+            )
+        return self.counts[k] if k >= 0 else 0
+
+
+@dataclass(frozen=True)
+class ListedPapers:
+    """Listed authors' papers, read from corpus lines: ``groups`` maps each
+    author, in listed order, to the papers whose author_ids name them, in
+    line order, and an author no line names to an empty list. ``len()``
+    counts distinct papers, each held once however many listed authors
+    share it.
+    """
+
+    groups: dict[str, list[PaperWindows]]
+    paper_count: int
+
+    def __len__(self) -> int:
+        return self.paper_count
+
+
 # Built once: json.loads re-scans whitespace a stripped line does not have.
 _decode = json.JSONDecoder().raw_decode
 # A JSON string literal, non-ASCII characters kept, as ensure_ascii=False writes.
@@ -553,35 +600,35 @@ def ingest_corpus(
     digest: _Hash | None = None,
     authors: Iterable[str] | None = None,
     window_count: int | None = None,
-) -> Corpus | WindowPoints:
-    """Parse line-delimited JSON paper records into a Corpus, or their
-    WindowPoints.
+) -> Corpus | WindowPoints | ListedPapers:
+    """Parse line-delimited JSON paper records into a Corpus, their
+    WindowPoints, or the ListedPapers of some authors.
 
     Each non-empty line is one record with paper_id, pub_year, citing_years,
     and exactly one of author_ids / author_count (when both, they must
     agree). Errors report the 1-based line number. A file ``source`` is read
     once; ``digest``, if given, is updated with its bytes as they are read.
-    With ``authors``, the Corpus holds only the papers whose author_ids name
-    one of them, in line order. With ``window_count`` W instead, no Paper is
-    built: the result is the WindowPoints of every line, in line order, with
-    the citations within each of the first W years of the paper. Either way
-    every line is still checked in full, and paper_ids must still differ
-    across all lines.
+    With ``window_count`` W no Paper is built. Alone, it gives the
+    WindowPoints of every line, in line order, with the citations within
+    each of the first W years of the paper. With ``authors`` too, it gives
+    the ListedPapers of those authors: a PaperWindows of those W counts for
+    each line whose author_ids name one of them. Every line is still checked
+    in full, and paper_ids must still differ across all lines.
     """
-    if window_count is not None:
-        if window_count < 1:
-            raise ValueError("window_count must be >= 1")
-        if authors is not None:
-            raise ValueError("authors and window_count cannot be given together")
+    if window_count is not None and window_count < 1:
+        raise ValueError("window_count must be >= 1")
+    if authors is not None and window_count is None:
+        raise ValueError("authors needs a window_count")
     if isinstance(source, (str, Path)):
         with open_text(source, digest=digest) as handle:
             return ingest_corpus(handle, authors=authors, window_count=window_count)
-    listed = None if authors is None else frozenset(authors)
+    groups = None if authors is None else {author_id: [] for author_id in authors}
+    paper_count = 0
     papers: dict[str, Paper] = {}
     unbuilt: set[str] = set()
-    # Each year of a built Paper or a window point becomes the equal int
-    # object already in ``ints``, or is added to it, so they share one int
-    # per year.
+    # Each year of a built Paper, a window point or a PaperWindows becomes
+    # the equal int object already in ``ints``, or is added to it, so they
+    # share one int per year.
     ints: dict[int, int] = {}
     pub_years: list[int] = []
     # Every line's W window counts, one line after the other.
@@ -600,20 +647,33 @@ def ingest_corpus(
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
         if offsets:
             unbuilt.add(paper_id)
-            pub_years.append(ints.setdefault(pub_year, pub_year))
+            if groups is None:
+                pub_years.append(ints.setdefault(pub_year, pub_year))
+                counted = window_counts
+            elif author_ids is None or groups.keys().isdisjoint(author_ids):
+                continue
+            else:
+                counted = []
             # Window w ends with the year pub_year + w - 1. No event precedes
             # pub_year, so a per-year line sums its counts from pub_year on.
             if type(events) is dict:
                 total = 0
                 for k in offsets:
                     total += events.get(pub_year + k, 0)
-                    window_counts.append(total)
+                    counted.append(total)
             else:
                 for k in offsets:
-                    window_counts.append(bisect_right(events, pub_year + k))
-            continue
-        if listed is not None and (author_ids is None or listed.isdisjoint(author_ids)):
-            unbuilt.add(paper_id)
+                    counted.append(bisect_right(events, pub_year + k))
+            if groups is not None:
+                paper = PaperWindows(
+                    paper_id, ints.setdefault(pub_year, pub_year), author_count,
+                    tuple(counted),
+                )
+                paper_count += 1
+                for author_id in author_ids:
+                    group = groups.get(author_id)
+                    if group is not None:
+                        group.append(paper)
             continue
         years, counts = _per_year(events)
         paper = Paper.__new__(Paper)
@@ -626,6 +686,8 @@ def ingest_corpus(
             None if author_ids is None else tuple(author_ids),
         )
         papers[paper_id] = paper
+    if groups is not None:
+        return ListedPapers(groups, paper_count)
     if offsets:
         windows = tuple(window_counts[k :: len(offsets)] for k in offsets)
         return WindowPoints(pub_years, windows)
@@ -689,14 +751,14 @@ def render_corpus(lines: Iterable[str], out: IO[str]) -> int:
 
 
 def build_author_record(
-    author_id: str, papers: Sequence[Paper], window_years: int = 5
+    author_id: str, papers: Sequence[Paper | PaperWindows], window_years: int = 5
 ) -> AuthorRecord:
     """Restrict an author's papers and citations to their first window.
 
-    ``papers`` are the author's papers, as Corpus.papers_by_author groups
-    them; the record keeps the papers published within the window, in their
-    order. The window starts with the calendar year of the author's first
-    paper and spans window_years years inclusive.
+    ``papers`` are the author's papers, as Corpus.papers_by_author or
+    ListedPapers groups them; the record keeps the papers published within
+    the window, in their order. The window starts with the calendar year of
+    the author's first paper and spans window_years years inclusive.
     """
     if window_years < 1:
         raise ValueError("window_years must be >= 1")

@@ -59,7 +59,10 @@ class SynthConfig:
                 raise ValueError(f"{f.name} must be a finite number")
             if types[f.name] is int and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        for i, year in enumerate(self.start_year_range):
+        years = self.start_year_range
+        if type(years) is not tuple or len(years) != 2:
+            raise ValueError(f"start_year_range must be a 2-tuple, got {years!r}")
+        for i, year in enumerate(years):
             if type(year) is not int:
                 raise ValueError(
                     f"start_year_range[{i}] must be an integer, got {year!r}"

@@ -368,6 +368,30 @@ def test_fit_builds_no_paper_and_writes_the_pinned_model(tmp_path, monkeypatch):
     assert outputs == [{"path": "model.json", "sha256": sha256(tmp_path / "model.json")}]
 
 
+def test_indicators_builds_no_paper_and_writes_the_pinned_tables(
+    tmp_path, monkeypatch
+):
+    # indicators --authors reads each listed paper's window counts as its
+    # line is checked: building a Paper or a Corpus fails, and the stars and
+    # controls tables are still the pinned ones.
+    (tmp_path / "config.json").write_bytes(
+        (DATA / "experiment_effect_config.json").read_bytes()
+    )
+    monkeypatch.chdir(tmp_path)
+    generate, fit, stars, controls = EFFECT_PIPELINE[:4]
+    assert main(generate) == 0 and main(fit) == 0
+
+    def build(*args, **kwargs):
+        raise AssertionError("indicators built a Paper or a Corpus")
+
+    monkeypatch.setattr(biblio_bench.corpus.Paper, "_fill", build)
+    monkeypatch.setattr(biblio_bench.corpus.Corpus, "__init__", build)
+    for argv in (stars, controls):
+        assert main(argv) == 0, argv
+    for name in ("stars.manifest.json", "controls.manifest.json"):
+        assert sha256(tmp_path / name) == PINNED_MANIFESTS[name]
+
+
 def test_generate_builds_no_paper_and_checks_every_paper(
     tmp_path, monkeypatch, capsys
 ):
@@ -611,19 +635,24 @@ def test_indicators_window_mismatch(tmp_path, capsys):
 
 @pytest.mark.parametrize("windows", ["0", "-1"])
 @pytest.mark.parametrize("listed", ["", "alice\n"])
-def test_indicators_rejects_windows_below_one(tmp_path, capsys, windows, listed):
-    # with no listed author no record is built, so nothing else would catch it
+def test_indicators_rejects_windows_below_one(
+    tmp_path, capsys, open_spy, windows, listed
+):
+    # with no listed author no record is built, so nothing else would catch
+    # it; the model is read and the option checked before the corpus is opened
     listing = tmp_path / "authors.txt"
     listing.write_text(listed)
-    args = ["indicators",
-            "--corpus", str(DATA / "fixture_corpus.jsonl"),
-            "--model", str(DATA / "constant_model.json"),
+    corpus, model = DATA / "fixture_corpus.jsonl", DATA / "constant_model.json"
+    args = ["indicators", "--corpus", str(corpus), "--model", str(model),
             "--authors", str(listing), *RELAXED, "--windows", windows,
             "--out", str(tmp_path / "v.tsv")]
-    assert main(args) == 1
+    with open_spy.recording() as opened:
+        assert main(args) == 1
     assert capsys.readouterr().err == (
         f"error: model provides windows 1..5 but --windows is {windows}\n"
     )
+    assert os.path.abspath(model) in opened
+    assert os.path.abspath(corpus) not in opened
     assert [p.name for p in tmp_path.iterdir()] == ["authors.txt"]
 
 
@@ -640,18 +669,24 @@ def test_indicators_unknown_author(tmp_path, capsys):
 
 
 def test_indicators_groups_only_listed_authors(tmp_path, monkeypatch):
-    real_group = biblio_bench.corpus.Corpus.papers_by_author
-    groups = []
+    real_ingest = biblio_bench.cli.ingest_corpus
+    read = []
+
+    def ingest(*args, **kwargs):
+        read.append(real_ingest(*args, **kwargs))
+        return read[-1]
 
     def group(self, author_ids=None):
-        groups.append(real_group(self, author_ids))
-        return groups[-1]
+        raise AssertionError("indicators --authors grouped a Corpus")
 
+    monkeypatch.setattr(biblio_bench.cli, "ingest_corpus", ingest)
     monkeypatch.setattr(biblio_bench.corpus.Corpus, "papers_by_author", group)
     assert main(["indicators", *FIXTURE_ARGS, *RELAXED,
                  "--out", str(tmp_path / "v.tsv")]) == 0
-    # The fixture corpus has six authors; the list names three.
-    assert [list(g) for g in groups] == [["alice", "bob", "carol"]]
+    # The fixture corpus has six authors and nine papers; the list names
+    # three, who wrote seven of them.
+    assert [list(listed.groups) for listed in read] == [["alice", "bob", "carol"]]
+    assert len(read[0]) == 7
 
 
 def test_indicators_rejects_an_author_listed_twice(tmp_path, capsys):

@@ -27,9 +27,10 @@ from biblio_bench.corpus import (
     render_corpus,
     render_paper_line,
 )
-from biblio_bench.expectation import collect_window_points
+from biblio_bench.expectation import ExpectationModel, WindowFit, collect_window_points
+from biblio_bench.indicators import indicator_vector
 from biblio_bench.synth import SynthConfig, generate_corpus
-from oracles import corpus_text
+from oracles import constant_model, corpus_text
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_corpus.jsonl"
@@ -181,10 +182,10 @@ def test_parse_errors(bad, fragment):
     with pytest.raises(CorpusFormatError) as err:
         ingest_corpus([bad])
     assert fragment in str(err.value)
-    # No line names "nobody", so no Paper is built, and every check still runs;
-    # the same holds when window counts are read.
+    # No line names "nobody", so no window counts are read, and every check
+    # still runs; the same holds when every line's window counts are read.
     with pytest.raises(CorpusFormatError) as unbuilt:
-        ingest_corpus([bad], authors=["nobody"])
+        ingest_corpus([bad], authors=["nobody"], window_count=5)
     assert str(unbuilt.value) == str(err.value)
     with pytest.raises(CorpusFormatError) as counted:
         ingest_corpus([bad], window_count=5)
@@ -202,7 +203,7 @@ def test_duplicate_paper_id_is_caught_across_built_and_unbuilt_lines(
     by_b = line(paper_id="p", pub_year=2001, author_ids=["b"], citing_years=[])
     lines = [by_a, by_b] if listed_first else [by_b, by_a]
     with pytest.raises(CorpusFormatError) as err:
-        ingest_corpus(lines, authors=authors)
+        ingest_corpus(lines, authors=authors, window_count=5)
     assert str(err.value) == "line 2: duplicate paper_id 'p'"
     with pytest.raises(CorpusFormatError) as counted:
         ingest_corpus(lines, window_count=5)
@@ -503,8 +504,7 @@ def test_window_counts_read_from_lines_equal_counts_from_papers(corpus, window_c
 @pytest.mark.parametrize("arguments, message", [
     ({"window_count": 0}, "window_count must be >= 1"),
     ({"window_count": -1}, "window_count must be >= 1"),
-    ({"window_count": 5, "authors": ["a"]},
-     "authors and window_count cannot be given together"),
+    ({"authors": ["a"]}, "authors needs a window_count"),
 ])
 def test_window_count_is_checked_before_the_file_is_opened(
     tmp_path, arguments, message
@@ -514,28 +514,90 @@ def test_window_count_is_checked_before_the_file_is_opened(
     assert str(err.value) == message
 
 
+def window_reads(paper, window_count):
+    """What a record reads of a paper: its id, year, author count, and its
+    citations through each year of its window and the year before it."""
+    last_years = range(paper.pub_year - 1, paper.pub_year + window_count)
+    counts = [paper.citations_through(year) for year in last_years]
+    return paper.paper_id, paper.pub_year, paper.author_count, counts
+
+
+# E(c) that moves with the year and the window, and meets the floor in
+# window 1 for the years near 1,000 that the corpora draw, so a paper priced
+# with another year or window gives another vector.
+SLOPED_MODEL = ExpectationModel(
+    window_fits={
+        w: WindowFit(slope=0.01 * w, intercept=w - 15.0, n_points=2)
+        for w in range(1, 7)
+    },
+    fit_year_range=(1950, 2020),
+    floor=0.5,
+)
+
+
 @given(
-    corpora() | corpora(dense_papers, max_size=6),
+    corpora(lambda paper_id: sparse_papers(paper_id) | dense_papers(paper_id)),
+    st.integers(1, 6),
     st.data(),
 )
-def test_ingest_for_listed_authors_equals_filtered_full_ingest(corpus, data):
+def test_ingest_for_listed_authors_equals_filtered_full_ingest(
+    corpus, window_count, data
+):
+    # Event lists and per-year lines, events past the last window, papers
+    # with no events, and lines with an author_count only, in one corpus.
+    # The reference is the Corpus path: papers_by_author, then records.
     named = sorted({a for p in corpus.papers.values() for a in p.author_ids or ()})
     authors = data.draw(st.lists(st.sampled_from(named), unique=True)
                         if named else st.just([]))
     authors += data.draw(st.lists(IDS, max_size=2))
     lines = corpus_text(corpus).splitlines()
-    expected = [
-        (paper_id, paper)
-        for paper_id, paper in ingest_corpus(lines).papers.items()
-        if not set(authors).isdisjoint(paper.author_ids or ())
+    full = ingest_corpus(lines)
+    expected = full.papers_by_author(authors)
+    listed = ingest_corpus(lines, authors=authors, window_count=window_count)
+    assert list(listed.groups) == list(expected)
+    for author_id, papers in listed.groups.items():
+        assert [window_reads(p, window_count) for p in papers] == [
+            window_reads(p, window_count) for p in expected[author_id]
+        ]
+        if not papers:
+            with pytest.raises(UnknownAuthorError):
+                build_author_record(author_id, papers, window_count)
+            continue
+        record = build_author_record(author_id, papers, window_count)
+        reference = build_author_record(author_id, expected[author_id], window_count)
+        assert indicator_vector(record, SLOPED_MODEL) == indicator_vector(
+            reference, SLOPED_MODEL
+        )
+    assert len(listed) == sum(
+        not set(authors).isdisjoint(p.author_ids or ()) for p in full.papers.values()
+    )
+
+
+def test_listed_papers_count_citations_through_their_window_only():
+    listed = ingest_corpus(FIXTURE, authors=["carol", "ghost"], window_count=3)
+    with pytest.raises(UnknownAuthorError, match="'ghost' not found"):
+        build_author_record("ghost", listed.groups["ghost"], window_years=3)
+    first = listed.groups["carol"][0]
+    assert (first.paper_id, first.pub_year) == ("pC1", 1995)
+    assert [first.citations_through(year) for year in range(1994, 1998)] == [
+        0, 20, 50, 75
     ]
-    assert list(ingest_corpus(lines, authors=authors).papers.items()) == expected
+    with pytest.raises(ValueError, match="counted through 1997, not 1998"):
+        first.citations_through(1998)
+    # A record wider than the papers' windows cannot be priced.
+    record = build_author_record("carol", listed.groups["carol"], window_years=5)
+    with pytest.raises(ValueError, match="paper pC.: citations are counted through"):
+        indicator_vector(record, constant_model())
 
 
 def ingested(text, authors=None):
-    """The papers one line ingests to, or the error message it raises."""
+    """The papers one line ingests to, or the error message it raises; with
+    ``authors``, the papers read for them, with their window counts."""
     try:
-        return list(ingest_corpus([text], authors=authors).papers.values())
+        if authors is None:
+            return list(ingest_corpus([text]).papers.values())
+        listed = ingest_corpus([text], authors=authors, window_count=5)
+        return [paper for papers in listed.groups.values() for paper in papers]
     except CorpusFormatError as exc:
         return str(exc)
 
@@ -587,7 +649,7 @@ def test_per_year_read_matches_general_path(paper, mutation, data):
     with mock.patch.object(corpus_module, "_split_rendered", lambda text: None):
         expected = ingested(text)
     assert ingested(text) == expected
-    # Not built for "nobody", the line is still checked, through min(events).
+    # Not read for "nobody", the line is still checked, through min(events).
     assert ingested(text, ["nobody"]) == ([] if type(expected) is list else expected)
     if mutation == "none":
         assert expected == [paper]

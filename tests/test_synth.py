@@ -174,6 +174,14 @@ def test_config_from_json_rejects_loose_types(field, value):
         ({"coauthor_distribution": {1: True}},
          "coauthor_distribution[1] must be a finite number"),
         ({"seed": -1}, "seed must be >= 0"),
+        # A list read back from to_json() is a tuple, so it would not compare
+        # equal; another length named no field.
+        ({"start_year_range": [1994, 1998]},
+         "start_year_range must be a 2-tuple, got [1994, 1998]"),
+        ({"start_year_range": (1994,)},
+         "start_year_range must be a 2-tuple, got (1994,)"),
+        ({"start_year_range": (1994, 1996, 1998)},
+         "start_year_range must be a 2-tuple, got (1994, 1996, 1998)"),
     ],
 )
 def test_config_rejects_values_of_another_type(overrides, message):
