@@ -17,45 +17,62 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from importlib import import_module
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import __version__
-from .corpus import (
-    FilterSpec,
-    build_author_record,
-    filter_cohort,
-    ingest_corpus,
-    open_text,
-    render_corpus,
-)
-from .expectation import (
-    ExpectationModel,
-    collect_window_points,
-    fit_expectation_model,
-)
-from .indicators import (
-    INDICATOR_FIELDS,
-    IndicatorVector,
-    indicator_vector,
-    parse_vector_table,
-    render_vector_table,
-)
-from .stats import (
-    boxplot_export,
-    compare_cohorts,
-    render_boxplot_table,
-    render_comparison_table,
-)
-from .synth import SynthConfig, generate_corpus
 
 if TYPE_CHECKING:
     from hashlib import _Hash
+
+    from .indicators import IndicatorVector
+
+# The library names the commands look up in this module's globals, with the
+# module that defines each, and the modules each command runs. main binds a
+# command's names just before it runs, so --version, --help and a usage error
+# load no library module. A name already set here is kept: perfbench's traced
+# run and the tests swap these names for stand-ins with getattr and setattr.
+_LIBRARY = {
+    "FilterSpec": "corpus",
+    "build_author_record": "corpus",
+    "filter_cohort": "corpus",
+    "ingest_corpus": "corpus",
+    "open_text": "corpus",
+    "render_corpus": "corpus",
+    "ExpectationModel": "expectation",
+    "collect_window_points": "expectation",
+    "fit_expectation_model": "expectation",
+    "INDICATOR_FIELDS": "indicators",
+    "indicator_vector": "indicators",
+    "parse_vector_table": "indicators",
+    "render_vector_table": "indicators",
+    "boxplot_export": "stats",
+    "compare_cohorts": "stats",
+    "render_boxplot_table": "stats",
+    "render_comparison_table": "stats",
+    "SynthConfig": "synth",
+    "generate_corpus": "synth",
+}
+_COMMAND_MODULES = {
+    "generate": ("corpus", "synth"),
+    "fit": ("corpus", "expectation"),
+    "indicators": ("corpus", "expectation", "indicators"),
+    "compare": ("corpus", "indicators", "stats"),
+}
 
 LOG_ENV_VAR = "BIBLIO_BENCH_LOG"
 STDOUT_PRECISION = 3
 
 logger = logging.getLogger("biblio_bench")
+
+
+def __getattr__(name: str) -> object:
+    """A library name of `_LIBRARY`, imported and bound here on first use."""
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LIBRARY[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
 
 
 def _configure_logging() -> None:
@@ -442,6 +459,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, module in _LIBRARY.items():
+        if module in _COMMAND_MODULES[args.command]:
+            __getattr__(name)
     if args.out is None and args.precision is None:
         # Only indicators and compare may omit --out; stdout is for reading.
         args.precision = STDOUT_PRECISION

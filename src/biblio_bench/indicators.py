@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Any, Iterable, get_type_hints
+from typing import TYPE_CHECKING, Any, Iterable, get_type_hints
 
 from .corpus import AuthorRecord, Paper, _finite
-from .expectation import ExpectationModel
+
+if TYPE_CHECKING:  # compare loads no expectation model
+    from .expectation import ExpectationModel
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,8 @@ def render_table(
     """Tab-separated table of `kind` dataclass rows, one line per row.
 
     The header is the field names of `kind`. With a `key` column name, each
-    row is a (key, row) pair and the key is the first column. Every cell is
+    row is a (key, row) pair and the key is the first column; a key holding
+    a tab, CR or LF, which would split its row, is rejected. Every cell is
     written by format_decimal.
     """
     names = tuple(f.name for f in fields(kind))
@@ -188,6 +191,8 @@ def render_table(
         cells = ((k, *values(row)) for k, row in rows)
     lines = ["\t".join(names)]
     for row in cells:
+        if key is not None and not {"\t", "\r", "\n"}.isdisjoint(row[0]):
+            raise ValueError(f"{key} {row[0]!r} holds a tab or line break")
         lines.append("\t".join([format_decimal(v, precision) for v in row]))
     return "\n".join(lines) + "\n"
 

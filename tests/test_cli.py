@@ -749,10 +749,10 @@ def test_indicators_reports_a_bad_author_list_before_a_bad_corpus(
 SEPARATED_ID = "ali\u2028ce"
 
 
-def corpus_by_separated_id(tmp_path):
+def corpus_renaming_alice(tmp_path, author_id=SEPARATED_ID):
     corpus = tmp_path / "corpus.jsonl"
     text = (DATA / "fixture_corpus.jsonl").read_text()
-    corpus.write_text(text.replace('"alice"', json.dumps(SEPARATED_ID)))
+    corpus.write_text(text.replace('"alice"', json.dumps(author_id)))
     return corpus
 
 
@@ -760,7 +760,7 @@ def test_indicators_lists_an_author_id_holding_a_line_separator(tmp_path):
     listing = tmp_path / "authors.txt"
     listing.write_text(f"{SEPARATED_ID}\nbob\n", encoding="utf-8")
     out = tmp_path / "v.tsv"
-    args = ["indicators", "--corpus", str(corpus_by_separated_id(tmp_path)),
+    args = ["indicators", "--corpus", str(corpus_renaming_alice(tmp_path)),
             "--model", str(DATA / "constant_model.json"),
             "--authors", str(listing), *RELAXED, "--out", str(out)]
     assert main(args) == 0
@@ -770,13 +770,28 @@ def test_indicators_lists_an_author_id_holding_a_line_separator(tmp_path):
 
 def test_compare_reads_an_author_id_holding_a_line_separator(tmp_path):
     table = tmp_path / "v.tsv"
-    assert main(["indicators", "--corpus", str(corpus_by_separated_id(tmp_path)),
+    assert main(["indicators", "--corpus", str(corpus_renaming_alice(tmp_path)),
                  "--model", str(DATA / "constant_model.json"), *RELAXED,
                  "--out", str(table)]) == 0
     assert SEPARATED_ID in table.read_text(encoding="utf-8")
     out = tmp_path / "c.tsv"
     assert main(["compare", "--stars", str(table), "--control", str(table),
                  "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("author_id", ["al\tice", "al\rice", "al\nice"])
+def test_indicators_rejects_an_author_id_that_would_split_its_row(
+    tmp_path, capsys, author_id
+):
+    # compare would read such a row as 19 cells, or as two rows.
+    corpus = corpus_renaming_alice(tmp_path, author_id)
+    assert main(["indicators", "--corpus", str(corpus),
+                 "--model", str(DATA / "constant_model.json"), *RELAXED,
+                 "--out", str(tmp_path / "v.tsv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: author_id {author_id!r} holds a tab or line break\n"
+    )
+    assert list(tmp_path.iterdir()) == [corpus]
 
 
 def test_indicators_stdout_uses_three_decimals(capsys):
@@ -1030,45 +1045,74 @@ def test_version_flag(capsys):
     assert "biblio-bench" in capsys.readouterr().out
 
 
+# Runs one command in a fresh interpreter, through `python -m biblio_bench`'s
+# path (runpy) or the console script's (biblio_bench.cli:main), then prints
+# its exit code and the biblio_bench submodules loaded.
 STARTUP_PROBE = """
+import json
+import runpy
 import sys
-import biblio_bench.cli as cli
-stars, control, *indicator_args = sys.argv[1:]
+entry, *argv = sys.argv[1:]
 def unloaded(step):
     for name in ("numpy", "statistics"):
         assert name not in sys.modules, (name, step)
+if entry == "script":
+    from biblio_bench.cli import main
 unloaded("import")
+sys.argv = ["biblio-bench", *argv]
 try:
-    cli.main(["--version"])
-except SystemExit:
-    pass
-unloaded("--version")
-assert cli.main(["indicators", *indicator_args]) == 0
-unloaded("indicators")
-assert cli.main(["compare", "--stars", stars, "--control", control]) == 0
-unloaded("compare")
+    if entry == "script":
+        sys.exit(main())
+    runpy.run_module("biblio_bench", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+if argv[0] not in ("generate", "fit"):
+    unloaded(argv[0])
+loaded = sorted(m for m in sys.modules if m.startswith("biblio_bench."))
+print(json.dumps([code, loaded]))
 """
 
 
 def test_version_and_indicators_do_not_load_numpy(tmp_path):
     # numpy's import is most of the start-up time; only generate and fit
-    # need it. statistics brings fractions and decimal, about 5 ms.
+    # need it. statistics brings fractions and decimal, about 5 ms. Each
+    # command loads only the library modules it runs, so --version, --help
+    # and a usage error load none.
     header, *rows = (DATA / "expected_vectors.tsv").read_text().splitlines()
     stars, control = tmp_path / "stars.tsv", tmp_path / "control.tsv"
     stars.write_text("\n".join([header, *rows[:2]]) + "\n")
     control.write_text("\n".join([header, *rows[2:]]) + "\n")
+    config = write_config(tmp_path / "config.json")
+    corpus = DATA / "fixture_corpus.jsonl"
+    # (argv, exit code, start of stdout, library modules loaded)
+    runs = [
+        (["--version"], 0, "biblio-bench ", []),
+        (["--help"], 0, "usage: biblio-bench", []),
+        (["fit"], 2, "", []),
+        (["generate", "--seed-config", str(config), "--out",
+          str(tmp_path / "corpus.jsonl")], 0, "", ["corpus", "synth"]),
+        (["fit", "--corpus", str(corpus), "--min-papers", "1", "--out",
+          str(tmp_path / "model.json")], 0, "", ["corpus", "expectation"]),
+        (["indicators", *FIXTURE_ARGS], 0, "author_id\t",
+         ["corpus", "expectation", "indicators"]),
+        (["compare", "--stars", str(stars), "--control", str(control)], 0,
+         "indicator\tmedian_stars\t", ["corpus", "indicators", "stats"]),
+    ]
     env = dict(os.environ)
     src = str(Path(biblio_bench.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, str(stars), str(control),
-         *FIXTURE_ARGS],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("biblio-bench ")
-    assert "\nauthor_id\t" in result.stdout
-    assert "\nindicator\tmedian_stars\t" in result.stdout
+    for entry in ("-m", "script"):
+        for argv, code, stdout, modules in runs:
+            result = subprocess.run(
+                [sys.executable, "-c", STARTUP_PROBE, entry, *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            *printed, last = result.stdout.split("\n")[:-1]
+            assert printed[0].startswith(stdout) if stdout else not printed
+            assert json.loads(last) == [
+                code, ["biblio_bench.cli", *(f"biblio_bench.{m}" for m in modules)]
+            ], (entry, argv)
 
 
 # The effect-config pipeline from a working directory, with relative paths,
@@ -1192,6 +1236,37 @@ def test_traced_names_resolve_to_callables():
     tracing = load_tracing()
     for module, attr, _, _ in tracing.WRAPPED:
         assert callable(getattr(TRACED_MODULES[module], attr, None)), (module, attr)
+
+
+def test_package_exports_each_name_of_its_module():
+    for name in biblio_bench.__all__:
+        module = importlib.import_module(f"biblio_bench.{biblio_bench._EXPORTS[name]}")
+        assert getattr(biblio_bench, name) is getattr(module, name), name
+    namespace = {}
+    exec("from biblio_bench import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(biblio_bench.__all__)
+    assert not hasattr(biblio_bench, "no_such_name")
+
+
+def test_a_name_set_on_cli_before_its_command_first_runs_is_kept(capsys):
+    # perfbench/tracing.py swaps cli's library names for traced ones; a
+    # command binding its names must keep one that is already set.
+    spec = importlib.util.find_spec("biblio_bench.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert "render_vector_table" not in vars(fresh)
+    assert fresh.parse_vector_table is biblio_bench.indicators.parse_vector_table
+    calls = []
+
+    def stand_in(rows, precision=None):
+        calls.append([author_id for author_id, _ in rows])
+        return "stand-in\n"
+
+    fresh.render_vector_table = stand_in
+    assert fresh.main(["indicators", *FIXTURE_ARGS]) == 0
+    assert capsys.readouterr().out == "stand-in\n"
+    assert calls == [["carol"]]
+    assert fresh.render_vector_table is stand_in
 
 
 def test_commands_look_up_traced_names_at_call_time(tmp_path, monkeypatch):
