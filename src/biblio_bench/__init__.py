@@ -16,16 +16,14 @@ __version__ = "0.1.0"
 # Each public name and the submodule that defines it.
 _EXPORTS = {
     "AuthorRecord": "corpus",
-    "Corpus": "corpus",
     "CorpusFormatError": "corpus",
+    "EVERY_AUTHOR": "corpus",
     "FilterSpec": "corpus",
-    "Paper": "corpus",
     "UnknownAuthorError": "corpus",
     "build_author_record": "corpus",
     "filter_cohort": "corpus",
     "ingest_corpus": "corpus",
     "render_corpus": "corpus",
-    "render_paper_line": "corpus",
     "WindowPoints": "corpus",
     "ExpectationModel": "expectation",
     "InsufficientDataError": "expectation",

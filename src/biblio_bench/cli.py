@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 # load no library module. A name already set here is kept: perfbench's traced
 # run and the tests swap these names for stand-ins with getattr and setattr.
 _LIBRARY = {
+    "EVERY_AUTHOR": "corpus",
     "FilterSpec": "corpus",
     "build_author_record": "corpus",
     "filter_cohort": "corpus",
@@ -217,10 +218,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.windows < 1:
         raise ValueError(f"--windows must be >= 1, got {args.windows}")
     inputs = _input_digests(args)
-    # Each line's window counts are read as the line is checked: no Paper is
-    # built and no corpus is held. collect_window_points only checks the
-    # points, but stays a call of its own: the benchmark's traced run wraps
-    # both names, counting ingest calls and window points.
+    # Each line's window counts are read as the line is checked: no paper is
+    # held. collect_window_points only checks the points, but stays a call of
+    # its own: the benchmark's traced run wraps both names, counting ingest
+    # calls and window points.
     points = collect_window_points(
         ingest_corpus(Path(args.corpus), inputs["corpus"], window_count=args.windows),
         window_count=args.windows,
@@ -270,25 +271,22 @@ def _listed_authors(text: str) -> list[str]:
 
 def cmd_indicators(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
-    author_ids = None
+    author_ids = EVERY_AUTHOR
     if args.authors:
         author_ids = _listed_authors(_read(args, inputs, "authors"))
-    # The model comes first: a listed author's window counts need --windows.
+    # The model comes first: an author's window counts need --windows.
     model = ExpectationModel.from_json(_read(args, inputs, "model"))
     if not 1 <= args.windows <= model.window_count:
         raise ValueError(
             f"model provides windows 1..{model.window_count} "
             f"but --windows is {args.windows}"
         )
+    # Each line naming a grouped author gives its window counts as it is
+    # checked, and every line is checked.
     corpus = Path(args.corpus)
-    if author_ids is None:
-        groups = ingest_corpus(corpus, inputs["corpus"]).papers_by_author()
-    else:
-        # Each line naming a listed author gives its window counts as it is
-        # checked: no Paper or Corpus is built, and every line is checked.
-        groups = ingest_corpus(
-            corpus, inputs["corpus"], authors=author_ids, window_count=args.windows
-        ).groups
+    groups = ingest_corpus(
+        corpus, inputs["corpus"], authors=author_ids, window_count=args.windows
+    ).groups
     records = [
         build_author_record(author_id, papers, window_years=args.windows)
         for author_id, papers in groups.items()

@@ -1,8 +1,8 @@
 """Publication corpus: JSONL ingestion, per-author records, cohort filters.
 
 A corpus is a set of papers, each carrying its publication year, its author
-list (or just an author count), and its citation events counted per citing
-year.
+list (or just an author count), and the years of its citation events. A
+paper is read as its citations within each of its first years.
 Author records restrict a researcher's papers and citations to the first
 ``window_years`` calendar years of their publishing career.
 """
@@ -14,9 +14,9 @@ import json
 import sys
 from bisect import bisect_right
 from collections import abc
-from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import mul, sub
+from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain, islice
+from operator import mul
 from pathlib import Path
 from typing import (
     IO,
@@ -165,34 +165,27 @@ def open_text(
     return io.TextIOWrapper(buffered, encoding="utf-8", newline=newline)
 
 
-def _per_year(citing_years: list[int] | dict[int, int]) -> tuple[list[int], list[int]]:
-    """Distinct citing years, ascending, and the events through each, from
-    citing years as _check_paper returns them."""
-    if isinstance(citing_years, dict):
-        years = sorted(compress(citing_years, citing_years.values()))
-        return years, list(accumulate(map(citing_years.__getitem__, years)))
-    years, counts, end = [], [], 0
-    while end < len(citing_years):  # one step per distinct year, not per event
-        years.append(citing_years[end])
-        end = bisect_right(citing_years, citing_years[end], end)
-        counts.append(end)
-    return years, counts
+# The characters that split a table row: no author id may hold one.
+_BREAKS = frozenset("\t\r\n")
 
 
 def _check_paper(
     paper_id: str,
     pub_year: int,
     author_count: int,
-    author_ids: Sequence[str] | None,
-    citing_years: Sequence[int] | dict[int, int],
+    author_ids: list[str] | None,
+    citing_years: list[int] | dict[int, int],
 ) -> list[int] | dict[int, int]:
-    """Check every field of a paper, for Paper(...) and each corpus line
-    alike; return its citing years for _per_year: the events sorted, or the
+    """Check every field of a paper, for each corpus line and each generated
+    paper alike; return its citing years: the events sorted, or the
     {year: events} given.
 
     A line writes ids as JSON strings and numbers with int.__repr__, which
     writes a bool as 0 or 1, so each must be of exactly that type. The bound
-    keeps float(pub_year), as in fit and E(c), from overflowing.
+    keeps float(pub_year), as in fit and E(c), from overflowing. An author
+    id is listed one per line by --authors, which strips each line, and
+    heads a table row, split at tabs and line breaks: it may hold no tab,
+    CR or LF, and no whitespace at either end.
     """
     if type(paper_id) is not str or not paper_id:
         raise ValueError("paper_id must be a non-empty string")
@@ -205,6 +198,18 @@ def _check_paper(
     if author_ids is not None:
         if not {str}.issuperset(map(type, author_ids)) or "" in author_ids:
             raise ValueError(f"paper {paper_id}: author_ids must be non-empty strings")
+        joined = "".join(author_ids)
+        if (
+            "\t" in joined or "\r" in joined or "\n" in joined
+            or list(map(str.strip, author_ids)) != author_ids
+        ):
+            bad = next(
+                a for a in author_ids if a.strip() != a or not _BREAKS.isdisjoint(a)
+            )
+            raise ValueError(
+                f"paper {paper_id}: author id {bad!r} holds a tab or line "
+                "break, or starts or ends with whitespace"
+            )
         if len(author_ids) != author_count:
             raise ValueError(
                 f"paper {paper_id}: author_count {author_count} does not "
@@ -226,7 +231,7 @@ def _check_paper(
             raise ValueError(
                 f"paper {paper_id}: citing year {year} has a negative count, {n}"
             )
-        # A year with a zero count is checked too, though it is dropped.
+        # A year with a zero count is checked too.
         first = min(citing_years) if citing_years else pub_year
     else:
         if not {int}.issuperset(map(type, citing_years)):
@@ -241,98 +246,13 @@ def _check_paper(
     return citing_years
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Paper:
-    """One publication; ``counts[i]`` of its citations fall in ``years[i]`` or before.
-
-    ``years`` are the distinct citing years, ascending, so storage grows with
-    distinct years, not with events, and equal event multisets compare equal.
-    """
-
-    paper_id: str
-    pub_year: int
-    author_count: int
-    years: tuple[int, ...]
-    counts: tuple[int, ...]
-    author_ids: tuple[str, ...] | None
-
-    def __init__(
-        self,
-        paper_id: str,
-        pub_year: int,
-        author_count: int,
-        citing_years: Sequence[int] | dict[int, int] = (),
-        author_ids: Sequence[str] | None = None,
-    ) -> None:
-        """``citing_years``: each event's year, or {year: events} as in a
-        Counter, where a zero count is dropped and a negative one rejected;
-        any other iterable or mapping is read as these are, but bytes are not
-        years. ``author_ids`` are kept as a tuple; a string or a mapping is
-        not a sequence of ids, though iterating it gives strings."""
-        if author_ids is not None:
-            # A list or tuple skips the isinstance test, slow against an ABC.
-            if type(author_ids) not in (list, tuple) and isinstance(
-                author_ids, (str, abc.Mapping)
-            ):
-                kind = "a string" if isinstance(author_ids, str) else "a mapping"
-                raise ValueError(f"paper {paper_id}: author_ids must not be {kind}")
-            author_ids = tuple(author_ids)
-        if not isinstance(citing_years, dict):  # the checks read it twice
-            if isinstance(citing_years, (bytes, bytearray, memoryview)):
-                raise ValueError(
-                    f"paper {paper_id}: citing_years must not be "
-                    f"{type(citing_years).__name__}"
-                )
-            kind = dict if isinstance(citing_years, abc.Mapping) else list
-            citing_years = kind(citing_years)
-        events = _check_paper(
-            paper_id, pub_year, author_count, author_ids, citing_years
-        )
-        self._fill(paper_id, pub_year, author_count, *_per_year(events), author_ids)
-
-    def _fill(
-        self,
-        paper_id: str,
-        pub_year: int,
-        author_count: int,
-        years: list[int],
-        counts: list[int],
-        author_ids: tuple[str, ...] | None,
-    ) -> None:
-        """Set every field, as _check_paper and _per_year return them."""
-        set_id, set_year, set_count, set_years, set_counts, set_ids = _PAPER_SETTERS
-        set_id(self, paper_id)
-        set_year(self, pub_year)
-        set_count(self, author_count)
-        set_years(self, tuple(years))
-        set_counts(self, tuple(counts))
-        set_ids(self, author_ids)
-
-    @property
-    def citing_years(self) -> tuple[int, ...]:
-        """Every event's citing year, ascending, rebuilt from the counts."""
-        per_year = map(sub, self.counts, (0, *self.counts))
-        return tuple(chain.from_iterable(map(repeat, self.years, per_year)))
-
-    def citations_through(self, last_year: int) -> int:
-        """Number of citation events with citing year <= last_year."""
-        index = bisect_right(self.years, last_year)
-        return self.counts[index - 1] if index else 0
-
-
-# Each field's slot setter, in field order: it sets a frozen field without
-# the attribute lookup object.__setattr__ makes.
-_PAPER_SETTERS = tuple(Paper.__dict__[f.name].__set__ for f in fields(Paper))
-
-
 @dataclass(frozen=True)
 class AuthorRecord:
-    """An author's papers published within their first publishing years:
-    Papers from a Corpus, or PaperWindows read from corpus lines."""
+    """An author's papers published within their first publishing years."""
 
     author_id: str
     first_year: int
-    papers: tuple[Paper | PaperWindows, ...]
+    papers: tuple[PaperWindows, ...]
     window_years: int = 5
 
     def __post_init__(self) -> None:
@@ -386,57 +306,15 @@ class FilterSpec:
         return True
 
 
-@dataclass
-class Corpus:
-    """All papers, by paper id, in the order they were added."""
-
-    papers: dict[str, Paper] = field(default_factory=dict)
-
-    @classmethod
-    def from_papers(cls, papers: Iterable[Paper]) -> Corpus:
-        corpus = cls()
-        for paper in papers:
-            if paper.paper_id in corpus.papers:
-                raise CorpusFormatError(f"duplicate paper_id {paper.paper_id!r}")
-            corpus.papers[paper.paper_id] = paper
-        return corpus
-
-    def __len__(self) -> int:
-        return len(self.papers)
-
-    def papers_by_author(
-        self, author_ids: Iterable[str] | None = None
-    ) -> dict[str, list[Paper]]:
-        """Each author's papers in corpus order, grouped in one pass.
-
-        Only the listed ``author_ids`` are grouped, in their order; one that
-        no paper names gets an empty list. Without them, every author some
-        paper names is grouped, in sorted order.
-        """
-        everyone = author_ids is None
-        groups: dict[str, list[Paper]] = (
-            {} if everyone else {author_id: [] for author_id in author_ids}
-        )
-        for paper in self.papers.values():
-            for author_id in paper.author_ids or ():
-                papers = groups.get(author_id)
-                if papers is not None:
-                    papers.append(paper)
-                elif everyone:
-                    groups[author_id] = [paper]
-        return dict(sorted(groups.items())) if everyone else groups
-
-
 @dataclass(frozen=True)
 class WindowPoints:
     """Fit points column-wise: ``pub_year[i]`` is paper i's publication year
     and ``windows[w - 1][i]`` its citations within its first w years, the
     publication year counted as year one.
 
-    ``ingest_corpus(source, window_count=W)`` reads them straight from the
-    corpus lines, and ``collect_window_points`` from a Corpus. Columns are
-    lists of ints; a year is one shared int per distinct year. ``len()``
-    counts papers.
+    ``ingest_corpus(source, window_count=W)`` reads them from the corpus
+    lines. Columns are lists of ints; a year is one shared int per distinct
+    year. ``len()`` counts papers.
     """
 
     pub_year: Sequence[int]
@@ -454,13 +332,13 @@ class WindowPoints:
 # object.__setattr__, about three times the cost, once per listed line.
 @dataclass(slots=True)
 class PaperWindows:
-    """A paper as ``indicators --authors`` reads it from its corpus line:
-    ``counts[k]`` of its citations fall within its first k + 1 years, the
-    publication year counted as year one.
+    """A paper as ``indicators`` reads it from its corpus line: ``counts[k]``
+    of its citations fall within its first k + 1 years, the publication year
+    counted as year one.
 
-    An AuthorRecord reads it as it reads a Paper, through ``paper_id``,
-    ``pub_year``, ``author_count`` and ``citations_through``, for a record
-    whose window is no longer than ``len(counts)`` years.
+    An AuthorRecord reads it through ``paper_id``, ``pub_year``,
+    ``author_count`` and ``citations_through``, for a record whose window is
+    no longer than ``len(counts)`` years.
     """
 
     paper_id: str
@@ -482,11 +360,12 @@ class PaperWindows:
 
 @dataclass(frozen=True)
 class ListedPapers:
-    """Listed authors' papers, read from corpus lines: ``groups`` maps each
-    author, in listed order, to the papers whose author_ids name them, in
-    line order, and an author no line names to an empty list. ``len()``
-    counts distinct papers, each held once however many listed authors
-    share it.
+    """Authors' papers, read from corpus lines: ``groups`` maps each author
+    to the papers whose author_ids name them, in line order. Listed authors
+    are grouped in listed order, one that no line names with an empty list;
+    with EVERY_AUTHOR, each author some line names is grouped, in id order.
+    ``len()`` counts distinct papers, each held once however many grouped
+    authors share it.
     """
 
     groups: dict[str, list[PaperWindows]]
@@ -595,45 +474,55 @@ def _parse_record(text: str) -> tuple[Any, Any, Any, Any, Any]:
     return record["paper_id"], record["pub_year"], author_count, author_ids, citing
 
 
+class _EveryAuthor:
+    """The type of EVERY_AUTHOR."""
+
+    def __repr__(self) -> str:
+        return "EVERY_AUTHOR"
+
+
+# ``ingest_corpus(source, authors=EVERY_AUTHOR)`` groups every author a line names.
+EVERY_AUTHOR = _EveryAuthor()
+
+
 def ingest_corpus(
     source: str | Path | Iterable[str],
     digest: _Hash | None = None,
-    authors: Iterable[str] | None = None,
-    window_count: int | None = None,
-) -> Corpus | WindowPoints | ListedPapers:
-    """Parse line-delimited JSON paper records into a Corpus, their
-    WindowPoints, or the ListedPapers of some authors.
+    authors: Iterable[str] | _EveryAuthor | None = None,
+    window_count: int = 5,
+) -> WindowPoints | ListedPapers:
+    """Parse line-delimited JSON paper records into their WindowPoints, or
+    the ListedPapers of some authors or of all.
 
     Each non-empty line is one record with paper_id, pub_year, citing_years,
     and exactly one of author_ids / author_count (when both, they must
     agree). Errors report the 1-based line number. A file ``source`` is read
     once; ``digest``, if given, is updated with its bytes as they are read.
-    With ``window_count`` W no Paper is built. Alone, it gives the
-    WindowPoints of every line, in line order, with the citations within
-    each of the first W years of the paper. With ``authors`` too, it gives
-    the ListedPapers of those authors: a PaperWindows of those W counts for
-    each line whose author_ids name one of them. Every line is still checked
-    in full, and paper_ids must still differ across all lines.
+    Each line gives the citations within each of the first ``window_count``
+    years of its paper. Without ``authors`` that is the WindowPoints of
+    every line, in line order. With ``authors``, it is the ListedPapers of
+    those authors, or with EVERY_AUTHOR of each author a line names: a
+    PaperWindows of those counts for each line whose author_ids name one of
+    them. Every line is still checked in full, and paper_ids must still
+    differ across all lines.
     """
-    if window_count is not None and window_count < 1:
+    if window_count < 1:
         raise ValueError("window_count must be >= 1")
-    if authors is not None and window_count is None:
-        raise ValueError("authors needs a window_count")
     if isinstance(source, (str, Path)):
         with open_text(source, digest=digest) as handle:
             return ingest_corpus(handle, authors=authors, window_count=window_count)
-    groups = None if authors is None else {author_id: [] for author_id in authors}
+    every = authors is EVERY_AUTHOR
+    groups = None if authors is None else {} if every else {a: [] for a in authors}
     paper_count = 0
-    papers: dict[str, Paper] = {}
-    unbuilt: set[str] = set()
-    # Each year of a built Paper, a window point or a PaperWindows becomes
-    # the equal int object already in ``ints``, or is added to it, so they
-    # share one int per year.
+    seen: set[str] = set()
+    # Each pub_year of a window point or a PaperWindows becomes the equal int
+    # object already in ``ints``, or is added to it, so they share one int
+    # per year.
     ints: dict[int, int] = {}
     pub_years: list[int] = []
-    # Every line's W window counts, one line after the other.
+    # Every line's window counts, one line after the other.
     window_counts: list[int] = []
-    offsets = range(window_count or 0)
+    offsets = range(window_count)
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
@@ -641,57 +530,44 @@ def ingest_corpus(
         try:
             paper_id, pub_year, author_count, author_ids, citing = _parse_line(line)
             events = _check_paper(paper_id, pub_year, author_count, author_ids, citing)
-            if paper_id in papers or paper_id in unbuilt:
+            if paper_id in seen:
                 raise ValueError(f"duplicate paper_id {paper_id!r}")
         except ValueError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-        if offsets:
-            unbuilt.add(paper_id)
-            if groups is None:
-                pub_years.append(ints.setdefault(pub_year, pub_year))
-                counted = window_counts
-            elif author_ids is None or groups.keys().isdisjoint(author_ids):
-                continue
-            else:
-                counted = []
-            # Window w ends with the year pub_year + w - 1. No event precedes
-            # pub_year, so a per-year line sums its counts from pub_year on.
-            if type(events) is dict:
-                total = 0
-                for k in offsets:
-                    total += events.get(pub_year + k, 0)
-                    counted.append(total)
-            else:
-                for k in offsets:
-                    counted.append(bisect_right(events, pub_year + k))
-            if groups is not None:
-                paper = PaperWindows(
-                    paper_id, ints.setdefault(pub_year, pub_year), author_count,
-                    tuple(counted),
-                )
-                paper_count += 1
-                for author_id in author_ids:
-                    group = groups.get(author_id)
-                    if group is not None:
-                        group.append(paper)
+        seen.add(paper_id)
+        if groups is None:
+            pub_years.append(ints.setdefault(pub_year, pub_year))
+            counted = window_counts
+        elif author_ids is None or not every and groups.keys().isdisjoint(author_ids):
             continue
-        years, counts = _per_year(events)
-        paper = Paper.__new__(Paper)
-        paper._fill(
-            paper_id,
-            ints.setdefault(pub_year, pub_year),
-            author_count,
-            list(map(ints.setdefault, years, years)),
-            counts,
-            None if author_ids is None else tuple(author_ids),
+        else:
+            counted = []
+        # Window w ends with the year pub_year + w - 1. No event precedes
+        # pub_year, so a per-year line sums its counts from pub_year on.
+        if type(events) is dict:
+            total = 0
+            for k in offsets:
+                total += events.get(pub_year + k, 0)
+                counted.append(total)
+        else:
+            for k in offsets:
+                counted.append(bisect_right(events, pub_year + k))
+        if groups is None:
+            continue
+        paper = PaperWindows(
+            paper_id, ints.setdefault(pub_year, pub_year), author_count, tuple(counted)
         )
-        papers[paper_id] = paper
-    if groups is not None:
-        return ListedPapers(groups, paper_count)
-    if offsets:
-        windows = tuple(window_counts[k :: len(offsets)] for k in offsets)
+        paper_count += 1
+        for author_id in author_ids:
+            group = groups.get(author_id)
+            if group is not None:
+                group.append(paper)
+            elif every:
+                groups[author_id] = [paper]
+    if groups is None:
+        windows = tuple(window_counts[k :: window_count] for k in offsets)
         return WindowPoints(pub_years, windows)
-    return Corpus(papers)
+    return ListedPapers(dict(sorted(groups.items())) if every else groups, paper_count)
 
 
 def _paper_line(
@@ -721,15 +597,6 @@ def _paper_line(
     )
 
 
-def render_paper_line(paper: Paper) -> str:
-    """Serialize one paper in the ingestion line format, as _paper_line does."""
-    per_year = map(sub, paper.counts, (0, *paper.counts))
-    return _paper_line(
-        paper.paper_id, paper.pub_year, paper.author_count, paper.author_ids,
-        paper.years, per_year,
-    )
-
-
 # Lines written per write: a few hundred KB of text on citation-dense corpora.
 _RENDER_BATCH = 256
 
@@ -740,7 +607,6 @@ def render_corpus(lines: Iterable[str], out: IO[str]) -> int:
 
     Lines are written in batches, as they are drawn from ``lines``, so
     neither the whole text nor, from an iterator, every line is held at once.
-    Papers held in memory are written as ``map(render_paper_line, papers)``.
     """
     lines = iter(lines)
     written = 0
@@ -751,14 +617,14 @@ def render_corpus(lines: Iterable[str], out: IO[str]) -> int:
 
 
 def build_author_record(
-    author_id: str, papers: Sequence[Paper | PaperWindows], window_years: int = 5
+    author_id: str, papers: Sequence[PaperWindows], window_years: int = 5
 ) -> AuthorRecord:
     """Restrict an author's papers and citations to their first window.
 
-    ``papers`` are the author's papers, as Corpus.papers_by_author or
-    ListedPapers groups them; the record keeps the papers published within
-    the window, in their order. The window starts with the calendar year of
-    the author's first paper and spans window_years years inclusive.
+    ``papers`` are the author's papers, as ListedPapers groups them; the
+    record keeps the papers published within the window, in their order.
+    The window starts with the calendar year of the author's first paper and
+    spans window_years years inclusive.
     """
     if window_years < 1:
         raise ValueError("window_years must be >= 1")

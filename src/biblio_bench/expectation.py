@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .corpus import Corpus, WindowPoints, _finite, decode_typed
+from .corpus import WindowPoints, _finite, decode_typed
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
@@ -98,25 +98,16 @@ class ExpectationModel:
         return decode_typed(cls, text, "model")
 
 
-def collect_window_points(
-    corpus: Corpus | WindowPoints, window_count: int = 5
-) -> WindowPoints:
+def collect_window_points(points: WindowPoints, window_count: int = 5) -> WindowPoints:
     """Per-paper fit points: pub_year and cumulative citations for w=1..W.
 
     The w-year count includes citing years from the publication year through
-    w-1 years later. From a Corpus the points are counted from its papers;
-    WindowPoints, as ``ingest_corpus(path, window_count=W)`` returns them,
-    are returned as they are, once they are checked to hold w=1..W.
+    w-1 years later. The points, as ``ingest_corpus(path, window_count=W)``
+    returns them, are returned as they are, once they are checked to hold
+    w=1..W.
     """
-    if isinstance(corpus, WindowPoints):
-        _check_windows(corpus, window_count)
-        return corpus
-    papers = corpus.papers.values()
-    windows = tuple(
-        [p.citations_through(p.pub_year + k) for p in papers]
-        for k in range(window_count)
-    )
-    return WindowPoints([p.pub_year for p in papers], windows)
+    _check_windows(points, window_count)
+    return points
 
 
 def _check_windows(points: WindowPoints, window_count: int) -> None:

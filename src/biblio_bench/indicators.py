@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable, get_type_hints
 
-from .corpus import AuthorRecord, Paper, _finite
+from .corpus import AuthorRecord, PaperWindows, _finite
 
 if TYPE_CHECKING:  # compare loads no expectation model
     from .expectation import ExpectationModel
@@ -47,7 +47,7 @@ class IndicatorVector:
 
 INDICATOR_FIELDS = tuple(f.name for f in fields(IndicatorVector))
 
-Ranked = tuple[tuple[Paper, int, float], ...]
+Ranked = tuple[tuple[PaperWindows, int, float], ...]
 
 
 def rank_papers(record: AuthorRecord, model: ExpectationModel) -> Ranked:

@@ -209,7 +209,7 @@ def generate_corpus(
 
     Each paper is drawn, checked as a corpus line is, and written as its
     line when the lines are iterated, so the whole corpus is never held;
-    ingest_corpus(lines) reads them into a Corpus. Deterministic for a fixed
+    ingest_corpus(lines) reads them back. Deterministic for a fixed
     config: one generator seeded from config.seed drives every draw in a
     fixed order.
     """

@@ -7,20 +7,13 @@ against a second route rather than against itself.
 
 from __future__ import annotations
 
-import io
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from biblio_bench.corpus import (
-    AuthorRecord,
-    Corpus,
-    Paper,
-    render_corpus,
-    render_paper_line,
-)
+from biblio_bench.corpus import AuthorRecord, PaperWindows
 from biblio_bench.expectation import (
     ExpectationModel,
     InsufficientDataError,
@@ -29,24 +22,43 @@ from biblio_bench.expectation import (
 )
 
 
+def window_counts(
+    pub_year: int, citing_years: list[int] | dict[int, int], window_count: int = 5
+) -> tuple[int, ...]:
+    """Citations within each of a paper's first window_count years, the
+    publication year counted as year one, counted event by event from each
+    event's year, or from {year: events}."""
+    if isinstance(citing_years, dict):
+        citing_years = [y for y, n in citing_years.items() for _ in range(n)]
+    return tuple(
+        sum(pub_year <= y <= pub_year + k for y in citing_years)
+        for k in range(window_count)
+    )
+
+
+def paper_windows(
+    paper_id: str,
+    pub_year: int,
+    author_count: int,
+    citing_years: list[int] | dict[int, int] = (),
+    window_count: int = 5,
+) -> PaperWindows:
+    """A paper as ingest_corpus reads it, its counts from window_counts."""
+    counts = window_counts(pub_year, citing_years, window_count)
+    return PaperWindows(paper_id, pub_year, author_count, counts)
+
+
 def make_record(
     pairs: list[tuple[int, int]], author_id: str = "a", first_year: int = 1995
 ) -> AuthorRecord:
     """Record with papers[(citations, author_count), ...] all in one year."""
     papers = tuple(
-        Paper(f"p{i:03d}", first_year, a, {first_year: c})
+        paper_windows(f"p{i:03d}", first_year, a, {first_year: c})
         for i, (c, a) in enumerate(pairs)
     )
     return AuthorRecord(
         author_id=author_id, first_year=first_year, papers=papers, window_years=5
     )
-
-
-def corpus_text(corpus: Corpus) -> str:
-    """The text render_corpus writes for `corpus`."""
-    out = io.StringIO()
-    render_corpus(map(render_paper_line, corpus.papers.values()), out)
-    return out.getvalue()
 
 
 def constant_model(expected: float = 2.5, windows: int = 5) -> ExpectationModel:
@@ -66,9 +78,9 @@ def oracle_sums(
     """The 11 non-rank indicators, each sum taken exactly and rounded once.
 
     Each per-paper term is the float its definition gives: 1/a, c/E(c),
-    sqrt(c), c/a and c/(E(c)*a), where c counts the paper's citing years up to
-    the window's end and E(c) is the paper's window line at its publication
-    year, clamped from below at the model's floor. The terms of each
+    sqrt(c), c/a and c/(E(c)*a), where c is the paper's count for the window
+    that ends with the record's and E(c) is the paper's window line at its
+    publication year, clamped from below at the model's floor. The terms of each
     indicator are summed as Fractions; each mean is its rounded sum / n.
     """
     window_end = record.first_year + record.window_years
@@ -78,9 +90,10 @@ def oracle_sums(
     }
     cited: list[int] = []
     for p in record.papers:
-        fit = model.window_fits[window_end - p.pub_year]
+        window = window_end - p.pub_year
+        fit = model.window_fits[window]
         e = max(fit.slope * p.pub_year + fit.intercept, model.floor)
-        c = sum(1 for year in p.citing_years if year < window_end)
+        c = p.counts[window - 1]
         a = p.author_count
         cited.append(c)
         terms["f"].append(1 / a)

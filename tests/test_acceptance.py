@@ -226,8 +226,7 @@ def test_regression_oracle():
 def test_inflation_recovery():
     start = time.perf_counter()
     config = data_config("inflation_config.json")
-    corpus = ingest_corpus(generate_corpus(config)[0])
-    points = collect_window_points(corpus)
+    points = collect_window_points(ingest_corpus(generate_corpus(config)[0]))
     model = fit_expectation_model(
         points, min_papers_per_year=50, year_range=(1980, 2000)
     )
@@ -237,50 +236,49 @@ def test_inflation_recovery():
         for w in range(1, 6)
     ]
     ok = (
-        len(corpus) >= 2000
+        len(points) >= 2000
         and all(1.8 <= r <= 2.2 for r in ratios)
         and elapsed < 30.0
     )
     _report(
         "inflation recovery",
         ok,
-        f"{len(corpus)} papers, 20-year ratios "
+        f"{len(points)} papers, 20-year ratios "
         f"{min(ratios):.3f}..{max(ratios):.3f}, {elapsed:.1f} s",
     )
 
 
-def _cohort_vectors(corpus, author_ids, model):
+def _cohort_vectors(lines, author_ids, model):
     return [
         indicator_vector(build_author_record(author_id, papers), model)
-        for author_id, papers in corpus.papers_by_author(author_ids).items()
+        for author_id, papers in ingest_corpus(lines, authors=author_ids).groups.items()
     ]
 
 
 def test_cohort_experiment():
     fit_config = data_config("experiment_fit_config.json")
-    fit_corpus = ingest_corpus(generate_corpus(fit_config)[0])
     model = fit_expectation_model(
-        collect_window_points(fit_corpus),
+        collect_window_points(ingest_corpus(generate_corpus(fit_config)[0])),
         min_papers_per_year=50,
         year_range=(1980, 2000),
     )
 
     effect_config = data_config("experiment_effect_config.json")
     effect_lines, stars, controls = generate_corpus(effect_config)
-    effect_corpus = ingest_corpus(effect_lines)
+    effect_lines = list(effect_lines)
     table = compare_cohorts(
-        _cohort_vectors(effect_corpus, stars, model),
-        _cohort_vectors(effect_corpus, controls, model),
+        _cohort_vectors(effect_lines, stars, model),
+        _cohort_vectors(effect_lines, controls, model),
     )
     norm_rank = table.row("norm_citations").rank
     fract_norm_rank = table.row("fract_norm_citations").rank
 
     null_config = data_config("experiment_null_config.json")
     null_lines, null_stars, null_controls = generate_corpus(null_config)
-    null_corpus = ingest_corpus(null_lines)
+    null_lines = list(null_lines)
     null_table = compare_cohorts(
-        _cohort_vectors(null_corpus, null_stars, model),
-        _cohort_vectors(null_corpus, null_controls, model),
+        _cohort_vectors(null_lines, null_stars, model),
+        _cohort_vectors(null_lines, null_controls, model),
     )
     null_small = sum(1 for row in null_table.rows if row.p < 0.05)
 

@@ -314,15 +314,16 @@ def _live(cls):
 
 
 def test_fit_frees_the_corpus_before_fitting(tmp_path, monkeypatch):
-    # fit_expectation_model loads numpy; by then fit holds no corpus and no
-    # Paper of its own, since it never builds one.
-    Corpus, Paper = biblio_bench.corpus.Corpus, biblio_bench.corpus.Paper
+    # fit_expectation_model loads numpy; by then fit holds no grouped papers
+    # and no paper of its own, since it never reads one.
+    ListedPapers = biblio_bench.corpus.ListedPapers
+    PaperWindows = biblio_bench.corpus.PaperWindows
     real_fit = biblio_bench.cli.fit_expectation_model
-    before = (_live(Corpus), _live(Paper))
+    before = (_live(ListedPapers), _live(PaperWindows))
     alive = []
 
     def fit(*args, **kwargs):
-        alive.append((_live(Corpus), _live(Paper)))
+        alive.append((_live(ListedPapers), _live(PaperWindows)))
         return real_fit(*args, **kwargs)
 
     monkeypatch.setattr(biblio_bench.cli, "fit_expectation_model", fit)
@@ -332,22 +333,25 @@ def test_fit_frees_the_corpus_before_fitting(tmp_path, monkeypatch):
 
 
 def test_fit_builds_no_author_index(tmp_path, monkeypatch):
-    def group(self, author_ids=None):
-        raise AssertionError("fit grouped papers by author")
+    real_ingest = biblio_bench.cli.ingest_corpus
+    read = []
 
-    def build(self, *args, **kwargs):
-        raise AssertionError("fit built a Corpus")
+    def ingest(*args, **kwargs):
+        read.append((kwargs.get("authors"), real_ingest(*args, **kwargs)))
+        return read[-1][1]
 
-    monkeypatch.setattr(biblio_bench.corpus.Corpus, "papers_by_author", group)
-    monkeypatch.setattr(biblio_bench.corpus.Corpus, "__init__", build)
+    monkeypatch.setattr(biblio_bench.cli, "ingest_corpus", ingest)
     out = tmp_path / "model.json"
     assert main(["fit", "--corpus", str(DATA / "fixture_corpus.jsonl"),
                  "--min-papers", "1", "--out", str(out)]) == 0
     assert ExpectationModel.from_json(out.read_text()).window_count == 5
+    # One read, of fit points only: no paper is grouped by author.
+    [(authors, points)] = read
+    assert authors is None and type(points) is biblio_bench.corpus.WindowPoints
 
 
 def test_fit_builds_no_paper_and_writes_the_pinned_model(tmp_path, monkeypatch):
-    # fit reads each line's window counts as it is checked: building a Paper
+    # fit reads each line's window counts as it is checked: building a paper
     # fails, and the model is still the pinned one.
     (tmp_path / "config.json").write_bytes(
         (DATA / "experiment_effect_config.json").read_bytes()
@@ -357,10 +361,9 @@ def test_fit_builds_no_paper_and_writes_the_pinned_model(tmp_path, monkeypatch):
     assert main(generate) == 0
 
     def build(*args, **kwargs):
-        raise AssertionError("fit built a Paper")
+        raise AssertionError("fit built a paper")
 
-    # Paper(...) and ingest_corpus alike set a Paper's fields through _fill.
-    monkeypatch.setattr(biblio_bench.corpus.Paper, "_fill", build)
+    monkeypatch.setattr(biblio_bench.corpus.PaperWindows, "__init__", build)
     assert main(fit) == 0
     manifest = tmp_path / "model.manifest.json"
     assert sha256(manifest) == PINNED_MANIFESTS["model.manifest.json"]
@@ -372,20 +375,13 @@ def test_indicators_builds_no_paper_and_writes_the_pinned_tables(
     tmp_path, monkeypatch
 ):
     # indicators --authors reads each listed paper's window counts as its
-    # line is checked: building a Paper or a Corpus fails, and the stars and
-    # controls tables are still the pinned ones.
+    # line is checked, and the stars and controls tables are the pinned ones.
     (tmp_path / "config.json").write_bytes(
         (DATA / "experiment_effect_config.json").read_bytes()
     )
     monkeypatch.chdir(tmp_path)
     generate, fit, stars, controls = EFFECT_PIPELINE[:4]
     assert main(generate) == 0 and main(fit) == 0
-
-    def build(*args, **kwargs):
-        raise AssertionError("indicators built a Paper or a Corpus")
-
-    monkeypatch.setattr(biblio_bench.corpus.Paper, "_fill", build)
-    monkeypatch.setattr(biblio_bench.corpus.Corpus, "__init__", build)
     for argv in (stars, controls):
         assert main(argv) == 0, argv
     for name in ("stars.manifest.json", "controls.manifest.json"):
@@ -396,7 +392,7 @@ def test_generate_builds_no_paper_and_checks_every_paper(
     tmp_path, monkeypatch, capsys
 ):
     # generate writes each drawn paper's line once _check_paper has passed
-    # it: building a Paper fails, and the corpus is still the pinned one.
+    # it: building a paper fails, and the corpus is still the pinned one.
     config = (DATA / "experiment_effect_config.json").read_bytes()
     for name in ("whole", "failing"):
         (tmp_path / name).mkdir()
@@ -404,9 +400,9 @@ def test_generate_builds_no_paper_and_checks_every_paper(
     generate = EFFECT_PIPELINE[0]
 
     def build(*args, **kwargs):
-        raise AssertionError("generate built a Paper")
+        raise AssertionError("generate built a paper")
 
-    monkeypatch.setattr(biblio_bench.corpus.Paper, "_fill", build)
+    monkeypatch.setattr(biblio_bench.corpus.PaperWindows, "__init__", build)
     real = biblio_bench.synth._check_paper
     checked = []
     fail_at = 0
@@ -676,11 +672,7 @@ def test_indicators_groups_only_listed_authors(tmp_path, monkeypatch):
         read.append(real_ingest(*args, **kwargs))
         return read[-1]
 
-    def group(self, author_ids=None):
-        raise AssertionError("indicators --authors grouped a Corpus")
-
     monkeypatch.setattr(biblio_bench.cli, "ingest_corpus", ingest)
-    monkeypatch.setattr(biblio_bench.corpus.Corpus, "papers_by_author", group)
     assert main(["indicators", *FIXTURE_ARGS, *RELAXED,
                  "--out", str(tmp_path / "v.tsv")]) == 0
     # The fixture corpus has six authors and nine papers; the list names
@@ -789,9 +781,57 @@ def test_indicators_rejects_an_author_id_that_would_split_its_row(
                  "--model", str(DATA / "constant_model.json"), *RELAXED,
                  "--out", str(tmp_path / "v.tsv")]) == 1
     assert capsys.readouterr().err == (
-        f"error: author_id {author_id!r} holds a tab or line break\n"
+        f"error: line 1: paper pA1: author id {author_id!r} holds a tab or line "
+        "break, or starts or ends with whitespace\n"
     )
     assert list(tmp_path.iterdir()) == [corpus]
+
+
+@pytest.mark.parametrize("author_id", ["alice ", "\u2028alice"])
+def test_indicators_rejects_an_author_id_with_whitespace_at_either_end(
+    tmp_path, capsys, author_id
+):
+    # --authors strips each line, so it could never list such an id.
+    corpus = corpus_renaming_alice(tmp_path, author_id)
+    listing = tmp_path / "authors.txt"
+    listing.write_text(f"{author_id}\n", encoding="utf-8")
+    args = ["indicators", "--corpus", str(corpus),
+            "--model", str(DATA / "constant_model.json"), *RELAXED,
+            "--out", str(tmp_path / "v.tsv")]
+    for listed in ([], ["--authors", str(listing)]):
+        assert main(args + listed) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 1: paper pA1: author id {author_id!r} holds a tab or "
+            "line break, or starts or ends with whitespace\n"
+        )
+    assert sorted(tmp_path.iterdir()) == [listing, corpus]
+
+
+def every_author_listing(corpus, listing):
+    """Write, to ``listing``, every author_id that a line of ``corpus`` names."""
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    named = {a for text in lines for a in json.loads(text).get("author_ids", ())}
+    listing.write_text("".join(f"{a}\n" for a in named), encoding="utf-8")
+    return listing
+
+
+@pytest.mark.parametrize("source", ["fixture", "generated"])
+def test_indicators_groups_every_author_as_it_groups_them_listed(tmp_path, source):
+    if source == "fixture":
+        corpus = DATA / "fixture_corpus.jsonl"
+    else:
+        corpus = generated_corpus(tmp_path)
+    listing = every_author_listing(corpus, tmp_path / "everyone.txt")
+    capped = [*RELAXED, "--coauthor-hard-cap", "1", "--windows", "3"]
+    for options in (RELAXED, capped):
+        args = ["indicators", "--corpus", str(corpus),
+                "--model", str(DATA / "constant_model.json"), *options]
+        assert main([*args, "--out", str(tmp_path / "all.tsv")]) == 0
+        assert main([*args, "--authors", str(listing),
+                     "--out", str(tmp_path / "listed.tsv")]) == 0
+        table = (tmp_path / "all.tsv").read_bytes()
+        assert table.count(b"\n") > 2
+        assert (tmp_path / "listed.tsv").read_bytes() == table
 
 
 def test_indicators_stdout_uses_three_decimals(capsys):

@@ -3,9 +3,7 @@ import io
 import json
 import tracemalloc
 from collections import Counter
-from dataclasses import FrozenInstanceError
 from pathlib import Path
-from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -14,23 +12,22 @@ from hypothesis import strategies as st
 
 from biblio_bench import corpus as corpus_module
 from biblio_bench.corpus import (
+    EVERY_AUTHOR,
     AuthorRecord,
-    Corpus,
     CorpusFormatError,
     FilterSpec,
-    Paper,
     UnknownAuthorError,
+    WindowPoints,
     build_author_record,
     filter_cohort,
     ingest_corpus,
     open_text,
     render_corpus,
-    render_paper_line,
 )
-from biblio_bench.expectation import ExpectationModel, WindowFit, collect_window_points
+from biblio_bench.expectation import ExpectationModel, WindowFit
 from biblio_bench.indicators import indicator_vector
 from biblio_bench.synth import SynthConfig, generate_corpus
-from oracles import constant_model, corpus_text
+from oracles import constant_model, oracle_sums, paper_windows, window_counts
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_corpus.jsonl"
@@ -40,19 +37,64 @@ def line(**kwargs):
     return json.dumps(kwargs)
 
 
+def written(record):
+    """The line _paper_line writes for a record, as json.loads reads one."""
+    per_year = Counter(record["citing_years"])
+    years = sorted(per_year)
+    return corpus_module._paper_line(
+        record["paper_id"], record["pub_year"], record.get("author_count"),
+        record.get("author_ids"), years, map(per_year.__getitem__, years),
+    )
+
+
+def read_paper(pub_year, citing_years, window_count=5):
+    """The paper one line of these fields reads as."""
+    text = line(paper_id="p", pub_year=pub_year, author_ids=["a"],
+                citing_years=citing_years)
+    listed = ingest_corpus([text], authors=["a"], window_count=window_count)
+    [paper] = listed.groups["a"]
+    return paper
+
+
+def oracle_points(records, window_count=5):
+    """The fit points of records, counted by window_counts."""
+    counts = [window_counts(r["pub_year"], r["citing_years"], window_count)
+              for r in records]
+    return WindowPoints([r["pub_year"] for r in records],
+                        tuple([c[k] for c in counts] for k in range(window_count)))
+
+
+def oracle_groups(records, authors, window_count=5):
+    """Each author's papers in record order, counted by window_counts; with
+    EVERY_AUTHOR, each author a record names, in id order."""
+    papers = [
+        (r.get("author_ids", ()), paper_windows(
+            r["paper_id"], r["pub_year"], r.get("author_count") or len(r["author_ids"]),
+            r["citing_years"], window_count,
+        ))
+        for r in records
+    ]
+    if authors is EVERY_AUTHOR:
+        authors = sorted({a for names, _ in papers for a in names})
+    return {a: [p for names, p in papers if a in names] for a in authors}
+
+
 def test_ingest_fixture_counts():
-    corpus = ingest_corpus(FIXTURE)
-    assert len(corpus) == 9
-    groups = corpus.papers_by_author()
+    assert len(ingest_corpus(FIXTURE)) == 9
+    listed = ingest_corpus(FIXTURE, authors=EVERY_AUTHOR)
+    # pX1 names no author, so it is read for none.
+    assert len(listed) == 8
+    groups = listed.groups
     assert list(groups) == ["alice", "bob", "carol", "dave", "erin", "frank"]
     assert [p.paper_id for p in groups["carol"]] == ["pC1", "pC2", "pC3", "pC4"]
 
 
 def test_ingest_accepts_stream_and_iterable():
     text = FIXTURE.read_text()
-    from_stream = ingest_corpus(io.StringIO(text))
-    from_iterable = ingest_corpus(text.splitlines())
-    assert from_stream.papers == from_iterable.papers
+    for authors in (None, EVERY_AUTHOR):
+        from_stream = ingest_corpus(io.StringIO(text), authors=authors)
+        from_iterable = ingest_corpus(text.splitlines(), authors=authors)
+        assert from_stream == from_iterable
 
 
 # 400 lines of about 90 bytes: line 300 lies well past the first 8 KiB block
@@ -84,7 +126,7 @@ def test_hashed_reading_matches_text_reading(tmp_path, name):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
     with open(path, encoding="utf-8") as handle:
-        expected = outcome(lambda: ingest_corpus(handle).papers)
+        expected = outcome(lambda: ingest_corpus(handle))
     with open(path, encoding="utf-8") as handle:
         expected_text = outcome(handle.read)
     if name == "invalid_utf8":
@@ -93,7 +135,7 @@ def test_hashed_reading_matches_text_reading(tmp_path, name):
         assert len(expected) == 400 and expected_text.count("\n") == 400
 
     digest = hashlib.sha256()
-    assert outcome(lambda: ingest_corpus(path, digest).papers) == expected
+    assert outcome(lambda: ingest_corpus(path, digest)) == expected
     whole = hashlib.sha256()
     with open_text(path, digest=whole) as handle:
         assert outcome(handle.read) == expected_text
@@ -102,36 +144,28 @@ def test_hashed_reading_matches_text_reading(tmp_path, name):
 
 
 def test_citing_years_sorted_and_truncation():
-    corpus = ingest_corpus([
-        line(paper_id="p1", pub_year=2000, author_count=1,
-             citing_years=[2004, 2000, 2002, 2002]),
-    ])
-    paper = corpus.papers["p1"]
-    assert paper.citing_years == (2000, 2002, 2002, 2004)
+    paper = read_paper(2000, [2004, 2000, 2002, 2002], window_count=11)
+    assert paper.counts == (1, 1, 3, 3, 4, 4, 4, 4, 4, 4, 4)
     assert paper.citations_through(2002) == 3
     assert paper.citations_through(1999) == 0
     assert paper.citations_through(2010) == 4
 
 
 def test_render_round_trip():
-    corpus = ingest_corpus(FIXTURE)
-    rendered = corpus_text(corpus)
-    again = ingest_corpus(rendered.splitlines())
-    assert again.papers == corpus.papers
-    assert corpus_text(again) == rendered
+    text = FIXTURE.read_text()
+    lines = [written(json.loads(entry)) for entry in text.splitlines()]
+    assert lines == text.splitlines()
+    out = io.StringIO()
+    assert render_corpus(lines, out) == 9
+    assert out.getvalue() == text
 
 
 def test_render_paper_line_key_order():
-    paper = Paper(
-        paper_id="p1", pub_year=2000, author_count=2,
-        citing_years=(2001,), author_ids=("x", "y"),
-    )
-    assert render_paper_line(paper) == (
+    assert corpus_module._paper_line("p1", 2000, 2, ("x", "y"), [2001], [1]) == (
         '{"paper_id": "p1", "pub_year": 2000, "author_ids": ["x", "y"], '
         '"citing_years": [2001]}'
     )
-    bare = Paper(paper_id="p2", pub_year=2000, author_count=3, citing_years=())
-    assert render_paper_line(bare) == (
+    assert corpus_module._paper_line("p2", 2000, 3, None, [], []) == (
         '{"paper_id": "p2", "pub_year": 2000, "author_count": 3, '
         '"citing_years": []}'
     )
@@ -182,14 +216,14 @@ def test_parse_errors(bad, fragment):
     with pytest.raises(CorpusFormatError) as err:
         ingest_corpus([bad])
     assert fragment in str(err.value)
-    # No line names "nobody", so no window counts are read, and every check
-    # still runs; the same holds when every line's window counts are read.
+    # No line names "nobody", so no paper is read, and every check still
+    # runs; the same holds when every author's papers are read.
     with pytest.raises(CorpusFormatError) as unbuilt:
-        ingest_corpus([bad], authors=["nobody"], window_count=5)
+        ingest_corpus([bad], authors=["nobody"])
     assert str(unbuilt.value) == str(err.value)
-    with pytest.raises(CorpusFormatError) as counted:
-        ingest_corpus([bad], window_count=5)
-    assert str(counted.value) == str(err.value)
+    with pytest.raises(CorpusFormatError) as grouped:
+        ingest_corpus([bad], authors=EVERY_AUTHOR)
+    assert str(grouped.value) == str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -203,11 +237,12 @@ def test_duplicate_paper_id_is_caught_across_built_and_unbuilt_lines(
     by_b = line(paper_id="p", pub_year=2001, author_ids=["b"], citing_years=[])
     lines = [by_a, by_b] if listed_first else [by_b, by_a]
     with pytest.raises(CorpusFormatError) as err:
-        ingest_corpus(lines, authors=authors, window_count=5)
+        ingest_corpus(lines, authors=authors)
     assert str(err.value) == "line 2: duplicate paper_id 'p'"
-    with pytest.raises(CorpusFormatError) as counted:
-        ingest_corpus(lines, window_count=5)
-    assert str(counted.value) == str(err.value)
+    for every in (None, EVERY_AUTHOR):
+        with pytest.raises(CorpusFormatError) as counted:
+            ingest_corpus(lines, authors=every)
+        assert str(counted.value) == str(err.value)
 
 
 def test_byte_order_mark_error_says_why(tmp_path):
@@ -233,42 +268,31 @@ IDS = st.text(alphabet="abz09_é", min_size=1, max_size=5)
 )
 def test_citations_through_matches_linear_count(pub_year, offsets, query):
     events = [pub_year + k for k in offsets]
-    paper = Paper(paper_id="p", pub_year=pub_year, author_count=1,
-                  citing_years=tuple(events))
+    paper = read_paper(pub_year, events, window_count=2041 - pub_year)
     assert paper.citations_through(query) == sum(1 for y in events if y <= query)
-
-
-def paper_with(events, pub_year=2000):
-    return Paper(paper_id="p", pub_year=pub_year, author_count=1,
-                 citing_years=events)
 
 
 @given(st.lists(st.integers(2000, 2030), max_size=60))
 def test_citing_years_read_back_sorted(events):
-    paper = paper_with(events)
-    assert paper.citing_years == tuple(sorted(events))
-    # A {year: events} mapping builds the same paper as the events listed.
-    assert paper_with(Counter(events)) == paper
+    paper = read_paper(2000, events, window_count=31)
+    assert paper == read_paper(2000, sorted(events), window_count=31)
+    assert paper.counts == window_counts(2000, events, 31)
 
 
 @given(st.data())
 def test_papers_equal_iff_event_multisets_equal(data):
+    # Seven windows from 2000 end in each year an event may fall in.
     events = st.lists(st.integers(2000, 2006), max_size=12)
     a = data.draw(events)
     b = data.draw(st.permutations(a) | events)
-    assert (paper_with(a) == paper_with(b)) == (Counter(a) == Counter(b))
-
-
-def test_storage_grows_with_distinct_citing_years():
-    paper = paper_with([1, 1 + 10**9], pub_year=1)
-    assert (paper.years, paper.counts) == ((1, 1 + 10**9), (1, 2))
-    assert paper.citations_through(10**9) == 1
-    assert paper_with({1: 0, 3: 2, 5: 0}, pub_year=1).years == (3,)
+    same = read_paper(2000, a, 7) == read_paper(2000, b, 7)
+    assert same == (Counter(a) == Counter(b))
 
 
 def test_negative_citation_count_is_rejected():
+    # Only a generated paper gives its citing years as {year: events}.
     with pytest.raises(ValueError) as err:
-        Paper("p", 2000, 1, {2001: -3, 2002: 2})
+        corpus_module._check_paper("p", 2000, 1, None, {2001: -3, 2002: 2})
     assert str(err.value) == "paper p: citing year 2001 has a negative count, -3"
 
 
@@ -280,43 +304,10 @@ def test_negative_citation_count_is_rejected():
 ])
 def test_paper_takes_int_years_and_counts_only(pub_year, author_count, message):
     # A line writes both with int.__repr__, which writes True as 1.
-    with pytest.raises(ValueError) as err:
-        Paper("p", pub_year, author_count)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("citing_years, author_ids", [
-    (iter([2003, 2001, 2001]), ["a", "b"]),
-    ((year for year in (2001, 2003, 2001)), ("a", "b")),
-    (MappingProxyType({2001: 2, 2003: 1, 2004: 0}), ("a", "b")),
-    ([2001, 2003, 2001], "ab"),
-])
-def test_paper_reads_an_iterator_or_mapping_and_rejects_a_string(
-    citing_years, author_ids
-):
-    # An iterator is read once, a mapping by its counts; a string is not a
-    # sequence of ids, though iterating it gives strings.
-    if isinstance(author_ids, str):
-        with pytest.raises(ValueError) as err:
-            Paper("p", 2000, 2, citing_years, author_ids)
-        assert str(err.value) == "paper p: author_ids must not be a string"
-    else:
-        paper = Paper("p", 2000, 2, citing_years, author_ids)
-        assert paper == Paper("p", 2000, 2, [2001, 2001, 2003], ("a", "b"))
-
-
-@pytest.mark.parametrize("citing_years, author_ids, message", [
-    (b"\x07\xd1", None, "paper p: citing_years must not be bytes"),
-    (bytearray(b"\x07\xd1"), None, "paper p: citing_years must not be bytearray"),
-    ([], {"a": 1}, "paper p: author_ids must not be a mapping"),
-])
-def test_paper_rejects_bytes_as_years_and_a_mapping_as_ids(
-    citing_years, author_ids, message
-):
-    # Iterating bytes gives ints (years 7 and 209), a mapping its keys.
-    with pytest.raises(ValueError) as err:
-        Paper("p", 5, 1, citing_years, author_ids)
-    assert str(err.value) == message
+    with pytest.raises(CorpusFormatError) as err:
+        ingest_corpus([line(paper_id="p", pub_year=pub_year,
+                            author_count=author_count)])
+    assert str(err.value) == f"line 1: {message}"
 
 
 # Values of a kind, or beyond a range, that some field of a line may not hold.
@@ -326,76 +317,68 @@ ODD_ARGUMENTS = {
     "paper_id": ODD | st.integers(),
     "pub_year": ODD | st.integers(),
     "author_count": ODD | st.integers(-2, 5),
-    "citing_years": st.lists(YEARS_OR_ODD, max_size=6) | st.dictionaries(
-        YEARS_OR_ODD, st.integers(-2, 5) | ODD, max_size=4
-    ),
-    "author_ids": st.lists(IDS | ODD, max_size=3),
+    "citing_years": st.lists(YEARS_OR_ODD, max_size=6) | YEARS_OR_ODD,
+    "author_ids": st.lists(IDS | ODD, max_size=3) | ODD,
 }
 
 
 @st.composite
 def paper_arguments(draw):
-    """Paper(...) keyword arguments for a valid paper, with at most one of
-    them replaced by an odd value."""
+    """The fields of a valid line, with at most one of them replaced by an
+    odd value, and the name of that field, or None."""
     pub_year = draw(st.integers(1990, 2010))
     authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=3, unique=True))
-    events = st.integers(pub_year, pub_year + 9)
+    events = st.lists(st.integers(pub_year, pub_year + 9), max_size=80)
     arguments = {
         "paper_id": draw(IDS),
         "pub_year": pub_year,
         "author_count": len(authors) if authors else draw(st.integers(1, 3)),
-        # Up to 80 events over 10 years: some lines take the per-year read.
-        "citing_years": draw(st.lists(events, max_size=80)
-                             | st.dictionaries(events, st.integers(0, 80))),
+        # Up to 80 events over 10 years: sorted, some lines take the
+        # per-year read.
+        "citing_years": draw(events.map(sorted) | events),
         "author_ids": authors,
     }
     odd = draw(st.sampled_from([None, *ODD_ARGUMENTS]))
     if odd is not None:
         arguments[odd] = draw(ODD_ARGUMENTS[odd])
-    return arguments
+    return arguments, odd
 
 
 @given(paper_arguments())
-def test_paper_accepts_exactly_what_a_line_may_hold(arguments):
+def test_paper_accepts_exactly_what_a_line_may_hold(drawn):
+    # A valid line is read; with an odd field it is rejected by line, or
+    # read as the valid values it holds are.
+    arguments, odd = drawn
+    text = json.dumps(arguments, ensure_ascii=False)
     try:
-        paper = Paper(**arguments)
-    except ValueError:
+        points = ingest_corpus([text])
+    except CorpusFormatError as exc:
+        assert odd is not None and str(exc).startswith("line 1: ")
         return
-    hash(paper)
-    assert ingest_corpus([render_paper_line(paper)]).papers == {paper.paper_id: paper}
+    assert points == oracle_points([arguments])
 
 
 def test_repeated_author_id_is_rejected():
-    with pytest.raises(ValueError) as err:
-        Paper("p1", 2000, 2, {2001: 3}, ("a", "a"))
-    assert str(err.value) == "paper p1: author id 'a' is listed twice"
-
-
-def test_papers_are_slotted_and_frozen():
-    paper = Paper("p", 2000, 2, [2003, 2001, 2001], ("a", "b"))
-    assert not hasattr(paper, "__dict__")
-    with pytest.raises(FrozenInstanceError):
-        paper.pub_year = 1999
-    assert paper == Paper("p", 2000, 2, {2001: 2, 2003: 1}, ("a", "b"))
-    assert hash(paper) == hash(("p", 2000, 2, (2001, 2003), (2, 3), ("a", "b")))
+    with pytest.raises(CorpusFormatError) as err:
+        ingest_corpus([line(paper_id="p1", pub_year=2000, author_ids=["a", "a"],
+                            citing_years=[2001, 2001, 2001])])
+    assert str(err.value) == "line 1: paper p1: author id 'a' is listed twice"
 
 
 def test_ingest_shares_one_int_per_distinct_year():
     # Years above 256, which CPython does not cache. Paper i has 8 * i events
     # over i + 1 years, so papers 8 and 9 take the per-year read.
-    papers = [
-        Paper(f"p{i}", 2000 + i % 3, 1,
-              [2000 + i % 3 + k % (i + 1) for k in range(8 * i)])
+    lines = [
+        line(paper_id=f"p{i}", pub_year=2000 + i % 3, author_ids=[f"a{i % 2}"],
+             citing_years=sorted(2000 + i % 3 + k % (i + 1) for k in range(8 * i)))
         for i in range(12)
     ]
-    lines = corpus_text(Corpus.from_papers(papers)).splitlines()
     assert [i for i, text in enumerate(lines)
             if corpus_module._split_rendered(text)] == [8, 9]
-    ingested = ingest_corpus(lines).papers
-    assert list(ingested.values()) == papers
-    years = [y for p in ingested.values() for y in (p.pub_year, *p.years)]
-    assert len({id(y) for y in years}) == len(set(years)) == 14
-    counted = ingest_corpus(lines, window_count=5).pub_year
+    listed = ingest_corpus(lines, authors=EVERY_AUTHOR)
+    years = [p.pub_year for papers in listed.groups.values() for p in papers]
+    assert len({id(y) for y in years}) == len(set(years)) == 3
+    counted = ingest_corpus(lines).pub_year
     assert len({id(y) for y in counted}) == len(set(counted)) == 3
 
 
@@ -408,13 +391,13 @@ def test_ingest_holds_under_700_bytes_per_paper():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        corpus = ingest_corpus(lines)
+        listed = ingest_corpus(lines, authors=EVERY_AUTHOR)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # CPython 3.11 measured 570 bytes per paper; a __dict__ per paper, an
-    # author index and an int per year as decoded take it to 1,008.
-    assert held / len(corpus) < 700, held / len(corpus)
+    # CPython 3.11 measured 579 bytes per paper, most of it the groups of
+    # its co-authors, each named by that paper alone.
+    assert held / len(listed) < 700, held / len(listed)
 
 
 def test_ingest_retains_less_than_a_byte_per_citation_event():
@@ -427,38 +410,53 @@ def test_ingest_retains_less_than_a_byte_per_citation_event():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        corpus = ingest_corpus(lines)
+        points = ingest_corpus(lines, window_count=5)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert corpus.papers["p7"].citations_through(2001) == 800
+    assert points.windows[1][7] == 800
     assert retained < 200_000
+
+
+def author_fields(draw):
+    """A line's author_ids, or when it has none its author_count."""
+    authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4, unique=True))
+    if authors:
+        return {"author_ids": authors}
+    return {"author_count": draw(st.integers(1, 6))}
 
 
 @st.composite
 def sparse_papers(draw, paper_id):
-    """A paper with up to 20 events over 13 calendar years, perhaps none."""
+    """A record with up to 20 events over 13 calendar years, perhaps none."""
     pub_year = draw(st.integers(1950, 2020))
-    authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4, unique=True))
-    return Paper(
-        paper_id=paper_id,
-        pub_year=pub_year,
-        author_count=len(authors) if authors else draw(st.integers(1, 6)),
-        citing_years=tuple(draw(st.lists(st.integers(pub_year, pub_year + 12),
-                                         max_size=20))),
-        author_ids=tuple(authors) if authors else None,
-    )
+    events = st.lists(st.integers(pub_year, pub_year + 12), max_size=20)
+    return {"paper_id": paper_id, "pub_year": pub_year, **author_fields(draw),
+            "citing_years": sorted(draw(events))}
 
 
 def corpora(papers=sparse_papers, max_size=8):
-    """Corpora of up to ``max_size`` papers, each drawn by ``papers(paper_id)``."""
+    """Records of up to ``max_size`` papers, each drawn by ``papers(paper_id)``."""
     return st.lists(IDS, unique=True, max_size=max_size).flatmap(
-        lambda ids: st.tuples(*map(papers, ids))).map(Corpus.from_papers)
+        lambda ids: st.tuples(*map(papers, ids))).map(list)
+
+
+def round_trip(records):
+    """Records written as _paper_line writes them, read back every way."""
+    lines = list(map(written, records))
+    assert lines == [json.dumps(r, ensure_ascii=False) for r in records]
+    out = io.StringIO()
+    assert render_corpus(lines, out) == len(records)
+    text = out.getvalue().splitlines()
+    assert ingest_corpus(text) == oracle_points(records)
+    everyone = ingest_corpus(text, authors=EVERY_AUTHOR).groups
+    # Items, not dicts: the groups' order is compared too.
+    assert list(everyone.items()) == list(oracle_groups(records, EVERY_AUTHOR).items())
 
 
 @given(corpora())
-def test_ingest_render_round_trip_property(corpus):
-    assert ingest_corpus(corpus_text(corpus).splitlines()).papers == corpus.papers
+def test_ingest_render_round_trip_property(records):
+    round_trip(records)
 
 
 # Publication years around the edges of the 4-digit range the per-year read
@@ -468,43 +466,33 @@ PUB_YEARS = st.sampled_from([990, 995, 999, 1000, 9990, 9995]) | st.integers(195
 
 @st.composite
 def dense_papers(draw, paper_id="p"):
-    """A paper with at least 64 events over 1 to 12 calendar years."""
+    """A record with at least 64 events over 1 to 12 calendar years."""
     pub_year = draw(PUB_YEARS)
     span = draw(st.integers(0, 11))
-    authors = draw(st.none() | st.lists(IDS, min_size=1, max_size=4, unique=True))
-    return Paper(
-        paper_id=paper_id,
-        pub_year=pub_year,
-        author_count=len(authors) if authors else draw(st.integers(1, 6)),
-        citing_years=draw(st.lists(st.integers(pub_year, pub_year + span),
-                                   min_size=64, max_size=200)),
-        author_ids=tuple(authors) if authors else None,
-    )
+    events = st.lists(st.integers(pub_year, pub_year + span), min_size=64, max_size=200)
+    return {"paper_id": paper_id, "pub_year": pub_year, **author_fields(draw),
+            "citing_years": sorted(draw(events))}
 
 
 @given(corpora(dense_papers, max_size=6))
-def test_ingest_render_round_trip_property_dense(corpus):
-    assert ingest_corpus(corpus_text(corpus).splitlines()).papers == corpus.papers
+def test_ingest_render_round_trip_property_dense(records):
+    round_trip(records)
 
 
 @given(corpora(lambda paper_id: sparse_papers(paper_id) | dense_papers(paper_id)),
        st.integers(1, 6))
-def test_window_counts_read_from_lines_equal_counts_from_papers(corpus, window_count):
+def test_window_counts_read_from_lines_equal_counts_from_papers(records, window_count):
     # Event lists and per-year lines, events past the last window, papers
     # with no events, and lines with an author_count only, in one corpus.
-    lines = corpus_text(corpus).splitlines()
+    lines = list(map(written, records))
     counted = ingest_corpus(lines, window_count=window_count)
-    expected = collect_window_points(ingest_corpus(lines), window_count)
-    assert counted.pub_year == expected.pub_year
-    assert len(counted.windows) == window_count
-    for column, expected_column in zip(counted.windows, expected.windows):
-        assert column == expected_column
+    assert counted == oracle_points(records, window_count)
 
 
 @pytest.mark.parametrize("arguments, message", [
     ({"window_count": 0}, "window_count must be >= 1"),
     ({"window_count": -1}, "window_count must be >= 1"),
-    ({"authors": ["a"]}, "authors needs a window_count"),
+    ({"authors": EVERY_AUTHOR, "window_count": 0}, "window_count must be >= 1"),
 ])
 def test_window_count_is_checked_before_the_file_is_opened(
     tmp_path, arguments, message
@@ -512,14 +500,6 @@ def test_window_count_is_checked_before_the_file_is_opened(
     with pytest.raises(ValueError) as err:
         ingest_corpus(tmp_path / "missing.jsonl", **arguments)
     assert str(err.value) == message
-
-
-def window_reads(paper, window_count):
-    """What a record reads of a paper: its id, year, author count, and its
-    citations through each year of its window and the year before it."""
-    last_years = range(paper.pub_year - 1, paper.pub_year + window_count)
-    counts = [paper.citations_through(year) for year in last_years]
-    return paper.paper_id, paper.pub_year, paper.author_count, counts
 
 
 # E(c) that moves with the year and the window, and meets the floor in
@@ -541,35 +521,35 @@ SLOPED_MODEL = ExpectationModel(
     st.data(),
 )
 def test_ingest_for_listed_authors_equals_filtered_full_ingest(
-    corpus, window_count, data
+    records, window_count, data
 ):
     # Event lists and per-year lines, events past the last window, papers
     # with no events, and lines with an author_count only, in one corpus.
-    # The reference is the Corpus path: papers_by_author, then records.
-    named = sorted({a for p in corpus.papers.values() for a in p.author_ids or ()})
+    # The references are every author's groups and the groups by definition.
+    named = sorted({a for r in records for a in r.get("author_ids", ())})
     authors = data.draw(st.lists(st.sampled_from(named), unique=True)
                         if named else st.just([]))
     authors += data.draw(st.lists(IDS, max_size=2))
-    lines = corpus_text(corpus).splitlines()
-    full = ingest_corpus(lines)
-    expected = full.papers_by_author(authors)
+    lines = list(map(written, records))
+    full = ingest_corpus(lines, authors=EVERY_AUTHOR, window_count=window_count)
     listed = ingest_corpus(lines, authors=authors, window_count=window_count)
-    assert list(listed.groups) == list(expected)
+    expected = oracle_groups(records, authors, window_count)
+    assert list(listed.groups.items()) == list(expected.items())
+    assert listed.groups == {a: full.groups.get(a, []) for a in authors}
+    assert list(full.groups.items()) == list(
+        oracle_groups(records, EVERY_AUTHOR, window_count).items()
+    )
     for author_id, papers in listed.groups.items():
-        assert [window_reads(p, window_count) for p in papers] == [
-            window_reads(p, window_count) for p in expected[author_id]
-        ]
         if not papers:
             with pytest.raises(UnknownAuthorError):
                 build_author_record(author_id, papers, window_count)
             continue
         record = build_author_record(author_id, papers, window_count)
-        reference = build_author_record(author_id, expected[author_id], window_count)
-        assert indicator_vector(record, SLOPED_MODEL) == indicator_vector(
-            reference, SLOPED_MODEL
-        )
+        vector = indicator_vector(record, SLOPED_MODEL)
+        sums = oracle_sums(record, SLOPED_MODEL)
+        assert {name: getattr(vector, name) for name in sums} == sums
     assert len(listed) == sum(
-        not set(authors).isdisjoint(p.author_ids or ()) for p in full.papers.values()
+        not set(authors).isdisjoint(r.get("author_ids", ())) for r in records
     )
 
 
@@ -591,12 +571,12 @@ def test_listed_papers_count_citations_through_their_window_only():
 
 
 def ingested(text, authors=None):
-    """The papers one line ingests to, or the error message it raises; with
-    ``authors``, the papers read for them, with their window counts."""
+    """The window points one line ingests to, or the error message it
+    raises; with ``authors``, the papers read for them."""
     try:
         if authors is None:
-            return list(ingest_corpus([text]).papers.values())
-        listed = ingest_corpus([text], authors=authors, window_count=5)
+            return ingest_corpus([text])
+        listed = ingest_corpus([text], authors=authors)
         return [paper for papers in listed.groups.values() for paper in papers]
     except CorpusFormatError as exc:
         return str(exc)
@@ -622,7 +602,7 @@ MUTATIONS = [
 
 
 def mutated_line(paper, mutation, i):
-    text = render_paper_line(paper)
+    text = written(paper)
     cut = text.rfind(corpus_module._EVENTS_KEY) + len(corpus_module._EVENTS_KEY)
     head, slots, tail = text[:cut], text[cut:-2].split(", "), "]}"
     if mutation in SEPARATORS:
@@ -632,7 +612,7 @@ def mutated_line(paper, mutation, i):
     elif mutation == "non-contiguous run":
         slots.append(slots.pop(i))
     elif mutation == "year before pub_year":
-        slots[0] = str(paper.pub_year - 1)
+        slots[0] = str(paper["pub_year"] - 1)
     elif mutation == "earlier duplicate key":
         head = head.replace('"pub_year"', '"citing_years": ["x"], "pub_year"')
     elif mutation == "empty head":
@@ -644,26 +624,29 @@ def mutated_line(paper, mutation, i):
 
 @given(dense_papers(), st.sampled_from(MUTATIONS), st.data())
 def test_per_year_read_matches_general_path(paper, mutation, data):
-    i = data.draw(st.integers(0, len(paper.citing_years) - 2))
+    events = paper["citing_years"]
+    i = data.draw(st.integers(0, len(events) - 2))
     text = mutated_line(paper, mutation, i)
     with mock.patch.object(corpus_module, "_split_rendered", lambda text: None):
         expected = ingested(text)
+        grouped = ingested(text, EVERY_AUTHOR)
     assert ingested(text) == expected
+    assert ingested(text, EVERY_AUTHOR) == grouped
     # Not read for "nobody", the line is still checked, through min(events).
-    assert ingested(text, ["nobody"]) == ([] if type(expected) is list else expected)
+    assert ingested(text, ["nobody"]) == (expected if type(expected) is str else [])
     if mutation == "none":
-        assert expected == [paper]
-        span = paper.years[-1] - paper.years[0]
-        in_range = 1000 <= paper.years[0] and paper.years[-1] <= 9999
+        assert expected == oracle_points([paper])
+        span = events[-1] - events[0]
+        in_range = 1000 <= events[0] and events[-1] <= 9999
         taken = corpus_module._split_rendered(text) is not None
         assert taken == (span < 10 and in_range)
 
 
 def test_rendered_events_are_not_decoded(monkeypatch):
-    # 100 papers x 2,000 events over 5 distinct years, as render writes them.
+    # 100 papers x 2,000 events over 5 distinct years, as _paper_line writes them.
     lines = [
-        render_paper_line(Paper(paper_id=f"p{i}", pub_year=2000, author_count=1,
-                                citing_years={2000 + k: 400 for k in range(5)}))
+        line(paper_id=f"p{i}", pub_year=2000, author_count=1,
+             citing_years=[2000 + k // 400 for k in range(2000)])
         for i in range(100)
     ]
     decoded = []
@@ -674,8 +657,8 @@ def test_rendered_events_are_not_decoded(monkeypatch):
 
     decode = corpus_module._decode
     monkeypatch.setattr(corpus_module, "_decode", recording_decode)
-    corpus = ingest_corpus(lines)
-    assert corpus.papers["p7"].citations_through(2001) == 800
+    points = ingest_corpus(lines)
+    assert points.windows[1][7] == 800
     assert len(decoded) == 100
     assert not any("citing_years" in text for text in decoded)
 
@@ -696,21 +679,14 @@ ANY_YEARS = st.sampled_from([-5000, -1, 0, 1, 999, 1000, 9999, 10000]) | st.inte
     count=st.integers(1, 6),
 )
 def test_render_paper_line_matches_json_dumps(paper_id, pub_year, offsets, far, authors, count):
-    events = [pub_year + k for k in offsets] + ([1 + 10**9] if far else [])
-    paper = Paper(
-        paper_id=paper_id,
-        pub_year=pub_year,
-        author_count=len(authors) if authors else count,
-        citing_years=events,
-        author_ids=tuple(authors) if authors else None,
-    )
-    record = {"paper_id": paper.paper_id, "pub_year": paper.pub_year}
+    events = sorted([pub_year + k for k in offsets] + ([1 + 10**9] if far else []))
+    record = {"paper_id": paper_id, "pub_year": pub_year}
     if authors:
         record["author_ids"] = authors
     else:
         record["author_count"] = count
-    record["citing_years"] = list(paper.citing_years)
-    assert render_paper_line(paper) == json.dumps(record, ensure_ascii=False)
+    record["citing_years"] = events
+    assert written(record) == json.dumps(record, ensure_ascii=False)
 
 
 def test_parse_error_reports_line_number():
@@ -727,12 +703,12 @@ def test_duplicate_paper_id_rejected():
 
 def test_blank_lines_skipped():
     entry = line(paper_id="p1", pub_year=2000, author_count=1, citing_years=[])
-    corpus = ingest_corpus(["", entry, "   ", ""])
-    assert len(corpus) == 1
+    points = ingest_corpus(["", entry, "   ", ""])
+    assert len(points) == 1
 
 
 def fixture_record(author_id, window_years=5):
-    papers = ingest_corpus(FIXTURE).papers_by_author([author_id])[author_id]
+    papers = ingest_corpus(FIXTURE, authors=[author_id]).groups[author_id]
     return build_author_record(author_id, papers, window_years)
 
 
@@ -768,15 +744,17 @@ def test_unknown_author():
 def test_author_record_validation():
     with pytest.raises(ValueError, match="no papers"):
         AuthorRecord(author_id="a", first_year=2000, papers=())
-    outside = Paper("p", 2005, 1)
+    outside = paper_windows("p", 2005, 1)
     with pytest.raises(ValueError) as err:
         AuthorRecord(author_id="a", first_year=2000, papers=(outside,))
     assert str(err.value) == "author a: paper p published 2005, outside 2000..2004"
-    assert AuthorRecord("a", 2000, (Paper("p", 2004, 1),)).last_year == 2004
+    assert AuthorRecord("a", 2000, (paper_windows("p", 2004, 1),)).last_year == 2004
 
 
 def make_record(author_counts, first_year=1995):
-    papers = tuple(Paper(f"p{i}", first_year, a) for i, a in enumerate(author_counts))
+    papers = tuple(
+        paper_windows(f"p{i}", first_year, a) for i, a in enumerate(author_counts)
+    )
     return AuthorRecord(author_id="a", first_year=first_year, papers=papers)
 
 

@@ -181,15 +181,13 @@ def test_collect_window_points():
         '{"paper_id": "p2", "pub_year": 2001, "author_count": 9,'
         ' "citing_years": [2002]}',
     ]
-    corpus = ingest_corpus(lines)
-    points = collect_window_points(corpus, window_count=5)
-    # read straight from the lines, the same points; they are returned as
-    # given if they hold the windows asked for
-    counted = ingest_corpus(lines, window_count=5)
-    assert (counted.pub_year, counted.windows) == (points.pub_year, points.windows)
-    assert collect_window_points(counted, window_count=3) is counted
+    # read straight from the lines; they are returned as given if they hold
+    # the windows asked for
+    points = ingest_corpus(lines, window_count=5)
+    assert collect_window_points(points, window_count=5) is points
+    assert collect_window_points(points, window_count=3) is points
     with pytest.raises(ValueError) as err:
-        collect_window_points(counted, window_count=6)
+        collect_window_points(points, window_count=6)
     assert str(err.value) == "points have window counts for w=1..5, need w=1..6"
     assert len(points) == 2
     # the columns are plain lists
@@ -198,9 +196,9 @@ def test_collect_window_points():
     # cumulative counts for windows 1..5: pub year alone, then one more year each
     assert by_year[2000] == (1, 3, 3, 4, 5)
     assert by_year[2001] == (0, 1, 1, 1, 1)
-    # with no windows each paper still has its year
-    bare = collect_window_points(corpus, window_count=0)
-    assert (list(bare.pub_year), bare.windows) == ([2000, 2001], ())
+    # with one window each paper still has its year
+    single = ingest_corpus(lines, window_count=1)
+    assert (single.pub_year, single.windows) == ([2000, 2001], ([1, 0],))
 
 
 def years_points(year_to_counts, copies=1, extra=()):

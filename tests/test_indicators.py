@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biblio_bench.corpus import AuthorRecord, Paper
+from biblio_bench.corpus import AuthorRecord
 from biblio_bench.expectation import ExpectationModel, WindowFit
 from biblio_bench.indicators import (
     INDICATOR_FIELDS,
@@ -29,6 +29,7 @@ from oracles import (
     oracle_h,
     oracle_h_m,
     oracle_sums,
+    paper_windows,
 )
 
 MODEL = constant_model(expected=2.5)
@@ -97,8 +98,8 @@ def test_rank_papers_assigns_window_lengths():
         author_id="a",
         first_year=1995,
         papers=(
-            Paper("early", 1995, 1, {1995: 5, 1999: 4, 2000: 7}),
-            Paper("late", 1999, 1, {1999: 8, 2003: 2}),
+            paper_windows("early", 1995, 1, {1995: 5, 1999: 4, 2000: 7}),
+            paper_windows("late", 1999, 1, {1999: 8, 2003: 2}),
         ),
         window_years=5,
     )
@@ -166,8 +167,8 @@ def test_norm_uses_sum_of_ratios():
         author_id="a",
         first_year=1995,
         papers=(
-            Paper("p", 1995, 1, {1995: 8}),
-            Paper("q", 1998, 1, {1998: 4}),
+            paper_windows("p", 1995, 1, {1995: 8}),
+            paper_windows("q", 1998, 1, {1998: 4}),
         ),
         window_years=5,
     )
@@ -212,7 +213,7 @@ def test_non_rank_indicators_match_exact_oracle(first_year, papers):
         author_id="a",
         first_year=first_year,
         papers=tuple(
-            Paper(f"p{i:03d}", first_year + offset, a,
+            paper_windows(f"p{i:03d}", first_year + offset, a,
                   {first_year + offset + k: n for k, n in cited.items()})
             for i, (offset, cited, a) in enumerate(papers)
         ),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biblio_bench.corpus import build_author_record, ingest_corpus, render_paper_line
+from biblio_bench.corpus import EVERY_AUTHOR, build_author_record, ingest_corpus
 from biblio_bench.indicators import indicator_vector
 from biblio_bench.stats import compare_cohorts
 from biblio_bench.synth import (
@@ -19,15 +19,15 @@ from biblio_bench.synth import (
     citation_rate,
     generate_corpus,
 )
-from oracles import constant_model, corpus_text
+from oracles import constant_model, window_counts
 
 DATA = Path(__file__).parent / "data"
 
 
 def generated(config):
-    """generate_corpus with its lines read into a Corpus."""
+    """generate_corpus with its lines drawn, and each line's record."""
     lines, stars, controls = generate_corpus(config)
-    return ingest_corpus(lines), stars, controls
+    return list(map(json.loads, lines)), stars, controls
 
 
 def small_config(**overrides):
@@ -242,12 +242,12 @@ def test_null_multiplier_equalizes_rates():
 
 def test_same_seed_same_bytes():
     config = small_config()
-    corpus_a, stars_a, controls_a = generated(config)
-    corpus_b, stars_b, controls_b = generated(config)
-    assert corpus_text(corpus_a) == corpus_text(corpus_b)
+    lines_a, stars_a, controls_a = generate_corpus(config)
+    lines_b, stars_b, controls_b = generate_corpus(config)
+    lines_a = list(lines_a)
+    assert lines_a == list(lines_b)
     assert stars_a == stars_b and controls_a == controls_b
-    other, _, _ = generated(small_config(seed=102))
-    assert corpus_text(other) != corpus_text(corpus_a)
+    assert list(generate_corpus(small_config(seed=102))[0]) != lines_a
 
 
 def test_null_config_corpus_bytes_are_pinned():
@@ -282,8 +282,25 @@ def small_configs(draw):
 @given(small_configs())
 def test_generated_lines_are_read_back_and_written_again(config):
     lines = list(generate_corpus(config)[0])
-    papers = ingest_corpus(lines).papers.values()
-    assert list(map(render_paper_line, papers)) == lines
+    records = list(map(json.loads, lines))
+    # Each line is its record as json.dumps writes it, and reads back with
+    # the window counts of its events.
+    assert [json.dumps(r, ensure_ascii=False) for r in records] == lines
+    listed = ingest_corpus(lines, authors=EVERY_AUTHOR)
+    assert len(listed) == len(records)
+    read = {
+        p.paper_id: (p.pub_year, p.author_count, p.counts)
+        for papers in listed.groups.values()
+        for p in papers
+    }
+    assert read == {
+        r["paper_id"]: (
+            r["pub_year"],
+            len(r["author_ids"]),
+            window_counts(r["pub_year"], r["citing_years"]),
+        )
+        for r in records
+    }
 
 
 @given(
@@ -308,28 +325,28 @@ def test_coauthor_draw_matches_generator_choice(seed, weights):
 
 
 def test_empty_config_gives_empty_corpus():
-    corpus, stars, controls = generated(
+    records, stars, controls = generated(
         small_config(n_control=0, n_stars=0)
     )
-    assert len(corpus) == 0
+    assert records == []
     assert stars == () and controls == ()
 
 
 def test_generated_structure():
     config = small_config()
-    corpus, stars, controls = generated(config)
+    records, stars, controls = generated(config)
     assert len(stars) == 4 and len(controls) == 12
     assert set(stars).isdisjoint(controls)
     year_lo, year_hi = config.start_year_range
-    for paper in corpus.papers.values():
-        assert paper.author_ids is not None
-        assert paper.author_ids[0] in set(stars) | set(controls)
-        assert len(paper.author_ids) == paper.author_count
-        assert year_lo <= paper.pub_year <= year_hi + 4
-        for year in paper.citing_years:
-            assert paper.pub_year <= year <= paper.pub_year + 4
+    for record in records:
+        assert record.keys() == {"paper_id", "pub_year", "author_ids", "citing_years"}
+        assert record["author_ids"][0] in set(stars) | set(controls)
+        assert year_lo <= record["pub_year"] <= year_hi + 4
+        for year in record["citing_years"]:
+            assert record["pub_year"] <= year <= record["pub_year"] + 4
     # every author has at least one paper, anchored within the start range
-    for author_id, papers in corpus.papers_by_author(stars + controls).items():
+    groups = ingest_corpus(map(json.dumps, records), authors=stars + controls).groups
+    for author_id, papers in groups.items():
         record = build_author_record(author_id, papers)
         assert record.papers
         assert year_lo <= record.first_year <= year_hi
@@ -340,8 +357,8 @@ def test_author_counts_follow_distribution():
         seed=500, n_control=300, n_stars=0,
         coauthor_distribution={2: 0.5, 7: 0.5},
     )
-    corpus, _, _ = generated(config)
-    counts = [p.author_count for p in corpus.papers.values()]
+    records, _, _ = generated(config)
+    counts = [len(r["author_ids"]) for r in records]
     assert set(counts) <= {2, 7}
     share = counts.count(2) / len(counts)
     assert 0.45 < share < 0.55
@@ -349,11 +366,11 @@ def test_author_counts_follow_distribution():
 
 def test_mean_citations_track_growth_factor():
     config = SynthConfig.from_json((DATA / "inflation_config.json").read_text())
-    corpus, _, _ = generated(config)
-    assert len(corpus) >= 2000
+    records, _, _ = generated(config)
+    assert len(records) >= 2000
     by_year = {}
-    for paper in corpus.papers.values():
-        by_year.setdefault(paper.pub_year, []).append(len(paper.citing_years))
+    for record in records:
+        by_year.setdefault(record["pub_year"], []).append(len(record["citing_years"]))
     years = sorted(y for y, papers in by_year.items() if len(papers) >= 100)
     means = [np.mean(by_year[y]) for y in years]
     slope, _ = np.polyfit(years, np.log(means), 1)
@@ -367,13 +384,11 @@ def test_null_effect_keeps_comparison_flat():
         seed=913, n_control=40, n_stars=40, star_effect_multiplier=1.0,
         start_year_range=(1995, 1995),
     )
-    corpus, stars, controls = generated(config)
+    lines, stars, controls = generate_corpus(config)
+    groups = ingest_corpus(lines, authors=stars + controls).groups
     model = constant_model(expected=5.0)
     vec_s, vec_c = (
-        [
-            indicator_vector(build_author_record(a, papers), model)
-            for a, papers in corpus.papers_by_author(cohort).items()
-        ]
+        [indicator_vector(build_author_record(a, groups[a]), model) for a in cohort]
         for cohort in (stars, controls)
     )
     table = compare_cohorts(vec_s, vec_c)
