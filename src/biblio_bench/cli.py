@@ -21,40 +21,18 @@ from importlib import import_module
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 
-from . import __version__
+from . import _EXPORTS, __version__
 
 if TYPE_CHECKING:
     from hashlib import _Hash
 
     from .indicators import IndicatorVector
 
-# The library names the commands look up in this module's globals, with the
-# module that defines each, and the modules each command runs. main binds a
-# command's names just before it runs, so --version, --help and a usage error
-# load no library module. A name already set here is kept: perfbench's traced
-# run and the tests swap these names for stand-ins with getattr and setattr.
-_LIBRARY = {
-    "EVERY_AUTHOR": "corpus",
-    "FilterSpec": "corpus",
-    "build_author_record": "corpus",
-    "filter_cohort": "corpus",
-    "ingest_corpus": "corpus",
-    "open_text": "corpus",
-    "render_corpus": "corpus",
-    "ExpectationModel": "expectation",
-    "collect_window_points": "expectation",
-    "fit_expectation_model": "expectation",
-    "INDICATOR_FIELDS": "indicators",
-    "indicator_vector": "indicators",
-    "parse_vector_table": "indicators",
-    "render_vector_table": "indicators",
-    "boxplot_export": "stats",
-    "compare_cohorts": "stats",
-    "render_boxplot_table": "stats",
-    "render_comparison_table": "stats",
-    "SynthConfig": "synth",
-    "generate_corpus": "synth",
-}
+# The library modules each command runs. Just before a command runs, main
+# binds in this module's globals each name the package's _EXPORTS maps to one
+# of them, so --version, --help and a usage error load no library module. A
+# name already set here is kept: perfbench's traced run and the tests swap
+# these names for stand-ins with getattr and setattr.
 _COMMAND_MODULES = {
     "generate": ("corpus", "synth"),
     "fit": ("corpus", "expectation"),
@@ -69,10 +47,10 @@ logger = logging.getLogger("biblio_bench")
 
 
 def __getattr__(name: str) -> object:
-    """A library name of `_LIBRARY`, imported and bound here on first use."""
-    if name not in _LIBRARY:
+    """A library name of `_EXPORTS`, imported and bound here on first use."""
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_LIBRARY[name]}", __package__)
+    module = import_module(f".{_EXPORTS[name]}", __package__)
     return globals().setdefault(name, getattr(module, name))
 
 
@@ -105,6 +83,8 @@ def _input_digests(args: argparse.Namespace) -> dict[str, _Hash]:
 
 def _read(args: argparse.Namespace, inputs: dict[str, _Hash], option: str) -> str:
     """The text of the file an input option names, hashed into its digest."""
+    from .corpus import open_text
+
     with open_text(getattr(args, option), digest=inputs[option]) as handle:
         return handle.read()
 
@@ -158,6 +138,8 @@ def _staged() -> Iterator[Callable[[Path, _Content], str]]:
     the block succeeds are the files moved into place. Any failure removes
     the staged copies and whatever finals were already placed.
     """
+    from .corpus import open_text
+
     staged: list[tuple[Path, Path]] = []
     placed: list[Path] = []
 
@@ -457,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, module in _LIBRARY.items():
+    for name, module in _EXPORTS.items():
         if module in _COMMAND_MODULES[args.command]:
             __getattr__(name)
     if args.out is None and args.precision is None:

@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import chain, islice
+from itertools import islice
 from operator import mul
 from pathlib import Path
 from typing import (
@@ -176,9 +176,12 @@ def _check_paper(
     author_ids: list[str] | None,
     citing_years: list[int] | dict[int, int],
 ) -> list[int] | dict[int, int]:
-    """Check every field of a paper, for each corpus line and each generated
-    paper alike; return its citing years: the events sorted, or the
-    {year: events} given.
+    """Check every field of a corpus line's paper; return its citing years:
+    the events sorted, or the {year: events} given.
+
+    Only the per-year reader gives {year: events}, read from the line's own
+    text and matched against it by their re-render: just its first year is
+    checked here.
 
     A line writes ids as JSON strings and numbers with int.__repr__, which
     writes a bool as 0 or 1, so each must be of exactly that type. The bound
@@ -221,18 +224,7 @@ def _check_paper(
                 f"paper {paper_id}: author id {repeated!r} is listed twice"
             )
     if isinstance(citing_years, dict):
-        counts = citing_years.values()
-        if not {int}.issuperset(map(type, chain(citing_years, counts))):
-            raise ValueError(
-                f"paper {paper_id}: citing years and counts must be integers"
-            )
-        if citing_years and min(counts) < 0:
-            year, n = next((y, n) for y, n in citing_years.items() if n < 0)
-            raise ValueError(
-                f"paper {paper_id}: citing year {year} has a negative count, {n}"
-            )
-        # A year with a zero count is checked too.
-        first = min(citing_years) if citing_years else pub_year
+        first = min(citing_years)
     else:
         if not {int}.issuperset(map(type, citing_years)):
             raise ValueError(f"paper {paper_id}: citing_years must be integers")
@@ -578,9 +570,9 @@ def _paper_line(
     years: Iterable[int],
     per_year: Iterable[int],
 ) -> str:
-    """One paper's line in the ingestion format, from fields as _check_paper
-    accepts them: ``per_year[i]`` citation events fall in ``years[i]``, and a
-    year with none is left out.
+    """One paper's line in the ingestion format: ``per_year[i]`` citation
+    events fall in ``years[i]``, and a year with none is left out. The
+    fields are written as given; whoever reads the line checks them.
 
     The line is json.dumps(record, ensure_ascii=False) of the fields, written
     with the functions that JSON encoder applies to strings and ints, events

@@ -173,7 +173,9 @@ def _boxplot_of(values: Sequence[float]) -> tuple[
     fence_low, fence_high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     inside = [v for v in ordered if fence_low <= v <= fence_high]
     outliers = tuple(v for v in ordered if not fence_low <= v <= fence_high)
-    return med, q1, q3, inside[0], inside[-1], outliers
+    # A whisker ends at the most extreme value within its fence, or at its
+    # quartile when ties put that value inside the box, as matplotlib draws it.
+    return med, q1, q3, min(inside[0], q1), max(inside[-1], q3), outliers
 
 
 def boxplot_export(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, get_type_hints
 
-from .corpus import _FLOAT_MAX, _check_paper, _finite, _paper_line, decode_typed
+from .corpus import _FLOAT_MAX, _finite, _paper_line, decode_typed
 
 # numpy is imported where used, so `--version` and `indicators` never load it.
 if TYPE_CHECKING:
@@ -171,8 +171,8 @@ def _generate_author(
     author_id: str,
     is_star: bool,
 ) -> Iterator[str]:
-    """One author's corpus lines, each paper drawn and checked as it is
-    taken; ``ramp`` is CITATION_RAMP as an array."""
+    """One author's corpus lines, each paper drawn and written, unchecked, as
+    it is taken; ``ramp`` is CITATION_RAMP as an array."""
     lo, hi = config.start_year_range
     start_year = int(rng.integers(lo, hi + 1))
     paper_counts = rng.poisson(config.papers_per_year_mean, WINDOW_YEARS)
@@ -195,11 +195,8 @@ def _generate_author(
                 rng, citation_rate(config, pub_year, is_star), config.dispersion
             )
             spread = rng.multinomial(total, ramp).tolist()
-            citing = dict(enumerate(spread, start=pub_year))
-            _check_paper(paper_id, pub_year, n_authors, author_ids, citing)
-            yield _paper_line(
-                paper_id, pub_year, n_authors, author_ids, citing, spread
-            )
+            years = range(pub_year, pub_year + WINDOW_YEARS)
+            yield _paper_line(paper_id, pub_year, n_authors, author_ids, years, spread)
 
 
 def generate_corpus(
@@ -207,11 +204,11 @@ def generate_corpus(
 ) -> tuple[Iterator[str], tuple[str, ...], tuple[str, ...]]:
     """The lines of a synthetic corpus, plus the star and control author ids.
 
-    Each paper is drawn, checked as a corpus line is, and written as its
-    line when the lines are iterated, so the whole corpus is never held;
-    ingest_corpus(lines) reads them back. Deterministic for a fixed
-    config: one generator seeded from config.seed drives every draw in a
-    fixed order.
+    Each paper is drawn and written as its line when the lines are
+    iterated, so the whole corpus is never held; ingest_corpus(lines) reads
+    them back and checks each line, as it checks any corpus. Deterministic
+    for a fixed config: one generator seeded from config.seed drives every
+    draw in a fixed order.
     """
     star_ids = tuple(f"star_{i:04d}" for i in range(1, config.n_stars + 1))
     control_ids = tuple(f"ctrl_{i:04d}" for i in range(1, config.n_control + 1))

@@ -6,12 +6,15 @@ import logging
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import biblio_bench
 import biblio_bench.cli
@@ -22,6 +25,7 @@ from biblio_bench.cli import main
 from biblio_bench.expectation import ExpectationModel
 from biblio_bench.indicators import indicator_vector, render_vector_table
 from biblio_bench.stats import parse_comparison_table
+from biblio_bench.synth import SynthConfig
 from oracles import constant_model, make_record
 
 DATA = Path(__file__).parent / "data"
@@ -388,11 +392,13 @@ def test_indicators_builds_no_paper_and_writes_the_pinned_tables(
         assert sha256(tmp_path / name) == PINNED_MANIFESTS[name]
 
 
-def test_generate_builds_no_paper_and_checks_every_paper(
+def test_generate_builds_no_paper_and_writes_all_papers_or_none(
     tmp_path, monkeypatch, capsys
 ):
-    # generate writes each drawn paper's line once _check_paper has passed
-    # it: building a paper fails, and the corpus is still the pinned one.
+    # generate writes each drawn paper straight to its line, which is checked
+    # where it is read, as any corpus line is: building a paper fails, and
+    # the corpus is still the pinned one. A paper that fails to be written
+    # leaves no output at all.
     config = (DATA / "experiment_effect_config.json").read_bytes()
     for name in ("whole", "failing"):
         (tmp_path / name).mkdir()
@@ -403,25 +409,25 @@ def test_generate_builds_no_paper_and_checks_every_paper(
         raise AssertionError("generate built a paper")
 
     monkeypatch.setattr(biblio_bench.corpus.PaperWindows, "__init__", build)
-    real = biblio_bench.synth._check_paper
-    checked = []
+    real = biblio_bench.synth._paper_line
+    written = []
     fail_at = 0
 
-    def check(*args):
-        checked.append(args[0])
-        if len(checked) == fail_at:
-            raise ValueError(f"paper {args[0]}: rejected")
-        return real(*args)
+    def paper_line(paper_id, *args):
+        written.append(paper_id)
+        if len(written) == fail_at:
+            raise ValueError(f"paper {paper_id}: rejected")
+        return real(paper_id, *args)
 
-    monkeypatch.setattr(biblio_bench.synth, "_check_paper", check)
+    monkeypatch.setattr(biblio_bench.synth, "_paper_line", paper_line)
     monkeypatch.chdir(tmp_path / "whole")
     assert main(generate) == 0
     manifest = Path("corpus.manifest.json")
     assert sha256(manifest) == PINNED_MANIFESTS["corpus.manifest.json"]
     lines = Path("corpus.jsonl").read_text().splitlines()
-    assert checked == [json.loads(line)["paper_id"] for line in lines]
+    assert written == [json.loads(line)["paper_id"] for line in lines]
 
-    checked.clear()
+    written.clear()
     fail_at = 3
     monkeypatch.chdir(tmp_path / "failing")
     assert main(generate) == 1
@@ -1260,20 +1266,20 @@ def test_each_input_is_opened_once_and_hashed_whole(tmp_path, monkeypatch, open_
 TRACED_MODULES = {"cli": biblio_bench.cli, "indicators": biblio_bench.indicators}
 
 
-def load_tracing():
-    """The benchmark's span recorder, perfbench/tracing.py, as it stands."""
+def load_perfbench(name):
+    """The benchmark's module perfbench/<name>.py, loaded by path as it stands."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py"
+        f"perfbench_{name}", Path(__file__).parents[1] / "perfbench" / f"{name}.py"
     )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_names_resolve_to_callables():
     # tracing.py wraps these names from outside the package, so a rename
     # would break the benchmark's traced run.
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     for module, attr, _, _ in tracing.WRAPPED:
         assert callable(getattr(TRACED_MODULES[module], attr, None)), (module, attr)
 
@@ -1314,7 +1320,7 @@ def test_commands_look_up_traced_names_at_call_time(tmp_path, monkeypatch):
     # attributes; a command that bound one at import time would escape it.
     # Its counters read each call's arguments and result, so this also
     # catches a changed signature.
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     with tracing.installed(tracer, TRACED_MODULES):
         run_effect_pipeline(tmp_path, monkeypatch)
@@ -1323,3 +1329,102 @@ def test_commands_look_up_traced_names_at_call_time(tmp_path, monkeypatch):
     assert tracer.check_nesting() == []
     # fit and the two indicators runs each read the corpus once.
     assert tracer.counts["corpus.ingest_calls"] == 3
+
+
+# Co-author bounds at simple fractions, so that some author's mean co-author
+# count meets a bound exactly and each strict bound is tested as strict.
+COAUTHOR_BOUNDS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+
+
+@st.composite
+def oracle_pipelines(draw):
+    """A generator config of at most 60 authors, and the five commands of a
+    pipeline over its corpus with drawn options."""
+    lo = draw(st.integers(1985, 1995))
+    hi = lo + draw(st.integers(0, 6))
+    config = SynthConfig(
+        seed=draw(st.integers(0, 2**32)),
+        n_control=draw(st.integers(1, 40)),
+        n_stars=draw(st.integers(1, 20)),
+        start_year_range=(lo, hi),
+        papers_per_year_mean=draw(st.floats(0.2, 2.5)),
+        coauthor_distribution=draw(st.sampled_from([
+            {2: 1.0},
+            {1: 0.5, 2: 0.5},
+            {1: 0.25, 2: 0.25, 3: 0.3, 4: 0.2},
+            {2: 0.3, 3: 0.4, 4: 0.25, 5: 0.05},
+        ])),
+        base_expected_citations=draw(st.floats(0.5, 40.0)),
+        annual_growth_factor=draw(st.floats(0.9, 1.1)),
+        dispersion=draw(st.floats(0.5, 5.0)),
+        star_effect_multiplier=draw(st.floats(1.0, 3.0)),
+    )
+    years = st.integers(lo, hi + 4).map(str)
+    windows = draw(st.integers(1, 6))
+    fit = ["fit", "--corpus", "corpus.jsonl", "--windows", str(windows),
+           "--min-papers", str(draw(st.integers(1, 8)))]
+    for flag in ("--year-min", "--year-max"):
+        year = draw(st.none() | years)
+        fit += [] if year is None else [flag, year]
+
+    def indicators(authors, out):
+        low = draw(COAUTHOR_BOUNDS.filter(lambda bound: bound < 2))
+        high = low + draw(st.sampled_from([1.0, 1.5, 2.5, 100.0]))
+        cap = draw(st.none() | COAUTHOR_BOUNDS)
+        return [
+            "indicators", "--corpus", "corpus.jsonl", "--model", "model.json",
+            "--windows", str(draw(st.integers(1, windows))),
+            "--coauthor-min", str(low), "--coauthor-max", str(high),
+            *([] if cap is None else ["--coauthor-hard-cap", str(cap)]),
+            "--max-start-year", draw(st.just("none") | years),
+            *([] if authors is None else ["--authors", authors]),
+            "--out", out,
+        ]
+
+    return config, [
+        ["generate", "--seed-config", "config.json", "--out", "corpus.jsonl"],
+        [*fit, "--out", "model.json"],
+        indicators("corpus.stars.txt", "stars.tsv"),
+        # Every author, or the controls alone.
+        indicators(draw(st.sampled_from([None, "corpus.controls.txt"])), "controls.tsv"),
+        ["compare", "--stars", "stars.tsv", "--control", "controls.tsv",
+         "--out", "comparison.tsv"],
+    ]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return load_perfbench("oracle")
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(pipeline=oracle_pipelines())
+def test_pipeline_outputs_pass_the_independent_oracle(
+    pipeline, oracle, tmp_path, monkeypatch, capsys
+):
+    # perfbench/oracle.py recomputes every output from the corpus by
+    # definition, with none of the program's code. No command passes
+    # --precision: the oracle compares full-precision tables.
+    config, (generate, fit, stars, controls, compare) = pipeline
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    # Relative paths: the oracle rejects an absolute path in a manifest.
+    monkeypatch.chdir(run_dir)
+    Path("config.json").write_text(config.to_json())
+    capsys.readouterr()  # drop what earlier examples printed
+    assert main(generate) == 0
+    if main(fit) != 0:
+        error = capsys.readouterr().err
+        assume(not error.startswith("error: insufficient data"))
+        pytest.fail(error)
+    for argv in (stars, controls):
+        assert main(argv) == 0, capsys.readouterr().err
+    # compare rejects a table with no rows.
+    if all(len(Path(t).read_text().splitlines()) > 1 for t in (stars[-1], controls[-1])):
+        assert main(compare) == 0, capsys.readouterr().err
+    problems, _ = oracle.check_outputs(run_dir)
+    assert problems == []

@@ -289,13 +289,6 @@ def test_papers_equal_iff_event_multisets_equal(data):
     assert same == (Counter(a) == Counter(b))
 
 
-def test_negative_citation_count_is_rejected():
-    # Only a generated paper gives its citing years as {year: events}.
-    with pytest.raises(ValueError) as err:
-        corpus_module._check_paper("p", 2000, 1, None, {2001: -3, 2002: 2})
-    assert str(err.value) == "paper p: citing year 2001 has a negative count, -3"
-
-
 @pytest.mark.parametrize("pub_year, author_count, message", [
     (True, 1, "paper p: pub_year must be an integer"),
     (2000.0, 1, "paper p: pub_year must be an integer"),
@@ -640,6 +633,17 @@ def test_per_year_read_matches_general_path(paper, mutation, data):
         in_range = 1000 <= events[0] and events[-1] <= 9999
         taken = corpus_module._split_rendered(text) is not None
         assert taken == (span < 10 and in_range)
+
+
+def test_per_year_line_citing_before_its_publication_is_rejected():
+    # Of the {year: events} a per-year line reads as, only the first year is
+    # checked: the re-render has matched the rest against the line's text.
+    text = written({"paper_id": "p", "pub_year": 2001, "author_count": 1,
+                    "citing_years": [2000] * 40 + [2001] * 40})
+    assert corpus_module._split_rendered(text) is not None
+    assert ingested(text) == ingested(text, EVERY_AUTHOR) == (
+        "line 1: paper p: citing year 2000 precedes publication year 2001"
+    )
 
 
 def test_rendered_events_are_not_decoded(monkeypatch):

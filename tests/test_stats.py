@@ -315,12 +315,21 @@ def test_boxplot_of_matches_numpy(values):
     med, q1, q3, low, high, outliers = _boxplot_of(values)
     expected = np.percentile(values, [25.0, 50.0, 75.0])
     assert [q.hex() for q in (q1, med, q3)] == [float(q).hex() for q in expected]
-    # Whiskers and outliers as numpy masks give them, from the same quartiles.
+    # Whiskers and outliers as numpy masks give them, from the same quartiles;
+    # a whisker that would end inside the box ends at its quartile.
     data = np.asarray(values, dtype=float)
     iqr = q3 - q1
     keep = (data >= q1 - 1.5 * iqr) & (data <= q3 + 1.5 * iqr)
-    assert (low, high) == (float(data[keep].min()), float(data[keep].max()))
+    assert (low, high) == (
+        min(float(data[keep].min()), q1), max(float(data[keep].max()), q3)
+    )
     assert outliers == tuple(sorted(data[~keep].tolist()))
+
+
+def test_boxplot_whiskers_end_outside_the_box():
+    # q3 is 0.25 and 1 lies beyond its fence, 0.625: the largest value within
+    # the fences, 0, lies inside the box, so the upper whisker ends at q3.
+    assert _boxplot_of([0.0, 0.0, 0.0, 1.0]) == (0.0, 0.0, 0.25, 0.0, 0.25, (1.0,))
 
 
 def test_boxplot_constant_values():

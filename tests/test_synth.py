@@ -263,17 +263,26 @@ def test_null_config_corpus_bytes_are_pinned():
 
 @st.composite
 def small_configs(draw):
-    """Configs of at most 5 authors, from no citations to hundreds per paper."""
-    lo = draw(st.integers(-20, 10_020))
+    """Configs of at most 5 authors, from no citations to hundreds per paper,
+    with start years up to either end of the int64 range rng.integers draws
+    from, and co-author counts of probability zero."""
+    years = st.integers(-20, 10_020).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + 3))
+    )
     return small_config(
         seed=draw(st.integers(0, 2**64 - 1)),
         n_control=draw(st.integers(0, 3)),
         n_stars=draw(st.integers(0, 2)),
-        start_year_range=(lo, lo + draw(st.integers(0, 3))),
+        start_year_range=draw(
+            years | st.sampled_from([(2**63 - 8, 2**63 - 1), (-(2**63), -(2**63) + 2)])
+        ),
         papers_per_year_mean=draw(st.floats(0.0, 2.0)),
-        coauthor_distribution=draw(st.sampled_from(
-            [{1: 1.0}, {2: 0.5, 7: 0.5}, {1: 0.25, 2: 0.25, 3: 0.3, 4: 0.2}]
-        )),
+        coauthor_distribution=draw(st.sampled_from([
+            {1: 1.0},
+            {2: 0.5, 7: 0.5},
+            {1: 0.25, 2: 0.25, 3: 0.3, 4: 0.2},
+            {1: 0.0, 2: 1.0, 3: 0.0},
+        ])),
         base_expected_citations=draw(st.floats(0.1, 300.0)),
         dispersion=draw(st.floats(0.3, 5.0)),
     )
