@@ -201,17 +201,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ValueError(f"--windows must be >= 1, got {args.windows}")
     inputs = _input_digests(args)
     # Each line's window counts are read as the line is checked: no paper is
-    # held. collect_window_points only checks the points, but stays a call of
-    # its own: the benchmark's traced run wraps both names, counting ingest
-    # calls and window points.
+    # held, and the fit gets one line per window read. collect_window_points
+    # returns the points as they are, but stays a call of its own: the
+    # benchmark's traced run wraps both names, counting ingest calls and
+    # window points.
     points = collect_window_points(
-        ingest_corpus(Path(args.corpus), inputs["corpus"], window_count=args.windows),
-        window_count=args.windows,
+        ingest_corpus(Path(args.corpus), inputs["corpus"], window_count=args.windows)
     )
     logger.info("read %d papers from %s", len(points), args.corpus)
     model = fit_expectation_model(
         points,
-        window_count=args.windows,
         min_papers_per_year=args.min_papers,
         year_range=(args.year_min, args.year_max),
     )
@@ -270,8 +269,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         corpus, inputs["corpus"], authors=author_ids, window_count=args.windows
     ).groups
     records = [
-        build_author_record(author_id, papers, window_years=args.windows)
-        for author_id, papers in groups.items()
+        build_author_record(author_id, papers) for author_id, papers in groups.items()
     ]
     spec = FilterSpec(
         mean_coauthors_min=args.coauthor_min,

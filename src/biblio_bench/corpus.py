@@ -2,9 +2,9 @@
 
 A corpus is a set of papers, each carrying its publication year, its author
 list (or just an author count), and the years of its citation events. A
-paper is read as its citations within each of its first years.
-Author records restrict a researcher's papers and citations to the first
-``window_years`` calendar years of their publishing career.
+paper is read as its citations within each of its first W years, W set by
+``ingest_corpus(window_count=W)``; author records keep a researcher's papers
+from the first W calendar years of their publishing career.
 """
 
 from __future__ import annotations
@@ -240,27 +240,33 @@ def _check_paper(
 
 @dataclass(frozen=True)
 class AuthorRecord:
-    """An author's papers published within their first publishing years."""
+    """An author's papers from their first W publishing years, W = len(counts)."""
 
     author_id: str
     first_year: int
     papers: tuple[PaperWindows, ...]
-    window_years: int = 5
 
     def __post_init__(self) -> None:
         if not self.papers:
             raise ValueError(f"author {self.author_id}: record has no papers")
+        window = len(self.papers[0].counts)
+        last_year = self.first_year + window - 1
         for p in self.papers:
-            if not self.first_year <= p.pub_year <= self.last_year:
+            if len(p.counts) != window:
+                raise ValueError(
+                    f"author {self.author_id}: paper {p.paper_id} counts "
+                    f"{len(p.counts)} years, not {window}"
+                )
+            if not self.first_year <= p.pub_year <= last_year:
                 raise ValueError(
                     f"author {self.author_id}: paper {p.paper_id} published "
-                    f"{p.pub_year}, outside {self.first_year}..{self.last_year}"
+                    f"{p.pub_year}, outside {self.first_year}..{last_year}"
                 )
 
     @property
     def last_year(self) -> int:
         """The last calendar year of the window, inclusive."""
-        return self.first_year + self.window_years - 1
+        return self.first_year + len(self.papers[0].counts) - 1
 
     @property
     def mean_coauthors(self) -> float:
@@ -313,6 +319,8 @@ class WindowPoints:
     windows: tuple[Sequence[int], ...]
 
     def __post_init__(self) -> None:
+        if not self.windows:
+            raise ValueError("points need window counts for at least w=1")
         if any(len(column) != len(self.pub_year) for column in self.windows):
             raise ValueError("window counts must number one per paper in every window")
 
@@ -328,26 +336,14 @@ class PaperWindows:
     of its citations fall within its first k + 1 years, the publication year
     counted as year one.
 
-    An AuthorRecord reads it through ``paper_id``, ``pub_year``,
-    ``author_count`` and ``citations_through``, for a record whose window is
-    no longer than ``len(counts)`` years.
+    An AuthorRecord's papers all count its W years: a paper's citations
+    through the record's last year are ``counts[last_year - pub_year]``.
     """
 
     paper_id: str
     pub_year: int
     author_count: int
     counts: tuple[int, ...]
-
-    def citations_through(self, last_year: int) -> int:
-        """Number of citation events with citing year <= last_year, which
-        may not lie past the paper's last window year."""
-        k = last_year - self.pub_year
-        if k >= len(self.counts):
-            raise ValueError(
-                f"paper {self.paper_id}: citations are counted through "
-                f"{self.pub_year + len(self.counts) - 1}, not {last_year}"
-            )
-        return self.counts[k] if k >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -608,24 +604,20 @@ def render_corpus(lines: Iterable[str], out: IO[str]) -> int:
     return written
 
 
-def build_author_record(
-    author_id: str, papers: Sequence[PaperWindows], window_years: int = 5
-) -> AuthorRecord:
+def build_author_record(author_id: str, papers: Sequence[PaperWindows]) -> AuthorRecord:
     """Restrict an author's papers and citations to their first window.
 
     ``papers`` are the author's papers, as ListedPapers groups them; the
     record keeps the papers published within the window, in their order.
     The window starts with the calendar year of the author's first paper and
-    spans window_years years inclusive.
+    spans W = len(counts) years inclusive, as ingest_corpus counted them.
     """
-    if window_years < 1:
-        raise ValueError("window_years must be >= 1")
     if not papers:
         raise UnknownAuthorError(f"author {author_id!r} not found in corpus")
     first_year = min(p.pub_year for p in papers)
-    last_year = first_year + window_years - 1
+    last_year = first_year + len(papers[0].counts) - 1
     kept = tuple(p for p in papers if p.pub_year <= last_year)
-    return AuthorRecord(author_id, first_year, kept, window_years)
+    return AuthorRecord(author_id, first_year, kept)
 
 
 def filter_cohort(

@@ -98,24 +98,12 @@ class ExpectationModel:
         return decode_typed(cls, text, "model")
 
 
-def collect_window_points(points: WindowPoints, window_count: int = 5) -> WindowPoints:
-    """Per-paper fit points: pub_year and cumulative citations for w=1..W.
-
-    The w-year count includes citing years from the publication year through
-    w-1 years later. The points, as ``ingest_corpus(path, window_count=W)``
-    returns them, are returned as they are, once they are checked to hold
-    w=1..W.
+def collect_window_points(points: WindowPoints) -> WindowPoints:
+    """Per-paper fit points, as ``ingest_corpus(path, window_count=W)`` returns
+    them: pub_year and the citations within the first w years, for w=1..W,
+    the publication year counted as year one. They are returned as they are.
     """
-    _check_windows(points, window_count)
     return points
-
-
-def _check_windows(points: WindowPoints, window_count: int) -> None:
-    if len(points.windows) < window_count:
-        raise ValueError(
-            f"points have window counts for w=1..{len(points.windows)}, "
-            f"need w=1..{window_count}"
-        )
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -134,22 +122,19 @@ def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def fit_expectation_model(
     points: WindowPoints,
-    window_count: int = 5,
     min_papers_per_year: int = 100,
     year_range: tuple[int | None, int | None] = (None, None),
 ) -> ExpectationModel:
     """Fit one least-squares line per window over individual papers.
 
     ``points`` holds each paper's pub_year and cumulative citation counts for
-    w=1..W, column-wise. Publication years outside ``year_range`` (low, high;
-    None leaves that end open) or with fewer than ``min_papers_per_year``
-    papers are left out of the fit; at least two distinct years must remain.
+    w=1..W, column-wise, and each of its W columns gets a line. Publication
+    years outside ``year_range`` (low, high; None leaves that end open) or
+    with fewer than ``min_papers_per_year`` papers are left out of the fit;
+    at least two distinct years must remain.
     """
     import numpy as np
 
-    if window_count < 1:
-        raise ValueError("window_count must be >= 1")
-    _check_windows(points, window_count)
     low, high = year_range
     qualifying = {
         year
@@ -168,8 +153,8 @@ def fit_expectation_model(
     kept = np.fromiter(map(qualifying.__contains__, points.pub_year), bool, len(points))
     x = np.array(points.pub_year, dtype=float)[kept]
     fits = {}
-    for w in range(1, window_count + 1):
-        y = np.array(points.windows[w - 1], dtype=float)[kept]
+    for w, column in enumerate(points.windows, start=1):
+        y = np.array(column, dtype=float)[kept]
         slope, intercept = _ols_line(x, y)
         fits[w] = WindowFit(slope=slope, intercept=intercept, n_points=len(x))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable, get_type_hints
 
-from .corpus import AuthorRecord, PaperWindows, _finite
+from .corpus import _BREAKS, AuthorRecord, PaperWindows, _finite
 
 if TYPE_CHECKING:  # compare loads no expectation model
     from .expectation import ExpectationModel
@@ -60,7 +60,7 @@ def rank_papers(record: AuthorRecord, model: ExpectationModel) -> Ranked:
     """
     last_year = record.last_year
     expected = model.expected_citations
-    counted = [(p, p.citations_through(last_year)) for p in record.papers]
+    counted = [(p, p.counts[last_year - p.pub_year]) for p in record.papers]
     counted.sort(key=lambda pc: (-pc[1], pc[0].author_count, pc[0].paper_id))
     return tuple(
         (p, c, expected(p.pub_year, last_year + 1 - p.pub_year)) for p, c in counted
@@ -191,7 +191,7 @@ def render_table(
         cells = ((k, *values(row)) for k, row in rows)
     lines = ["\t".join(names)]
     for row in cells:
-        if key is not None and not {"\t", "\r", "\n"}.isdisjoint(row[0]):
+        if key is not None and not _BREAKS.isdisjoint(row[0]):
             raise ValueError(f"{key} {row[0]!r} holds a tab or line break")
         lines.append("\t".join([format_decimal(v, precision) for v in row]))
     return "\n".join(lines) + "\n"

@@ -56,9 +56,7 @@ def make_record(
         paper_windows(f"p{i:03d}", first_year, a, {first_year: c})
         for i, (c, a) in enumerate(pairs)
     )
-    return AuthorRecord(
-        author_id=author_id, first_year=first_year, papers=papers, window_years=5
-    )
+    return AuthorRecord(author_id=author_id, first_year=first_year, papers=papers)
 
 
 def constant_model(expected: float = 2.5, windows: int = 5) -> ExpectationModel:
@@ -83,7 +81,7 @@ def oracle_sums(
     publication year, clamped from below at the model's floor. The terms of each
     indicator are summed as Fractions; each mean is its rounded sum / n.
     """
-    window_end = record.first_year + record.window_years
+    window_end = record.last_year + 1
     terms: dict[str, list[float]] = {
         "f": [], "norm_citations": [], "j_index": [],
         "fract_citations": [], "fract_norm_citations": [],

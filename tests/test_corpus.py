@@ -146,9 +146,6 @@ def test_hashed_reading_matches_text_reading(tmp_path, name):
 def test_citing_years_sorted_and_truncation():
     paper = read_paper(2000, [2004, 2000, 2002, 2002], window_count=11)
     assert paper.counts == (1, 1, 3, 3, 4, 4, 4, 4, 4, 4, 4)
-    assert paper.citations_through(2002) == 3
-    assert paper.citations_through(1999) == 0
-    assert paper.citations_through(2010) == 4
 
 
 def test_render_round_trip():
@@ -264,12 +261,14 @@ IDS = st.text(alphabet="abz09_é", min_size=1, max_size=5)
 @given(
     pub_year=st.integers(1950, 2000),
     offsets=st.lists(st.integers(0, 30), max_size=40),
-    query=st.integers(1940, 2040),
+    window_count=st.integers(1, 40),
 )
-def test_citations_through_matches_linear_count(pub_year, offsets, query):
+def test_window_counts_match_linear_count(pub_year, offsets, window_count):
     events = [pub_year + k for k in offsets]
-    paper = read_paper(pub_year, events, window_count=2041 - pub_year)
-    assert paper.citations_through(query) == sum(1 for y in events if y <= query)
+    paper = read_paper(pub_year, events, window_count=window_count)
+    assert len(paper.counts) == window_count
+    for k, count in enumerate(paper.counts):
+        assert count == sum(1 for y in events if y <= pub_year + k)
 
 
 @given(st.lists(st.integers(2000, 2030), max_size=60))
@@ -535,9 +534,10 @@ def test_ingest_for_listed_authors_equals_filtered_full_ingest(
     for author_id, papers in listed.groups.items():
         if not papers:
             with pytest.raises(UnknownAuthorError):
-                build_author_record(author_id, papers, window_count)
+                build_author_record(author_id, papers)
             continue
-        record = build_author_record(author_id, papers, window_count)
+        record = build_author_record(author_id, papers)
+        assert record.last_year == record.first_year + window_count - 1
         vector = indicator_vector(record, SLOPED_MODEL)
         sums = oracle_sums(record, SLOPED_MODEL)
         assert {name: getattr(vector, name) for name in sums} == sums
@@ -549,18 +549,15 @@ def test_ingest_for_listed_authors_equals_filtered_full_ingest(
 def test_listed_papers_count_citations_through_their_window_only():
     listed = ingest_corpus(FIXTURE, authors=["carol", "ghost"], window_count=3)
     with pytest.raises(UnknownAuthorError, match="'ghost' not found"):
-        build_author_record("ghost", listed.groups["ghost"], window_years=3)
+        build_author_record("ghost", listed.groups["ghost"])
     first = listed.groups["carol"][0]
     assert (first.paper_id, first.pub_year) == ("pC1", 1995)
-    assert [first.citations_through(year) for year in range(1994, 1998)] == [
-        0, 20, 50, 75
-    ]
-    with pytest.raises(ValueError, match="counted through 1997, not 1998"):
-        first.citations_through(1998)
-    # A record wider than the papers' windows cannot be priced.
-    record = build_author_record("carol", listed.groups["carol"], window_years=5)
-    with pytest.raises(ValueError, match="paper pC.: citations are counted through"):
-        indicator_vector(record, constant_model())
+    # 1995, 1995..1996 and 1995..1997; later citations are not read
+    assert first.counts == (20, 50, 75)
+    # The record spans the 3 years its papers count, and is priced within them.
+    record = build_author_record("carol", listed.groups["carol"])
+    assert (record.first_year, record.last_year) == (1995, 1997)
+    assert indicator_vector(record, constant_model()).citations == 75 + 18 + 9
 
 
 def ingested(text, authors=None):
@@ -711,15 +708,15 @@ def test_blank_lines_skipped():
     assert len(points) == 1
 
 
-def fixture_record(author_id, window_years=5):
-    papers = ingest_corpus(FIXTURE, authors=[author_id]).groups[author_id]
-    return build_author_record(author_id, papers, window_years)
+def fixture_record(author_id, window_count=5):
+    listed = ingest_corpus(FIXTURE, authors=[author_id], window_count=window_count)
+    return build_author_record(author_id, listed.groups[author_id])
 
 
 def test_build_author_record_windows_citations():
     carol = fixture_record("carol")
     assert (carol.first_year, carol.last_year) == (1995, 1999)
-    assert [p.citations_through(carol.last_year) for p in carol.papers] == [
+    assert [p.counts[carol.last_year - p.pub_year] for p in carol.papers] == [
         100, 25, 25, 0
     ]
     # dave shares carol's 1995 paper, so his window starts in 1995 and the
@@ -730,13 +727,14 @@ def test_build_author_record_windows_citations():
 
 
 def test_build_author_record_window_length():
-    short = fixture_record("carol", window_years=3)
-    # window 1995-1997: pC4 (1999) drops out, citations cut at 1997
-    assert short.last_year == 1997
+    short = fixture_record("carol", window_count=3)
+    # window 1995-1997, the 3 years the rows count: pC4 (1999) drops out,
+    # citations cut at 1997
+    assert (short.first_year, short.last_year) == (1995, 1997)
     assert [p.paper_id for p in short.papers] == ["pC1", "pC2", "pC3"]
-    assert [p.citations_through(short.last_year) for p in short.papers] == [75, 18, 9]
-    with pytest.raises(ValueError):
-        fixture_record("carol", window_years=0)
+    assert [p.counts[short.last_year - p.pub_year] for p in short.papers] == [
+        75, 18, 9
+    ]
 
 
 def test_unknown_author():
@@ -753,6 +751,13 @@ def test_author_record_validation():
         AuthorRecord(author_id="a", first_year=2000, papers=(outside,))
     assert str(err.value) == "author a: paper p published 2005, outside 2000..2004"
     assert AuthorRecord("a", 2000, (paper_windows("p", 2004, 1),)).last_year == 2004
+
+
+def test_author_record_papers_count_one_window():
+    papers = (paper_windows("p5", 2000, 1), paper_windows("p3", 2001, 1, (), 3))
+    with pytest.raises(ValueError) as err:
+        AuthorRecord("a", 2000, papers)
+    assert str(err.value) == "author a: paper p3 counts 3 years, not 5"
 
 
 def make_record(author_counts, first_year=1995):

@@ -181,14 +181,9 @@ def test_collect_window_points():
         '{"paper_id": "p2", "pub_year": 2001, "author_count": 9,'
         ' "citing_years": [2002]}',
     ]
-    # read straight from the lines; they are returned as given if they hold
-    # the windows asked for
+    # read straight from the lines and returned as given
     points = ingest_corpus(lines, window_count=5)
-    assert collect_window_points(points, window_count=5) is points
-    assert collect_window_points(points, window_count=3) is points
-    with pytest.raises(ValueError) as err:
-        collect_window_points(points, window_count=6)
-    assert str(err.value) == "points have window counts for w=1..5, need w=1..6"
+    assert collect_window_points(points) is points
     assert len(points) == 2
     # the columns are plain lists
     assert {type(column) for column in (points.pub_year, *points.windows)} == {list}
@@ -236,7 +231,7 @@ def test_fit_matches_closed_form_on_noisy_data():
                 counts = tuple(int(c) for c in rng.integers(0, 400, size=2))
                 points.append((int(year), counts))
         model = fit_expectation_model(
-            window_columns(points), window_count=2, min_papers_per_year=1
+            window_columns(points), min_papers_per_year=1
         )
         xs = [year for year, _ in points]
         for w in (1, 2):
@@ -251,7 +246,7 @@ def test_fit_matches_closed_form_on_noisy_data():
 def test_fit_min_papers_filters_years():
     data = {1995: (1, 2), 1996: (2, 3), 1997: (3, 4)}
     points = years_points(data, copies=10, extra=[(1998, (9, 9))])
-    model = fit_expectation_model(points, window_count=2, min_papers_per_year=5)
+    model = fit_expectation_model(points, min_papers_per_year=5)
     assert model.fit_year_range == (1995, 1997)
     # the lone 1998 paper stays out of the fit
     assert model.window_fits[1].n_points == 30
@@ -261,7 +256,6 @@ def test_fit_year_range_filters_years():
     data = {year: (year - 1990, 0) for year in range(1990, 2000)}
     model = fit_expectation_model(
         years_points(data, copies=5),
-        window_count=2,
         min_papers_per_year=1,
         year_range=(1993, 1996),
     )
@@ -279,7 +273,6 @@ def test_fit_year_range_open_ends(year_range, fitted):
     data = {year: (year - 1990, 0) for year in range(1990, 2000)}
     model = fit_expectation_model(
         years_points(data, copies=5),
-        window_count=2,
         min_papers_per_year=1,
         year_range=year_range,
     )
@@ -290,26 +283,36 @@ def test_fit_year_range_open_ends(year_range, fitted):
 def test_fit_insufficient_years_raises():
     points = years_points({1995: (1, 1)}, copies=200)
     with pytest.raises(InsufficientDataError, match="insufficient data"):
-        fit_expectation_model(points, window_count=2, min_papers_per_year=100)
+        fit_expectation_model(points, min_papers_per_year=100)
     spread = years_points({1995: (1, 1), 1996: (2, 2)}, copies=99)
     with pytest.raises(InsufficientDataError):
-        fit_expectation_model(spread, window_count=2, min_papers_per_year=100)
+        fit_expectation_model(spread, min_papers_per_year=100)
 
 
 def test_fit_rejects_short_count_tuples():
-    # a window column shorter than pub_year, and too few window columns
+    # a window column shorter than pub_year
     with pytest.raises(ValueError, match="window counts"):
         WindowPoints(array("q", [1995, 1996]), (array("q", [1, 1]), array("q", [2])))
-    with pytest.raises(ValueError, match="window counts"):
-        fit_expectation_model(years_points({1995: (1,), 1996: (1,)}), window_count=2,
-                              min_papers_per_year=1)
 
 
-@pytest.mark.parametrize("window_count", [0, -1])
-def test_fit_rejects_window_count_below_one(window_count):
-    with pytest.raises(ValueError, match=r"^window_count must be >= 1$"):
-        fit_expectation_model(years_points({1995: (1,), 1996: (2,)}),
-                              window_count=window_count, min_papers_per_year=1)
+def test_points_need_a_window_column():
+    with pytest.raises(ValueError) as err:
+        WindowPoints([1995], ())
+    assert str(err.value) == "points need window counts for at least w=1"
+
+
+@pytest.mark.parametrize("window_count", [6, 1])
+def test_fit_fits_one_line_per_window_column(window_count):
+    # window w counts w per year above 1994, so line w has slope w
+    data = {
+        year: tuple(w * (year - 1994) for w in range(1, window_count + 1))
+        for year in (1995, 1996, 1997)
+    }
+    model = fit_expectation_model(years_points(data), min_papers_per_year=1)
+    assert model.window_count == window_count
+    assert [model.window_fits[w].slope for w in range(1, window_count + 1)] == [
+        float(w) for w in range(1, window_count + 1)
+    ]
 
 
 BEYOND_INT64 = 2**63
@@ -343,7 +346,6 @@ def fit_inputs(draw):
     high = draw(st.none() | st.integers(1989, 1997) | st.just(BEYOND_INT64))
     return (
         WindowPoints(columns[0], tuple(columns[1:])),
-        draw(st.integers(1, len(windows))),
         draw(st.integers(1, 3)),
         (low, high),
     )
@@ -351,11 +353,12 @@ def fit_inputs(draw):
 
 @given(fit_inputs())
 def test_column_fit_is_bit_equal_to_per_paper_fit(inputs):
-    points, window_count, min_papers, year_range = inputs
-    args = (window_count, min_papers, year_range)
+    points, min_papers, year_range = inputs
+    args = (min_papers, year_range)
     try:
         fitted_years, fits = per_paper_fit(
-            list(zip(points.pub_year, zip(*points.windows))), *args
+            list(zip(points.pub_year, zip(*points.windows))), len(points.windows),
+            *args,
         )
     # ZeroDivisionError: every kept year converts to the same float, which
     # fit reports as too little data
@@ -365,6 +368,7 @@ def test_column_fit_is_bit_equal_to_per_paper_fit(inputs):
         return
     model = fit_expectation_model(points, *args)
     assert model.fit_year_range == fitted_years
+    assert model.window_fits.keys() == fits.keys()
     for w, (slope, intercept, n_points) in fits.items():
         fit = model.window_fits[w]
         # float.hex tells every bit apart, the sign of a zero included

@@ -1,3 +1,4 @@
+import json
 import statistics
 from dataclasses import replace
 from typing import get_type_hints
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biblio_bench.corpus import AuthorRecord
+from biblio_bench.corpus import AuthorRecord, build_author_record, ingest_corpus
 from biblio_bench.expectation import ExpectationModel, WindowFit
 from biblio_bench.indicators import (
     INDICATOR_FIELDS,
@@ -94,21 +95,28 @@ def test_rank_papers_assigns_window_lengths():
         fit_year_range=(1990, 2010),
         floor=1.0,
     )
-    record = AuthorRecord(
-        author_id="a",
-        first_year=1995,
-        papers=(
-            paper_windows("early", 1995, 1, {1995: 5, 1999: 4, 2000: 7}),
-            paper_windows("late", 1999, 1, {1999: 8, 2003: 2}),
-        ),
-        window_years=5,
-    )
-    ranked = rank_papers(record, model)
-    by_id = {p.paper_id: (c, e) for p, c, e in ranked}
-    # first-year paper gets the 5-year window, last-year paper a 1-year
-    # window; citations after 1999 are not counted
-    assert by_id["early"] == (9, 50.0)
-    assert by_id["late"] == (8, 10.0)
+    papers = [
+        ("early", 1995, [1995] * 5 + [1999] * 4 + [2000] * 7),
+        ("mid", 1997, [1997, 1998, 1998]),
+        ("late", 1999, [1999] * 8 + [2003] * 2),
+    ]
+    lines = [
+        json.dumps({"paper_id": paper_id, "pub_year": year, "author_ids": ["a"],
+                    "citing_years": events})
+        for paper_id, year, events in papers
+    ]
+    expected = {
+        # 1995..1999: the first-year paper gets the 5-year window, the
+        # last-year paper a 1-year window; citations after 1999 are not counted
+        5: {"early": (9, 50.0), "mid": (3, 30.0), "late": (8, 10.0)},
+        # 1995..1997: the 1999 paper falls outside, the 1997 paper gets 1 year
+        3: {"early": (5, 30.0), "mid": (1, 10.0)},
+    }
+    for window_count, by_id in expected.items():
+        listed = ingest_corpus(lines, authors=["a"], window_count=window_count)
+        record = build_author_record("a", listed.groups["a"])
+        ranked = rank_papers(record, model)
+        assert {p.paper_id: (c, e) for p, c, e in ranked} == by_id
 
 
 def test_effective_ranks():
@@ -170,7 +178,6 @@ def test_norm_uses_sum_of_ratios():
             paper_windows("p", 1995, 1, {1995: 8}),
             paper_windows("q", 1998, 1, {1998: 4}),
         ),
-        window_years=5,
     )
     v = indicator_vector(record, model)
     # windows: 5 for the 1995 paper (E=5), 2 for the 1998 paper (E=2)
@@ -217,7 +224,6 @@ def test_non_rank_indicators_match_exact_oracle(first_year, papers):
                   {first_year + offset + k: n for k, n in cited.items()})
             for i, (offset, cited, a) in enumerate(papers)
         ),
-        window_years=5,
     )
     expected = oracle_sums(record, DRIFTING_MODEL)
     assert tuple(expected) == INDICATOR_FIELDS[:11]
