@@ -15,8 +15,8 @@ import sys
 from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import islice
-from operator import mul
+from itertools import accumulate, islice
+from operator import attrgetter, mul
 from pathlib import Path
 from typing import (
     IO,
@@ -169,75 +169,6 @@ def open_text(
 _BREAKS = frozenset("\t\r\n")
 
 
-def _check_paper(
-    paper_id: str,
-    pub_year: int,
-    author_count: int,
-    author_ids: list[str] | None,
-    citing_years: list[int] | dict[int, int],
-) -> list[int] | dict[int, int]:
-    """Check every field of a corpus line's paper; return its citing years:
-    the events sorted, or the {year: events} given.
-
-    Only the per-year reader gives {year: events}, read from the line's own
-    text and matched against it by their re-render: just its first year is
-    checked here.
-
-    A line writes ids as JSON strings and numbers with int.__repr__, which
-    writes a bool as 0 or 1, so each must be of exactly that type. The bound
-    keeps float(pub_year), as in fit and E(c), from overflowing. An author
-    id is listed one per line by --authors, which strips each line, and
-    heads a table row, split at tabs and line breaks: it may hold no tab,
-    CR or LF, and no whitespace at either end.
-    """
-    if type(paper_id) is not str or not paper_id:
-        raise ValueError("paper_id must be a non-empty string")
-    if type(pub_year) is not int:
-        raise ValueError(f"paper {paper_id}: pub_year must be an integer")
-    if not -_FLOAT_MAX <= pub_year <= _FLOAT_MAX:
-        raise ValueError(f"paper {paper_id}: pub_year is beyond float range")
-    if type(author_count) is not int or author_count < 1:
-        raise ValueError(f"paper {paper_id}: author_count must be an integer >= 1")
-    if author_ids is not None:
-        if not {str}.issuperset(map(type, author_ids)) or "" in author_ids:
-            raise ValueError(f"paper {paper_id}: author_ids must be non-empty strings")
-        joined = "".join(author_ids)
-        if (
-            "\t" in joined or "\r" in joined or "\n" in joined
-            or list(map(str.strip, author_ids)) != author_ids
-        ):
-            bad = next(
-                a for a in author_ids if a.strip() != a or not _BREAKS.isdisjoint(a)
-            )
-            raise ValueError(
-                f"paper {paper_id}: author id {bad!r} holds a tab or line "
-                "break, or starts or ends with whitespace"
-            )
-        if len(author_ids) != author_count:
-            raise ValueError(
-                f"paper {paper_id}: author_count {author_count} does not "
-                f"match {len(author_ids)} author ids"
-            )
-        if len(set(author_ids)) < author_count:
-            repeated = next(a for i, a in enumerate(author_ids) if a in author_ids[:i])
-            raise ValueError(
-                f"paper {paper_id}: author id {repeated!r} is listed twice"
-            )
-    if isinstance(citing_years, dict):
-        first = min(citing_years)
-    else:
-        if not {int}.issuperset(map(type, citing_years)):
-            raise ValueError(f"paper {paper_id}: citing_years must be integers")
-        citing_years = sorted(citing_years)
-        first = citing_years[0] if citing_years else pub_year
-    if first < pub_year:
-        raise ValueError(
-            f"paper {paper_id}: citing year {first} precedes "
-            f"publication year {pub_year}"
-        )
-    return citing_years
-
-
 @dataclass(frozen=True)
 class AuthorRecord:
     """An author's papers from their first W publishing years, W = len(counts)."""
@@ -384,9 +315,10 @@ def _event_list(years: Iterable[int], per_year: Iterable[int]) -> str:
     return "".join(map(mul, map("{}, ".format, years), per_year))[:-2]
 
 
-def _split_rendered(text: str) -> tuple[str, dict[int, int]] | None:
-    """The record text without its events, and {year: events}, if the line
-    ends in an event list exactly as _event_list writes it; else None.
+def _split_rendered(text: str) -> tuple[str, list[int], list[int]] | None:
+    """The record text without its events, then its citations as _read_line
+    gives them, if the line ends in an event list exactly as _event_list
+    writes it; else None. The years run from the list's first to its last.
 
     Within 10 years a year is named by its last digit, the fourth character
     of its slot, so one count per year gives counts that must write back.
@@ -407,31 +339,44 @@ def _split_rendered(text: str) -> tuple[str, dict[int, int]] | None:
     counts = list(map(events[3::6].count, _DIGITS[first % 10 :][: len(years)]))
     if _event_list(years, counts) != events:
         return None
-    return text[:cut] + "}", dict(zip(years, counts))
+    return text[:cut] + "}", list(years), [0, *accumulate(counts)]
 
 
-def _parse_line(text: str) -> tuple[Any, Any, Any, Any, Any]:
-    """One record's fields, decoded but not checked: paper_id, pub_year,
-    author_count, author_ids or None, and the citing years.
+def _read_line(text: str) -> tuple[str, int, int, list[str] | None, Any, Any]:
+    """A checked corpus line: paper_id, pub_year, author_count, author_ids
+    or None, and its citations as ``years``, ascending, and ``through``:
+    ``through[bisect_right(years, y)]`` of them fall in years up to y.
 
-    A line ending in an event list as _paper_line writes it is read
-    per year: its record without the list, plus {year: events} from the
-    list's counts. If that fails, the whole line is decoded, with the
-    general path's results.
+    A line ending in an event list as _paper_line writes it is read per
+    year: its record without the list, plus the list's count per year. If
+    that read fails, the whole line is read, so a bad line fails with the
+    general path's error.
     """
     rendered = len(text) > _DENSE_MIN_CHARS and _split_rendered(text)
     if rendered:
         try:
-            paper_id, pub_year, author_count, author_ids, _ = _parse_record(rendered[0])
-            return paper_id, pub_year, author_count, author_ids, rendered[1]
+            return _read_record(rendered[0], rendered[1:])
         except ValueError:
             pass
-    return _parse_record(text)
+    return _read_record(text)
 
 
-def _parse_record(text: str) -> tuple[Any, Any, Any, Any, Any]:
-    """_parse_line's fields from a JSON record: its shape is checked, its
-    values are not. author_count defaults to the number of author_ids."""
+def _read_record(
+    text: str, per_year: tuple[list[int], list[int]] | None = None
+) -> tuple[str, int, int, list[str] | None, Any, Any]:
+    """_read_line's fields from a JSON record, checked: its shape, then each
+    field. author_count defaults to the number of author_ids. The citations
+    are the record's events, or a per-year line's ``per_year`` (years,
+    through): matched against the line by their re-render, only their first
+    year is checked here.
+
+    A line writes ids as JSON strings and numbers with int.__repr__, which
+    writes a bool as 0 or 1, so each must be of exactly that type. The bound
+    keeps float(pub_year), as in fit and E(c), from overflowing. An author
+    id is listed one per line by --authors, which strips each line and skips
+    '#' lines, and heads a table row, split at tabs and line breaks: it may
+    hold no tab, CR or LF, no whitespace at either end, and no leading '#'.
+    """
     try:
         record, end = _decode(text)
     except json.JSONDecodeError as exc:
@@ -459,7 +404,58 @@ def _parse_record(text: str) -> tuple[Any, Any, Any, Any, Any]:
     citing = record.get("citing_years", [])
     if type(citing) is not list:
         raise ValueError("citing_years must be a list")
-    return record["paper_id"], record["pub_year"], author_count, author_ids, citing
+    paper_id, pub_year = record["paper_id"], record["pub_year"]
+    if type(paper_id) is not str or not paper_id:
+        raise ValueError("paper_id must be a non-empty string")
+    if type(pub_year) is not int:
+        raise ValueError(f"paper {paper_id}: pub_year must be an integer")
+    if not -_FLOAT_MAX <= pub_year <= _FLOAT_MAX:
+        raise ValueError(f"paper {paper_id}: pub_year is beyond float range")
+    if type(author_count) is not int or author_count < 1:
+        raise ValueError(f"paper {paper_id}: author_count must be an integer >= 1")
+    if author_ids is not None:
+        if not {str}.issuperset(map(type, author_ids)) or "" in author_ids:
+            raise ValueError(f"paper {paper_id}: author_ids must be non-empty strings")
+        joined = "".join(author_ids)
+        if (
+            "\t" in joined or "\r" in joined or "\n" in joined
+            or list(map(str.strip, author_ids)) != author_ids
+        ):
+            bad = next(
+                a for a in author_ids if a.strip() != a or not _BREAKS.isdisjoint(a)
+            )
+            raise ValueError(
+                f"paper {paper_id}: author id {bad!r} holds a tab or line "
+                "break, or starts or ends with whitespace"
+            )
+        bad = "#" in joined and next((a for a in author_ids if a[0] == "#"), "")
+        if bad:
+            raise ValueError(
+                f"paper {paper_id}: author id {bad!r} starts with '#', which "
+                "an --authors list reads as a comment"
+            )
+        if len(author_ids) != author_count:
+            raise ValueError(
+                f"paper {paper_id}: author_count {author_count} does not "
+                f"match {len(author_ids)} author ids"
+            )
+        if len(set(author_ids)) < author_count:
+            repeated = next(a for i, a in enumerate(author_ids) if a in author_ids[:i])
+            raise ValueError(
+                f"paper {paper_id}: author id {repeated!r} is listed twice"
+            )
+    if per_year is None:
+        if not {int}.issuperset(map(type, citing)):
+            raise ValueError(f"paper {paper_id}: citing_years must be integers")
+        years = sorted(citing)
+        per_year = years, range(len(years) + 1)
+    years, through = per_year
+    if years and years[0] < pub_year:
+        raise ValueError(
+            f"paper {paper_id}: citing year {years[0]} precedes "
+            f"publication year {pub_year}"
+        )
+    return paper_id, pub_year, author_count, author_ids, years, through
 
 
 class _EveryAuthor:
@@ -483,7 +479,7 @@ def ingest_corpus(
     the ListedPapers of some authors or of all.
 
     Each non-empty line is one record with paper_id, pub_year, citing_years,
-    and exactly one of author_ids / author_count (when both, they must
+    and at least one of author_ids / author_count (when both, they must
     agree). Errors report the 1-based line number. A file ``source`` is read
     once; ``digest``, if given, is updated with its bytes as they are read.
     Each line gives the citations within each of the first ``window_count``
@@ -516,35 +512,26 @@ def ingest_corpus(
         if not line:
             continue
         try:
-            paper_id, pub_year, author_count, author_ids, citing = _parse_line(line)
-            events = _check_paper(paper_id, pub_year, author_count, author_ids, citing)
+            paper_id, pub_year, author_count, author_ids, years, through = _read_line(line)
             if paper_id in seen:
                 raise ValueError(f"duplicate paper_id {paper_id!r}")
         except ValueError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
         seen.add(paper_id)
         if groups is None:
-            pub_years.append(ints.setdefault(pub_year, pub_year))
             counted = window_counts
         elif author_ids is None or not every and groups.keys().isdisjoint(author_ids):
             continue
         else:
             counted = []
-        # Window w ends with the year pub_year + w - 1. No event precedes
-        # pub_year, so a per-year line sums its counts from pub_year on.
-        if type(events) is dict:
-            total = 0
-            for k in offsets:
-                total += events.get(pub_year + k, 0)
-                counted.append(total)
-        else:
-            for k in offsets:
-                counted.append(bisect_right(events, pub_year + k))
+        pub_year = ints.setdefault(pub_year, pub_year)
+        # Window w ends with the year pub_year + w - 1.
+        for k in offsets:
+            counted.append(through[bisect_right(years, pub_year + k)])
         if groups is None:
+            pub_years.append(pub_year)
             continue
-        paper = PaperWindows(
-            paper_id, ints.setdefault(pub_year, pub_year), author_count, tuple(counted)
-        )
+        paper = PaperWindows(paper_id, pub_year, author_count, tuple(counted))
         paper_count += 1
         for author_id in author_ids:
             group = groups.get(author_id)
@@ -614,10 +601,10 @@ def build_author_record(author_id: str, papers: Sequence[PaperWindows]) -> Autho
     """
     if not papers:
         raise UnknownAuthorError(f"author {author_id!r} not found in corpus")
-    first_year = min(p.pub_year for p in papers)
-    last_year = first_year + len(papers[0].counts) - 1
+    first = min(papers, key=attrgetter("pub_year"))
+    last_year = first.pub_year + len(first.counts) - 1
     kept = tuple(p for p in papers if p.pub_year <= last_year)
-    return AuthorRecord(author_id, first_year, kept)
+    return AuthorRecord(author_id, first.pub_year, kept)
 
 
 def filter_cohort(

@@ -813,6 +813,27 @@ def test_indicators_rejects_an_author_id_with_whitespace_at_either_end(
     assert sorted(tmp_path.iterdir()) == [listing, corpus]
 
 
+def test_an_author_id_may_hold_a_hash_but_not_start_with_one(tmp_path, capsys):
+    # --authors skips '#' lines, so it could never list "#alice".
+    listing = tmp_path / "authors.txt"
+    out = tmp_path / "v.tsv"
+    args = ["indicators", "--model", str(DATA / "constant_model.json"), *RELAXED,
+            "--out", str(out)]
+    listing.write_text("al#ice\n", encoding="utf-8")
+    corpus = corpus_renaming_alice(tmp_path, "al#ice")
+    assert main(args + ["--corpus", str(corpus), "--authors", str(listing)]) == 0
+    rows = out.read_text(encoding="utf-8").split("\n")[1:-1]
+    assert [row.split("\t")[0] for row in rows] == ["al#ice"]
+    listing.write_text("#alice\n", encoding="utf-8")
+    corpus = corpus_renaming_alice(tmp_path, "#alice")
+    for listed in ([], ["--authors", str(listing)]):
+        assert main(args + ["--corpus", str(corpus), *listed]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: paper pA1: author id '#alice' starts with '#', "
+            "which an --authors list reads as a comment\n"
+        )
+
+
 def every_author_listing(corpus, listing):
     """Write, to ``listing``, every author_id that a line of ``corpus`` names."""
     lines = corpus.read_text(encoding="utf-8").splitlines()

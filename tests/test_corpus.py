@@ -16,6 +16,7 @@ from biblio_bench.corpus import (
     AuthorRecord,
     CorpusFormatError,
     FilterSpec,
+    PaperWindows,
     UnknownAuthorError,
     WindowPoints,
     build_author_record,
@@ -585,9 +586,18 @@ SLOT_EDITS = {
     "string": lambda y: f'"{y}"',
     "arabic-indic": lambda y: y.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
 }
+# Defects in the record's other fields, written after them, so each overrides
+# an earlier key: the per-year read must fail on them as the whole line does.
+HEAD_EDITS = {
+    "pub_year true": '"pub_year": true',
+    "author_count mismatch": '"author_count": 2, "author_ids": ["a"]',
+    "tab in an id": '"author_ids": ["a\\tb"]',
+    "repeated id": '"author_count": 2, "author_ids": ["a", "a"]',
+    "empty paper_id": '"paper_id": ""',
+}
 MUTATIONS = [
-    "none", *SEPARATORS, *SLOT_EDITS, "non-contiguous run", "year before pub_year",
-    "earlier duplicate key", "empty head", "escaped key decoy",
+    "none", *SEPARATORS, *SLOT_EDITS, *HEAD_EDITS, "non-contiguous run",
+    "year before pub_year", "earlier duplicate key", "empty head", "escaped key decoy",
 ]
 
 
@@ -599,6 +609,9 @@ def mutated_line(paper, mutation, i):
         return head + ", ".join(slots[:i + 1]) + mutation + ", ".join(slots[i + 1:]) + tail
     if mutation in SLOT_EDITS:
         slots[i] = SLOT_EDITS[mutation](slots[i])
+    elif mutation in HEAD_EDITS:
+        key = corpus_module._EVENTS_KEY
+        head = head[: -len(key)] + ", " + HEAD_EDITS[mutation] + key
     elif mutation == "non-contiguous run":
         slots.append(slots.pop(i))
     elif mutation == "year before pub_year":
@@ -633,7 +646,7 @@ def test_per_year_read_matches_general_path(paper, mutation, data):
 
 
 def test_per_year_line_citing_before_its_publication_is_rejected():
-    # Of the {year: events} a per-year line reads as, only the first year is
+    # Of the per-year citations a line reads as, only the first year is
     # checked: the re-render has matched the rest against the line's text.
     text = written({"paper_id": "p", "pub_year": 2001, "author_count": 1,
                     "citing_years": [2000] * 40 + [2001] * 40})
@@ -758,6 +771,17 @@ def test_author_record_papers_count_one_window():
     with pytest.raises(ValueError) as err:
         AuthorRecord("a", 2000, papers)
     assert str(err.value) == "author a: paper p3 counts 3 years, not 5"
+
+
+def test_build_author_record_takes_the_window_of_its_first_paper():
+    # The earliest paper sets the window, wherever it stands in the group, so
+    # it is always kept: "late" falls within its 10 years but counts 5, and
+    # the record, which takes its W from its first row, rejects the group.
+    papers = [PaperWindows("late", 2006, 1, (1,) * 5),
+              PaperWindows("early", 2000, 1, (1,) * 10)]
+    with pytest.raises(ValueError) as err:
+        build_author_record("x", papers)
+    assert str(err.value) == "author x: paper late published 2006, outside 2000..2004"
 
 
 def make_record(author_counts, first_year=1995):
