@@ -180,7 +180,7 @@ class AuthorRecord:
     def __post_init__(self) -> None:
         if not self.papers:
             raise ValueError(f"author {self.author_id}: record has no papers")
-        window = len(self.papers[0].counts)
+        window = len(min(self.papers, key=attrgetter("pub_year")).counts)
         last_year = self.first_year + window - 1
         for p in self.papers:
             if len(p.counts) != window:
@@ -308,6 +308,9 @@ _EVENTS_KEY = ', "citing_years": ['
 _DENSE_MIN_CHARS = 64 * 6 - 2
 _DENSE_MAX_YEARS = 10
 _DIGITS = "0123456789" * 2
+# 0, 1, 2, ...: the ``through`` of every event-list line, whose sorted events
+# count one each. _read_record grows it; a list index is faster than a range's.
+_NATURALS: list[int] = []
 
 
 def _event_list(years: Iterable[int], per_year: Iterable[int]) -> str:
@@ -448,7 +451,9 @@ def _read_record(
         if not {int}.issuperset(map(type, citing)):
             raise ValueError(f"paper {paper_id}: citing_years must be integers")
         years = sorted(citing)
-        per_year = years, range(len(years) + 1)
+        if len(_NATURALS) <= len(years):
+            _NATURALS.extend(range(len(_NATURALS), 2 * len(years) + 1))
+        per_year = years, _NATURALS
     years, through = per_year
     if years and years[0] < pub_year:
         raise ValueError(

@@ -9,31 +9,11 @@ sample sizes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .indicators import (
-    INDICATOR_FIELDS, IndicatorVector, median, parse_table, render_table
-)
-
-
-def _average_ranks(values: Sequence[float]) -> tuple[list[float], int]:
-    """Mean-position ranks from 1, and sum(t**3 - t) over groups of t ties."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    tie_term = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        t = j - i + 1
-        tie_term += t**3 - t
-        i = j + 1
-    return ranks, tie_term
+from .indicators import INDICATOR_FIELDS, IndicatorVector, median, render_table
 
 
 def wilcoxon_rank_sum(
@@ -51,9 +31,18 @@ def wilcoxon_rank_sum(
     if n_a == 0 or n_b == 0:
         raise ValueError("both samples must be non-empty")
 
-    pooled = list(sample_a) + list(sample_b)
-    ranks, tie_term = _average_ranks(pooled)
-    rank_sum_a = math.fsum(ranks[:n_a])
+    # Each distinct value with t copies takes the mean rank below + (t + 1) / 2
+    # for every copy. Each term is a half-integer far below 2**53, so the sum
+    # is exact in any order. Values that compare equal, such as 0 and -0.0,
+    # share one key and so one tie group.
+    in_a = Counter(sample_a)
+    rank_sum_a = 0.0
+    tie_term = 0
+    below = 0
+    for value, t in sorted(Counter([*sample_a, *sample_b]).items()):
+        rank_sum_a += (below + (t + 1) / 2) * in_a[value]
+        tie_term += t**3 - t
+        below += t
     w = rank_sum_a - n_a * (n_a + 1) / 2.0
 
     n = n_a + n_b
@@ -77,17 +66,12 @@ class ComparisonRow:
     rank: int
 
 
+# perfbench/tracing.py::_compare reads ``result.rows``.
 @dataclass(frozen=True)
 class ComparisonTable:
     """Per-indicator cohort medians, one-sided p, and rank by ascending p."""
 
     rows: tuple[ComparisonRow, ...]
-
-    def row(self, indicator: str) -> ComparisonRow:
-        for row in self.rows:
-            if row.indicator == indicator:
-                return row
-        raise KeyError(indicator)
 
 
 def compare_cohorts(
@@ -101,33 +85,17 @@ def compare_cohorts(
     """
     if not stars or not control:
         raise ValueError("both cohorts must be non-empty")
-    medians_s = []
-    medians_c = []
-    p_values = []
+    tests = []
     for name in INDICATOR_FIELDS:
         values_s = [float(getattr(v, name)) for v in stars]
         values_c = [float(getattr(v, name)) for v in control]
-        medians_s.append(median(values_s))
-        medians_c.append(median(values_c))
         _, p = wilcoxon_rank_sum(values_s, values_c)
-        p_values.append(p)
-
-    order = sorted(range(len(INDICATOR_FIELDS)), key=lambda i: (p_values[i], i))
-    ranks = [0] * len(INDICATOR_FIELDS)
-    for position, index in enumerate(order, start=1):
-        ranks[index] = position
-
-    rows = tuple(
-        ComparisonRow(
-            indicator=name,
-            median_stars=medians_s[i],
-            median_control=medians_c[i],
-            p=p_values[i],
-            rank=ranks[i],
-        )
-        for i, name in enumerate(INDICATOR_FIELDS)
+        tests.append((name, median(values_s), median(values_c), p))
+    by_p = sorted(range(len(tests)), key=lambda i: (tests[i][3], i))
+    rank = {i: position for position, i in enumerate(by_p, start=1)}
+    return ComparisonTable(
+        tuple(ComparisonRow(*test, rank[i]) for i, test in enumerate(tests))
     )
-    return ComparisonTable(rows=rows)
 
 
 def render_comparison_table(
@@ -206,7 +174,3 @@ def render_boxplot_table(
 ) -> str:
     return render_table(BoxplotSummary, summaries, precision)
 
-
-def parse_comparison_table(text: str) -> ComparisonTable:
-    """Read a table written by render_comparison_table."""
-    return ComparisonTable(rows=tuple(parse_table(ComparisonRow, text)))

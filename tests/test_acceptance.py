@@ -270,8 +270,9 @@ def test_cohort_experiment():
         _cohort_vectors(effect_lines, stars, model),
         _cohort_vectors(effect_lines, controls, model),
     )
-    norm_rank = table.row("norm_citations").rank
-    fract_norm_rank = table.row("fract_norm_citations").rank
+    rows = {row.indicator: row for row in table.rows}
+    norm_rank = rows["norm_citations"].rank
+    fract_norm_rank = rows["fract_norm_citations"].rank
 
     null_config = data_config("experiment_null_config.json")
     null_lines, null_stars, null_controls = generate_corpus(null_config)

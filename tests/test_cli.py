@@ -23,8 +23,8 @@ import biblio_bench.indicators
 import biblio_bench.synth
 from biblio_bench.cli import main
 from biblio_bench.expectation import ExpectationModel
-from biblio_bench.indicators import indicator_vector, render_vector_table
-from biblio_bench.stats import parse_comparison_table
+from biblio_bench.indicators import indicator_vector, parse_table, render_vector_table
+from biblio_bench.stats import ComparisonRow
 from biblio_bench.synth import SynthConfig
 from oracles import constant_model, make_record
 
@@ -941,10 +941,10 @@ def test_compare_outputs_tables_and_boxplots(tmp_path):
     out = tmp_path / "comparison.tsv"
     assert main(["compare", "--stars", str(stars), "--control", str(control),
                  "--out", str(out)]) == 0
-    table = parse_comparison_table(out.read_text())
-    assert len(table.rows) == 17
+    rows = {row.indicator: row for row in parse_table(ComparisonRow, out.read_text())}
+    assert len(rows) == 17
     # stars were drawn with four times the citation rate
-    assert table.row("citations").median_stars > table.row("citations").median_control
+    assert rows["citations"].median_stars > rows["citations"].median_control
 
     boxplot_lines = (tmp_path / "comparison.boxplot.tsv").read_text().splitlines()
     assert len(boxplot_lines) == 1 + 17 * 2
@@ -972,9 +972,9 @@ def test_compare_dominant_indicator_ranks_first(tmp_path):
     out = tmp_path / "comparison.tsv"
     assert main(["compare", "--stars", str(stars), "--control", str(control),
                  "--out", str(out)]) == 0
-    table = parse_comparison_table(out.read_text())
-    assert table.row("norm_citations").rank == 1
-    assert all(row.p == 0.5 for row in table.rows
+    rows = {row.indicator: row for row in parse_table(ComparisonRow, out.read_text())}
+    assert rows["norm_citations"].rank == 1
+    assert all(row.p == 0.5 for row in rows.values()
                if row.indicator != "norm_citations")
 
 
@@ -983,7 +983,7 @@ def test_compare_identical_tables_p_near_half(tmp_path):
     out = tmp_path / "comparison.tsv"
     assert main(["compare", "--stars", str(table_path),
                  "--control", str(table_path), "--out", str(out)]) == 0
-    for row in parse_comparison_table(out.read_text()).rows:
+    for row in parse_table(ComparisonRow, out.read_text()):
         assert 0.45 <= row.p <= 0.55
 
 
@@ -1091,7 +1091,7 @@ def test_full_pipeline(tmp_path):
     assert main(["compare", "--stars", str(tables["stars"]),
                  "--control", str(tables["controls"]),
                  "--out", str(comparison)]) == 0
-    assert len(parse_comparison_table(comparison.read_text()).rows) == 17
+    assert len(parse_table(ComparisonRow, comparison.read_text())) == 17
 
 
 def test_log_env_var_sets_level(tmp_path, monkeypatch):

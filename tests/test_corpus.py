@@ -776,12 +776,12 @@ def test_author_record_papers_count_one_window():
 def test_build_author_record_takes_the_window_of_its_first_paper():
     # The earliest paper sets the window, wherever it stands in the group, so
     # it is always kept: "late" falls within its 10 years but counts 5, and
-    # the record, which takes its W from its first row, rejects the group.
+    # the record, which also takes its W from its earliest paper, names that.
     papers = [PaperWindows("late", 2006, 1, (1,) * 5),
               PaperWindows("early", 2000, 1, (1,) * 10)]
     with pytest.raises(ValueError) as err:
         build_author_record("x", papers)
-    assert str(err.value) == "author x: paper late published 2006, outside 2000..2004"
+    assert str(err.value) == "author x: paper late counts 5 years, not 10"
 
 
 def make_record(author_counts, first_year=1995):
