@@ -308,9 +308,9 @@ _EVENTS_KEY = ', "citing_years": ['
 _DENSE_MIN_CHARS = 64 * 6 - 2
 _DENSE_MAX_YEARS = 10
 _DIGITS = "0123456789" * 2
-# 0, 1, 2, ...: the ``through`` of every event-list line, whose sorted events
-# count one each. _read_record grows it; a list index is faster than a range's.
-_NATURALS: list[int] = []
+# 0, 1, 2, ...: the ``through`` of an event-list line of up to 4,096 events,
+# whose sorted events count one each; a tuple index is faster than a range's.
+_NATURALS = tuple(range(4097))
 
 
 def _event_list(years: Iterable[int], per_year: Iterable[int]) -> str:
@@ -451,9 +451,10 @@ def _read_record(
         if not {int}.issuperset(map(type, citing)):
             raise ValueError(f"paper {paper_id}: citing_years must be integers")
         years = sorted(citing)
-        if len(_NATURALS) <= len(years):
-            _NATURALS.extend(range(len(_NATURALS), 2 * len(years) + 1))
-        per_year = years, _NATURALS
+        if len(years) < len(_NATURALS):
+            per_year = years, _NATURALS
+        else:
+            per_year = years, range(len(years) + 1)
     years, through = per_year
     if years and years[0] < pub_year:
         raise ValueError(

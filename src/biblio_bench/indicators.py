@@ -197,12 +197,28 @@ def render_table(
     return "\n".join(lines) + "\n"
 
 
+def _number(kind: type, text: str) -> Any:
+    """A table cell as a `kind` (int or float) >= 0; else ValueError(reason)."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError("not an integer" if kind is int else "not a finite number")
+    if not _finite(value):
+        raise ValueError("not a finite number")
+    if value < 0:
+        raise ValueError("less than 0")
+    return value
+
+
 def parse_table(kind: type, text: str, key: str | None = None) -> list[Any]:
     """Read a table written by render_table with the same `kind` and `key`.
 
-    Each cell is decoded by its field's type hint, str, int or float. A
-    wrong header, a row of the wrong width, a repeated `key` and a number
-    cell that is not a finite number are rejected with their line number.
+    Each cell is decoded by its field's type hint: str, int, float, or
+    tuple[float, ...], whose cell is its items joined by "," (an empty cell
+    is ``()``). Every number is a finite value >= 0, as every indicator,
+    p and rank is. A wrong header, a row of the wrong width, a repeated
+    `key` and a number cell that breaks that rule are rejected with their
+    line number and column name.
     """
     types = get_type_hints(kind)
     columns = [(f.name, types[f.name]) for f in fields(kind)]
@@ -234,14 +250,15 @@ def parse_table(kind: type, text: str, key: str | None = None) -> list[Any]:
         values = []
         for (name, cast), cell in zip(columns, cells):
             try:
-                value = cast(cell)
-            except ValueError:
-                value = math.nan  # not a number: rejected below with nan and inf
-            if cast is not str and not _finite(value):
-                raise ValueError(
-                    f"line {lineno}: {name} is {cell!r}, not a finite number"
-                )
-            values.append(value)
+                if cast is str:
+                    values.append(cell)
+                elif cast is int or cast is float:
+                    values.append(_number(cast, cell))
+                else:
+                    parts = cell.split(",") if cell else ()
+                    values.append(tuple([_number(float, part) for part in parts]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {name} is {cell!r}, {exc}") from None
         rows.append(kind(*values) if key is None else (values[0], kind(*values[1:])))
     return rows
 

@@ -143,15 +143,6 @@ def citation_rate(config: SynthConfig, pub_year: int, is_star: bool) -> float:
     return rate
 
 
-def _draw_citations(
-    rng: np.random.Generator, mean: float, dispersion: float
-) -> int:
-    # Negative binomial with mean `mean` and shape `dispersion`; smaller
-    # dispersion means a heavier tail.
-    p = dispersion / (dispersion + mean)
-    return int(rng.negative_binomial(dispersion, p))
-
-
 def _coauthor_sampler(
     distribution: Mapping[int, float],
 ) -> Callable[[np.random.Generator], int]:
@@ -163,42 +154,6 @@ def _coauthor_sampler(
     return lambda rng: counts[bisect_right(cdf, rng.random())]
 
 
-def _generate_author(
-    rng: np.random.Generator,
-    draw_coauthors: Callable[[np.random.Generator], int],
-    ramp: np.ndarray,
-    config: SynthConfig,
-    author_id: str,
-    is_star: bool,
-) -> Iterator[str]:
-    """One author's corpus lines, each paper drawn and written, unchecked, as
-    it is taken; ``ramp`` is CITATION_RAMP as an array."""
-    lo, hi = config.start_year_range
-    start_year = int(rng.integers(lo, hi + 1))
-    paper_counts = rng.poisson(config.papers_per_year_mean, WINDOW_YEARS)
-    if paper_counts[0] == 0:
-        # The career window is anchored at the first publication, so the
-        # start year must carry at least one paper.
-        paper_counts[0] = 1
-
-    serial = 0
-    for offset, count in enumerate(paper_counts):
-        pub_year = start_year + offset
-        for _ in range(int(count)):
-            serial += 1
-            paper_id = f"{author_id}_p{serial:03d}"
-            n_authors = draw_coauthors(rng)
-            author_ids = [author_id] + [
-                f"{paper_id}_co{k}" for k in range(1, n_authors)
-            ]
-            total = _draw_citations(
-                rng, citation_rate(config, pub_year, is_star), config.dispersion
-            )
-            spread = rng.multinomial(total, ramp).tolist()
-            years = range(pub_year, pub_year + WINDOW_YEARS)
-            yield _paper_line(paper_id, pub_year, n_authors, author_ids, years, spread)
-
-
 def generate_corpus(
     config: SynthConfig,
 ) -> tuple[Iterator[str], tuple[str, ...], tuple[str, ...]]:
@@ -207,8 +162,7 @@ def generate_corpus(
     Each paper is drawn and written as its line when the lines are
     iterated, so the whole corpus is never held; ingest_corpus(lines) reads
     them back and checks each line, as it checks any corpus. Deterministic
-    for a fixed config: one generator seeded from config.seed drives every
-    draw in a fixed order.
+    for a fixed config, in the draw order _draw_papers documents.
     """
     star_ids = tuple(f"star_{i:04d}" for i in range(1, config.n_stars + 1))
     control_ids = tuple(f"ctrl_{i:04d}" for i in range(1, config.n_control + 1))
@@ -218,13 +172,43 @@ def generate_corpus(
 def _draw_papers(
     config: SynthConfig, star_ids: tuple[str, ...], control_ids: tuple[str, ...]
 ) -> Iterator[str]:
+    """Every author's corpus lines, each paper drawn and written, unchecked,
+    as it is taken. One generator seeded from config.seed makes every draw,
+    in this order:
+
+    - authors in turn, stars first;
+    - for each author: the start year, then the WINDOW_YEARS Poisson paper
+      counts, with the first raised to at least 1;
+    - for each paper, in year order: the co-author draw
+      (_coauthor_sampler), the negative binomial total, then the
+      multinomial split of that total over CITATION_RAMP.
+    """
     import numpy as np
 
     rng = np.random.default_rng(config.seed)
-    draw = _coauthor_sampler(config.coauthor_distribution)
+    draw_coauthors = _coauthor_sampler(config.coauthor_distribution)
     # multinomial converts its pvals to this array on every call otherwise.
     ramp = np.array(CITATION_RAMP, dtype=float)
-    for author_id in star_ids:
-        yield from _generate_author(rng, draw, ramp, config, author_id, is_star=True)
-    for author_id in control_ids:
-        yield from _generate_author(rng, draw, ramp, config, author_id, is_star=False)
+    lo, hi = config.start_year_range
+    dispersion = config.dispersion
+    authors = [(a, True) for a in star_ids] + [(a, False) for a in control_ids]
+    for author_id, is_star in authors:
+        start_year = int(rng.integers(lo, hi + 1))
+        paper_counts = rng.poisson(config.papers_per_year_mean, WINDOW_YEARS).tolist()
+        # The career window is anchored at the first publication, so the
+        # start year must carry at least one paper.
+        paper_counts[0] = max(paper_counts[0], 1)
+        serial = 0
+        for pub_year, count in enumerate(paper_counts, start_year):
+            # Negative binomial with mean citation_rate and shape dispersion;
+            # smaller dispersion means a heavier tail.
+            p = dispersion / (dispersion + citation_rate(config, pub_year, is_star))
+            years = range(pub_year, pub_year + WINDOW_YEARS)
+            for _ in range(count):
+                serial += 1
+                paper_id = f"{author_id}_p{serial:03d}"
+                n_authors = draw_coauthors(rng)
+                ids = [author_id] + [f"{paper_id}_co{k}" for k in range(1, n_authors)]
+                total = int(rng.negative_binomial(dispersion, p))
+                spread = rng.multinomial(total, ramp).tolist()
+                yield _paper_line(paper_id, pub_year, n_authors, ids, years, spread)

@@ -1059,6 +1059,28 @@ def test_compare_rejects_cell_beyond_float_range(tmp_path, capsys):
     assert not (tmp_path / "c.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "column, cell, reason",
+    [("h", "-3", "less than 0"), ("f", "-0.5", "less than 0"),
+     ("h", "2.5", "not an integer")],
+)
+def test_compare_rejects_a_cell_no_indicator_can_hold(
+    tmp_path, capsys, column, cell, reason
+):
+    full = cohort_table(tmp_path / "full.tsv", 1, 5, 1.0)
+    header, first, *rest = full.read_text().splitlines()
+    cells = first.split("\t")
+    cells[header.split("\t").index(column)] = cell
+    bad_table = tmp_path / "bad.tsv"
+    bad_table.write_text("\n".join([header, "\t".join(cells), *rest]) + "\n")
+    assert main(["compare", "--stars", str(bad_table), "--control", str(full),
+                 "--out", str(tmp_path / "c.tsv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --stars {bad_table}: line 2: {column} is '{cell}', {reason}\n"
+    )
+    assert not (tmp_path / "c.tsv").exists()
+
+
 def test_compare_stdout_mode(tmp_path, capsys):
     stars = cohort_table(tmp_path / "stars.tsv", 1, 8, 2.0)
     control = cohort_table(tmp_path / "control.tsv", 2, 8, 1.0)

@@ -215,14 +215,15 @@ def test_comparison_table_round_trip():
         assert len(cell.split(".")[1]) == 3
 
 
-finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# A table holds no number below 0: parse_table rejects one.
+table_floats = st.floats(min_value=0, allow_infinity=False)
 comparison_rows = st.builds(
     ComparisonRow,
     indicator=st.text("ab_1", min_size=1, max_size=6),
-    median_stars=finite_floats,
-    median_control=finite_floats,
-    p=finite_floats,
-    rank=st.integers(),
+    median_stars=table_floats,
+    median_control=table_floats,
+    p=table_floats,
+    rank=st.integers(min_value=0),
 )
 
 
@@ -232,12 +233,33 @@ def test_comparison_table_round_trip_property(rows):
     assert parse_table(ComparisonRow, render_comparison_table(table)) == rows
 
 
+boxplot_rows = st.builds(
+    BoxplotSummary,
+    cohort=st.text("ab_1", min_size=1, max_size=6),
+    indicator=st.sampled_from(INDICATOR_FIELDS),
+    median=table_floats,
+    q1=table_floats,
+    q3=table_floats,
+    whisker_low=table_floats,
+    whisker_high=table_floats,
+    outliers=st.lists(table_floats, max_size=4).map(tuple),
+)
+
+
+@given(st.lists(boxplot_rows))
+def test_boxplot_table_round_trip_property(rows):
+    assert parse_table(BoxplotSummary, render_boxplot_table(rows)) == rows
+
+
 @pytest.mark.parametrize(
     "cells, message",
     [
         (["h", "1.0", "2.0", "0.5"], r"line 3: row has 4 columns, not 5"),
         (["h", "1.0", "2.0", "abc", "1"], r"line 3: p is 'abc', not a finite number"),
         (["h", "1.0", "2.0", "nan", "1"], r"line 3: p is 'nan', not a finite number"),
+        (["h", "1.0", "-2.0", "0.5", "1"],
+         r"line 3: median_control is '-2.0', less than 0"),
+        (["h", "1.0", "2.0", "0.5", "1.0"], r"line 3: rank is '1.0', not an integer"),
     ],
 )
 def test_comparison_table_errors_name_the_line(cells, message):

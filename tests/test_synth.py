@@ -15,7 +15,6 @@ from biblio_bench.synth import (
     CITATION_RAMP,
     SynthConfig,
     _coauthor_sampler,
-    _draw_citations,
     citation_rate,
     generate_corpus,
 )
@@ -85,7 +84,9 @@ def test_config_accepts_the_rates_numpy_can_draw(scale, dispersion):
     limit = (2**63 - 1 - 10 * math.sqrt(2**63 - 1)) / (1 + 10 / math.sqrt(dispersion))
     rate = scale * limit
     try:
-        _draw_citations(np.random.default_rng(0), rate, dispersion)
+        np.random.default_rng(0).negative_binomial(
+            dispersion, dispersion / (dispersion + rate)
+        )
         drawable = True
     except ValueError:
         drawable = False
@@ -331,6 +332,51 @@ def test_coauthor_draw_matches_generator_choice(seed, weights):
     for _ in range(25):
         assert draw(ours) == numpys.choice(counts, p=probs)
     assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_draws_follow_the_order_draw_papers_documents():
+    # Stars, then controls, and with this mean most start years draw no paper.
+    config = small_config(papers_per_year_mean=0.5)
+    lines, stars, controls = generate_corpus(config)
+    rng = np.random.default_rng(config.seed)
+    counts = sorted(config.coauthor_distribution)
+    probs = [config.coauthor_distribution[k] for k in counts]
+    lo, hi = config.start_year_range
+    dispersion = config.dispersion
+    expected, raised = [], 0
+    for author_id in stars + controls:
+        start_year = int(rng.integers(lo, hi + 1))
+        papers = rng.poisson(config.papers_per_year_mean, 5)
+        raised += papers[0] == 0
+        papers[0] = max(papers[0], 1)
+        serial = 0
+        for pub_year, count in enumerate(papers, start_year):
+            rate = citation_rate(config, pub_year, author_id in stars)
+            p = dispersion / (dispersion + rate)
+            for _ in range(count):
+                serial += 1
+                paper_id = f"{author_id}_p{serial:03d}"
+                # The draw _coauthor_sampler takes, as its choice property shows.
+                n_authors = rng.choice(counts, p=probs)
+                total = rng.negative_binomial(dispersion, p)
+                split = rng.multinomial(total, CITATION_RAMP)
+                expected.append({
+                    "paper_id": paper_id,
+                    "pub_year": pub_year,
+                    "author_ids": [author_id] + [
+                        f"{paper_id}_co{k}" for k in range(1, n_authors)
+                    ],
+                    "citing_years": [
+                        pub_year + k for k, n in enumerate(split) for _ in range(n)
+                    ],
+                })
+    assert raised
+    records = list(map(json.loads, lines))
+    assert len(records) == len(expected)
+    for record, want in zip(records, expected):
+        for field, value in want.items():
+            assert record[field] == value, (want["paper_id"], field)
+        assert record.keys() == want.keys()
 
 
 def test_empty_config_gives_empty_corpus():
