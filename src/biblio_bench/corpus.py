@@ -308,9 +308,11 @@ _EVENTS_KEY = ', "citing_years": ['
 _DENSE_MIN_CHARS = 64 * 6 - 2
 _DENSE_MAX_YEARS = 10
 _DIGITS = "0123456789" * 2
-# 0, 1, 2, ...: the ``through`` of an event-list line of up to 4,096 events,
+# 0, 1, 2, ...: the ``through`` of an event-list line of up to 256 events,
 # whose sorted events count one each; a tuple index is faster than a range's.
-_NATURALS = tuple(range(4097))
+# generate cites within 5 years, so its lines that come here hold at most 63
+# events; up to 256 the tuple holds only the small ints CPython caches.
+_NATURALS = tuple(range(257))
 
 
 def _event_list(years: Iterable[int], per_year: Iterable[int]) -> str:

@@ -202,7 +202,10 @@ def _number(kind: type, text: str) -> Any:
     try:
         value = kind(text)
     except ValueError:
-        raise ValueError("not an integer" if kind is int else "not a finite number")
+        # int() also refuses an integer longer than the str-to-int digit limit.
+        if kind is int and not text.strip().lstrip("+-").isdecimal():
+            raise ValueError("not an integer")
+        raise ValueError("not a finite number")
     if not _finite(value):
         raise ValueError("not a finite number")
     if value < 0:

@@ -1045,18 +1045,18 @@ def test_compare_names_the_stars_table_at_fault(tmp_path, capsys):
 def test_compare_rejects_cell_beyond_float_range(tmp_path, capsys):
     full = cohort_table(tmp_path / "full.tsv", 1, 5, 1.0)
     header, first, *rest = full.read_text().splitlines()
-    cells = first.split("\t")
-    cells[1] = str(BEYOND_FLOAT)  # the n column
     big_table = tmp_path / "big.tsv"
-    big_table.write_text("\n".join([header, "\t".join(cells), *rest]) + "\n")
-    assert main(["compare", "--stars", str(big_table), "--control", str(full),
-                 "--out", str(tmp_path / "c.tsv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(
-        f"error: --stars {big_table}: line 2: n is '{BEYOND_FLOAT}', "
-        "not a finite number"
-    )
-    assert not (tmp_path / "c.tsv").exists()
+    # The second is longer than CPython's default str-to-int digit limit (4,300).
+    for big in (str(BEYOND_FLOAT), "9" * 5000):
+        cells = first.split("\t")
+        cells[1] = big  # the n column
+        big_table.write_text("\n".join([header, "\t".join(cells), *rest]) + "\n")
+        assert main(["compare", "--stars", str(big_table), "--control", str(full),
+                     "--out", str(tmp_path / "c.tsv")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: --stars {big_table}: line 2: n is '{big}', not a finite number"
+        )
+        assert not (tmp_path / "c.tsv").exists()
 
 
 @pytest.mark.parametrize(
