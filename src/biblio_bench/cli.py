@@ -11,9 +11,6 @@ together; a failing command leaves no partial files behind.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import logging
 import os
 import sys
 from contextlib import contextmanager
@@ -25,6 +22,7 @@ from . import _EXPORTS, __version__
 
 if TYPE_CHECKING:
     from hashlib import _Hash
+    from logging import Logger
 
     from .indicators import IndicatorVector
 
@@ -32,7 +30,10 @@ if TYPE_CHECKING:
 # binds in this module's globals each name the package's _EXPORTS maps to one
 # of them, so --version, --help and a usage error load no library module. A
 # name already set here is kept: perfbench's traced run and the tests swap
-# these names for stand-ins with getattr and setattr.
+# these names for stand-ins with getattr and setattr. In the same way, the
+# functions that hash, write JSON or log import hashlib, json and logging
+# themselves, so start-up loads none of them, and logging only when
+# LOG_ENV_VAR is set.
 _COMMAND_MODULES = {
     "generate": ("corpus", "synth"),
     "fit": ("corpus", "expectation"),
@@ -43,7 +44,8 @@ _COMMAND_MODULES = {
 LOG_ENV_VAR = "BIBLIO_BENCH_LOG"
 STDOUT_PRECISION = 3
 
-logger = logging.getLogger("biblio_bench")
+# The "biblio_bench" logger while LOG_ENV_VAR is set, else None.
+_logger: Logger | None = None
 
 
 def __getattr__(name: str) -> object:
@@ -55,12 +57,27 @@ def __getattr__(name: str) -> object:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get(LOG_ENV_VAR, "WARNING").upper()
-    level = getattr(logging, level_name, None)
+    """With LOG_ENV_VAR set, log to stderr at the level it names (WARNING if
+    it names none). Without it, logging stays off and is not imported."""
+    global _logger
+    level_name = os.environ.get(LOG_ENV_VAR)
+    if level_name is None:
+        _logger = None
+        return
+    import logging
+
+    level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    logger.setLevel(level)
+    _logger = logging.getLogger("biblio_bench")
+    _logger.setLevel(level)
+
+
+def _info(message: str, *args: object) -> None:
+    """Log `message % args` at INFO, if logging is on."""
+    if _logger is not None:
+        _logger.info(message, *args)
 
 
 def _sidecar(out: Path, tag: str) -> Path:
@@ -78,7 +95,13 @@ _Content = str | Callable[[IO[str]], object]
 
 def _input_digests(args: argparse.Namespace) -> dict[str, _Hash]:
     """A sha256 per input option given, in manifest order, for its reader to feed."""
-    return {k: hashlib.sha256() for k in _INPUT_OPTIONS if getattr(args, k, None)}
+    import hashlib
+
+    return {
+        k: hashlib.sha256()
+        for k in _INPUT_OPTIONS
+        if getattr(args, k, None) is not None
+    }
 
 
 def _read(args: argparse.Namespace, inputs: dict[str, _Hash], option: str) -> str:
@@ -107,6 +130,8 @@ def _emit(
     if args.out is None:
         sys.stdout.write("\n".join(texts.values()))
         return 0
+    import json
+
     out = Path(args.out)
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     with _staged() as stage:
@@ -138,6 +163,8 @@ def _staged() -> Iterator[Callable[[Path, _Content], str]]:
     the block succeeds are the files moved into place. Any failure removes
     the staged copies and whatever finals were already placed.
     """
+    import hashlib
+
     from .corpus import open_text
 
     staged: list[tuple[Path, Path]] = []
@@ -165,6 +192,8 @@ def _staged() -> Iterator[Callable[[Path, _Content], str]]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    import json
+
     inputs = _input_digests(args)
     config = SynthConfig.from_json(_read(args, inputs, "seed_config"))
     lines, star_ids, control_ids = generate_corpus(config)
@@ -172,7 +201,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     def write_corpus(out: IO[str]) -> None:
         # The papers are drawn as their lines are written.
         count = render_corpus(lines, out)
-        logger.info(
+        _info(
             "generated %d papers for %d stars and %d controls",
             count,
             len(star_ids),
@@ -206,15 +235,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     # benchmark's traced run wraps both names, counting ingest calls and
     # window points.
     points = collect_window_points(
-        ingest_corpus(Path(args.corpus), inputs["corpus"], window_count=args.windows)
+        ingest_corpus(args.corpus, inputs["corpus"], window_count=args.windows)
     )
-    logger.info("read %d papers from %s", len(points), args.corpus)
+    _info("read %d papers from %s", len(points), args.corpus)
     model = fit_expectation_model(
         points,
         min_papers_per_year=args.min_papers,
         year_range=(args.year_min, args.year_max),
     )
-    logger.info(
+    _info(
         "fitted %d windows over years %d..%d",
         model.window_count,
         model.fit_year_range[0],
@@ -253,7 +282,7 @@ def _listed_authors(text: str) -> list[str]:
 def cmd_indicators(args: argparse.Namespace) -> int:
     inputs = _input_digests(args)
     author_ids = EVERY_AUTHOR
-    if args.authors:
+    if args.authors is not None:
         author_ids = _listed_authors(_read(args, inputs, "authors"))
     # The model comes first: an author's window counts need --windows.
     model = ExpectationModel.from_json(_read(args, inputs, "model"))
@@ -264,9 +293,8 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         )
     # Each line naming a grouped author gives its window counts as it is
     # checked, and every line is checked.
-    corpus = Path(args.corpus)
     groups = ingest_corpus(
-        corpus, inputs["corpus"], authors=author_ids, window_count=args.windows
+        args.corpus, inputs["corpus"], authors=author_ids, window_count=args.windows
     ).groups
     records = [
         build_author_record(author_id, papers) for author_id, papers in groups.items()
@@ -278,7 +306,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         hard_mean_coauthor_cap=args.coauthor_hard_cap,
     )
     kept = sorted(filter_cohort(records, spec), key=lambda r: r.author_id)
-    logger.info("%d of %d authors passed the cohort filter", len(kept), len(records))
+    _info("%d of %d authors passed the cohort filter", len(kept), len(records))
     if not kept:
         print("warning: no authors passed the cohort filter", file=sys.stderr)
 

@@ -187,13 +187,15 @@ def test_generate_failure_mid_stream_leaves_no_partial_outputs(
 
 
 def test_generate_writes_the_corpus_without_holding_its_text(tmp_path):
-    import numpy.random  # noqa: F401  (its import is not the corpus's memory)
-
     config = write_config(tmp_path / "config.json", n_control=1500, n_stars=0)
     out = tmp_path / "corpus.jsonl"
+    argv = ["generate", "--seed-config", str(config), "--out", str(out)]
+    # An untraced first run imports numpy and fills the interpreter's caches
+    # and freelists, which are not the corpus's memory.
+    assert main(argv) == 0
     tracemalloc.start()
     try:
-        assert main(["generate", "--seed-config", str(config), "--out", str(out)]) == 0
+        assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1127,6 +1129,31 @@ def test_log_env_var_sets_level(tmp_path, monkeypatch):
     assert logging.getLogger("biblio_bench").level == logging.WARNING
 
 
+VECTORS = str(DATA / "expected_vectors.tsv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--seed-config", ""],
+        ["fit", "--corpus", ""],
+        ["indicators", *FIXTURE_ARGS[:2], "--model", ""],
+        ["indicators", *FIXTURE_ARGS[:4], "--authors", ""],
+        ["compare", "--stars", "", "--control", VECTORS],
+        ["compare", "--stars", VECTORS, "--control", ""],
+    ],
+    ids=["seed_config", "corpus", "model", "authors", "stars", "control"],
+)
+def test_an_empty_input_path_fails_where_it_is_opened(tmp_path, capsys, argv):
+    # An empty path names no file: it is read like a missing one, not taken
+    # for an option left out.
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No such file or directory: ''\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])
@@ -1136,9 +1163,9 @@ def test_version_flag(capsys):
 
 # Runs one command in a fresh interpreter, through `python -m biblio_bench`'s
 # path (runpy) or the console script's (biblio_bench.cli:main), then prints
-# its exit code and the biblio_bench submodules loaded.
+# its exit code, the biblio_bench submodules loaded and which of hashlib,
+# json and logging were loaded, read before the probe imports json to print.
 STARTUP_PROBE = """
-import json
 import runpy
 import sys
 entry, *argv = sys.argv[1:]
@@ -1158,7 +1185,9 @@ except SystemExit as exc:
 if argv[0] not in ("generate", "fit"):
     unloaded(argv[0])
 loaded = sorted(m for m in sys.modules if m.startswith("biblio_bench."))
-print(json.dumps([code, loaded]))
+stdlib = [m for m in ("hashlib", "json", "logging") if m in sys.modules]
+import json
+print(json.dumps([code, loaded, stdlib]))
 """
 
 
@@ -1166,7 +1195,9 @@ def test_version_and_indicators_do_not_load_numpy(tmp_path):
     # numpy's import is most of the start-up time; only generate and fit
     # need it. statistics brings fractions and decimal, about 5 ms. Each
     # command loads only the library modules it runs, so --version, --help
-    # and a usage error load none.
+    # and a usage error load none, and none of hashlib, json and logging
+    # either. A command hashes its inputs and reads JSON, but loads logging
+    # only when BIBLIO_BENCH_LOG is set.
     header, *rows = (DATA / "expected_vectors.tsv").read_text().splitlines()
     stars, control = tmp_path / "stars.tsv", tmp_path / "control.tsv"
     stars.write_text("\n".join([header, *rows[:2]]) + "\n")
@@ -1188,6 +1219,7 @@ def test_version_and_indicators_do_not_load_numpy(tmp_path):
          "indicator\tmedian_stars\t", ["corpus", "indicators", "stats"]),
     ]
     env = dict(os.environ)
+    env.pop("BIBLIO_BENCH_LOG", None)
     src = str(Path(biblio_bench.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for entry in ("-m", "script"):
@@ -1200,7 +1232,9 @@ def test_version_and_indicators_do_not_load_numpy(tmp_path):
             *printed, last = result.stdout.split("\n")[:-1]
             assert printed[0].startswith(stdout) if stdout else not printed
             assert json.loads(last) == [
-                code, ["biblio_bench.cli", *(f"biblio_bench.{m}" for m in modules)]
+                code,
+                ["biblio_bench.cli", *(f"biblio_bench.{m}" for m in modules)],
+                ["hashlib", "json"] if modules else [],
             ], (entry, argv)
 
 
