@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 from itertools import accumulate, islice
 from operator import attrgetter, mul
 from pathlib import Path
@@ -301,79 +303,84 @@ _quote = json.encoder.encode_basestring
 
 # _paper_line writes the event list last, after this key.
 _EVENTS_KEY = ', "citing_years": ['
-# On a 2-vCPU VM (CPython 3.11) a JSON int costs about 0.15 us to decode and
-# check. Reading a list per year costs about 9 us per line over a line with no
-# events, plus 0.5 us per year spanned, and nothing per event above noise. So
-# it takes lists of >= 64 events (4 digits each, ", " between) over <= 10 years.
-_DENSE_MIN_CHARS = 64 * 6 - 2
-_DENSE_MAX_YEARS = 10
-_DIGITS = "0123456789" * 2
-# 0, 1, 2, ...: the ``through`` of an event-list line of up to 256 events,
-# whose sorted events count one each; a tuple index is faster than a range's.
-# generate cites within 5 years, so its lines that come here hold at most 63
-# events; up to 256 the tuple holds only the small ints CPython caches.
-_NATURALS = tuple(range(257))
+# A line as _paper_line writes it with author_ids, up to its event list. Each
+# capture is its field's JSON value: strings hold no escape and no control
+# character (JSON rejects one unescaped), the year has four digits, and each
+# id, as _read_record requires, has no whitespace at either end (\s matches
+# what str.strip() removes) and no leading '#'.
+_ID = r'"(?![\s#])[^"\\\x00-\x1f]+(?<!\s)"'
+_HEAD = re.compile(
+    rf'\{{"paper_id": ("[^"\\\x00-\x1f]+"), "pub_year": ([1-9][0-9]{{3}}), '
+    rf'"author_ids": \[({_ID}(?:, {_ID})*)\]{re.escape(_EVENTS_KEY)}'
+)
 
 
-def _event_list(years: Iterable[int], per_year: Iterable[int]) -> str:
-    """Each year's text repeated by its event count, joined by ", "."""
-    return "".join(map(mul, map("{}, ".format, years), per_year))[:-2]
+@lru_cache(maxsize=256)
+def _span(year: str) -> tuple[int, tuple[str, ...], str]:
+    """A four-digit pub_year's int, then the slots of the 10 years from it,
+    each its text and ", ", and their last digits. In 10 years a digit names
+    each year; generate cites within 5, so its lines are recognized for any
+    --windows. A corpus spans a few dozen years: the cache stays small."""
+    pub_year = int(year)
+    slots = tuple(map("{}, ".format, range(pub_year, pub_year + 10)))
+    return pub_year, slots, "".join(slots)[3::6]
 
 
-def _split_rendered(text: str) -> tuple[str, list[int], list[int]] | None:
-    """The record text without its events, then its citations as _read_line
-    gives them, if the line ends in an event list exactly as _event_list
-    writes it; else None. The years run from the list's first to its last.
+def _event_list(slots: Iterable[str], per_year: Iterable[int]) -> str:
+    """Each year's slot repeated by its event count, less the last ", "."""
+    return "".join(map(mul, slots, per_year))[:-2]
 
-    Within 10 years a year is named by its last digit, the fourth character
-    of its slot, so one count per year gives counts that must write back.
+
+def _recognized(text: str) -> tuple[str, int, list[str], list[int]] | None:
+    """paper_id, pub_year, author_ids and the events in each year from
+    pub_year through the last event's, if _paper_line wrote the line with
+    author_ids that _read_record accepts and every event within 10 years of
+    pub_year; else None. It never raises: _read_record reads what it declines.
+
+    A year's slot ends in its last digit and ", ", so one count per digit
+    gives counts that must write back as the line's event list: that proves
+    them, and that no event precedes pub_year.
     """
-    if not text.endswith("]}"):
+    head = _HEAD.match(text)
+    if head is None or not text.endswith("]}"):
         return None
-    cut = text.rfind(_EVENTS_KEY)
-    events = text[cut + len(_EVENTS_KEY) : -2]
-    if cut <= 0 or len(events) < _DENSE_MIN_CHARS:
+    paper_id, year, ids = head.groups()
+    author_ids = ids[1:-1].split('", "')
+    if len(set(author_ids)) < len(author_ids):
         return None
-    try:
-        first, last = int(events[:4]), int(events[-4:])
-    except ValueError:
+    pub_year, slots, digits = _span(year)
+    events = text[head.end() : -2]
+    through = digits.find(events[-1:]) + 1
+    per_year = list(map(events[3::6].count, digits[:through]))
+    if _event_list(slots, per_year) != events:
         return None
-    if not 1000 <= first <= last < min(first + _DENSE_MAX_YEARS, 10000):
-        return None
-    years = range(first, last + 1)
-    counts = list(map(events[3::6].count, _DIGITS[first % 10 :][: len(years)]))
-    if _event_list(years, counts) != events:
-        return None
-    return text[:cut] + "}", list(years), [0, *accumulate(counts)]
+    return paper_id[1:-1], pub_year, author_ids, per_year
 
 
-def _read_line(text: str) -> tuple[str, int, int, list[str] | None, Any, Any]:
+def _read_line(
+    text: str, window_count: int
+) -> tuple[str, int, int, list[str] | None, list[int]]:
     """A checked corpus line: paper_id, pub_year, author_count, author_ids
-    or None, and its citations as ``years``, ascending, and ``through``:
-    ``through[bisect_right(years, y)]`` of them fall in years up to y.
-
-    A line ending in an event list as _paper_line writes it is read per
-    year: its record without the list, plus the list's count per year. If
-    that read fails, the whole line is read, so a bad line fails with the
-    general path's error.
+    or None, and ``counts``: ``counts[k]`` of its citations fall within its
+    first k + 1 years, for k < window_count. A line _recognized reads is
+    counted per year; any other is decoded and checked by _read_record.
     """
-    rendered = len(text) > _DENSE_MIN_CHARS and _split_rendered(text)
-    if rendered:
-        try:
-            return _read_record(rendered[0], rendered[1:])
-        except ValueError:
-            pass
-    return _read_record(text)
+    recognized = _recognized(text)
+    if recognized is None:
+        paper_id, pub_year, author_count, author_ids, years = _read_record(text)
+        counts = [bisect_right(years, pub_year + k) for k in range(window_count)]
+        return paper_id, pub_year, author_count, author_ids, counts
+    paper_id, pub_year, author_ids, per_year = recognized
+    counts = list(accumulate(per_year[:window_count]))
+    # No event falls after the years counted: later windows count them all.
+    counts += counts[-1:] * (window_count - len(counts))
+    return paper_id, pub_year, len(author_ids), author_ids, counts
 
 
-def _read_record(
-    text: str, per_year: tuple[list[int], list[int]] | None = None
-) -> tuple[str, int, int, list[str] | None, Any, Any]:
+def _read_record(text: str) -> tuple[str, int, int, list[str] | None, list[int]]:
     """_read_line's fields from a JSON record, checked: its shape, then each
-    field. author_count defaults to the number of author_ids. The citations
-    are the record's events, or a per-year line's ``per_year`` (years,
-    through): matched against the line by their re-render, only their first
-    year is checked here.
+    field, with its events, sorted, in place of counts. author_count
+    defaults to the number of author_ids.
 
     A line writes ids as JSON strings and numbers with int.__repr__, which
     writes a bool as 0 or 1, so each must be of exactly that type. The bound
@@ -449,21 +456,15 @@ def _read_record(
             raise ValueError(
                 f"paper {paper_id}: author id {repeated!r} is listed twice"
             )
-    if per_year is None:
-        if not {int}.issuperset(map(type, citing)):
-            raise ValueError(f"paper {paper_id}: citing_years must be integers")
-        years = sorted(citing)
-        if len(years) < len(_NATURALS):
-            per_year = years, _NATURALS
-        else:
-            per_year = years, range(len(years) + 1)
-    years, through = per_year
+    if not {int}.issuperset(map(type, citing)):
+        raise ValueError(f"paper {paper_id}: citing_years must be integers")
+    years = sorted(citing)
     if years and years[0] < pub_year:
         raise ValueError(
             f"paper {paper_id}: citing year {years[0]} precedes "
             f"publication year {pub_year}"
         )
-    return paper_id, pub_year, author_count, author_ids, years, through
+    return paper_id, pub_year, author_count, author_ids, years
 
 
 class _EveryAuthor:
@@ -491,12 +492,13 @@ def ingest_corpus(
     agree). Errors report the 1-based line number. A file ``source`` is read
     once; ``digest``, if given, is updated with its bytes as they are read.
     Each line gives the citations within each of the first ``window_count``
-    years of its paper. Without ``authors`` that is the WindowPoints of
-    every line, in line order. With ``authors``, it is the ListedPapers of
-    those authors, or with EVERY_AUTHOR of each author a line names: a
-    PaperWindows of those counts for each line whose author_ids name one of
-    them. Every line is still checked in full, and paper_ids must still
-    differ across all lines.
+    years of its paper, counted per year if _paper_line wrote it as
+    _read_line recognizes, else decoded. Without ``authors`` that is the
+    WindowPoints of every line, in line order. With ``authors``, it is the
+    ListedPapers of those authors, or with EVERY_AUTHOR of each author a
+    line names: a PaperWindows of those counts for each line whose
+    author_ids name one of them. Every line is still checked in full, and
+    paper_ids must still differ across all lines.
     """
     if window_count < 1:
         raise ValueError("window_count must be >= 1")
@@ -514,32 +516,27 @@ def ingest_corpus(
     pub_years: list[int] = []
     # Every line's window counts, one line after the other.
     window_counts: list[int] = []
-    offsets = range(window_count)
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            paper_id, pub_year, author_count, author_ids, years, through = _read_line(line)
+            paper_id, pub_year, author_count, author_ids, counts = _read_line(
+                line, window_count
+            )
             if paper_id in seen:
                 raise ValueError(f"duplicate paper_id {paper_id!r}")
         except ValueError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
         seen.add(paper_id)
         if groups is None:
-            counted = window_counts
-        elif author_ids is None or not every and groups.keys().isdisjoint(author_ids):
+            pub_years.append(ints.setdefault(pub_year, pub_year))
+            window_counts += counts
             continue
-        else:
-            counted = []
+        if author_ids is None or not every and groups.keys().isdisjoint(author_ids):
+            continue
         pub_year = ints.setdefault(pub_year, pub_year)
-        # Window w ends with the year pub_year + w - 1.
-        for k in offsets:
-            counted.append(through[bisect_right(years, pub_year + k)])
-        if groups is None:
-            pub_years.append(pub_year)
-            continue
-        paper = PaperWindows(paper_id, pub_year, author_count, tuple(counted))
+        paper = PaperWindows(paper_id, pub_year, author_count, tuple(counts))
         paper_count += 1
         for author_id in author_ids:
             group = groups.get(author_id)
@@ -548,7 +545,7 @@ def ingest_corpus(
             elif every:
                 groups[author_id] = [paper]
     if groups is None:
-        windows = tuple(window_counts[k :: window_count] for k in offsets)
+        windows = tuple(window_counts[k :: window_count] for k in range(window_count))
         return WindowPoints(pub_years, windows)
     return ListedPapers(dict(sorted(groups.items())) if every else groups, paper_count)
 
@@ -576,7 +573,7 @@ def _paper_line(
     return (
         f'{{"paper_id": {_quote(paper_id)}, '
         f'"pub_year": {int.__repr__(pub_year)}, '
-        f"{authors}{_EVENTS_KEY}{_event_list(years, per_year)}]}}"
+        f"{authors}{_EVENTS_KEY}{_event_list(map('{}, '.format, years), per_year)}]}}"
     )
 
 

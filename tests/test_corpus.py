@@ -209,6 +209,9 @@ def test_render_paper_line_key_order():
                           citing_years=[]), "line 1: invalid JSON"),
         (line(paper_id="p1", pub_year=2000, author_ids=["a", "b", "a"],
               citing_years=[]), "line 1: paper p1: author id 'a' is listed twice"),
+        # int() reads a zero-led year, which JSON rejects.
+        ('{"paper_id": "p", "pub_year": 0999, "author_ids": ["a"], '
+         '"citing_years": [1000, 1000]}', "line 1: invalid JSON"),
         # A bool and a value below 1 fail the same check, with one text.
         (line(paper_id="p", pub_year=2000, author_count=True, citing_years=[]),
          "line 1: paper p: author_count must be an integer >= 1"),
@@ -366,14 +369,15 @@ def test_repeated_author_id_is_rejected():
 
 def test_ingest_shares_one_int_per_distinct_year():
     # Years above 256, which CPython does not cache. Paper i has 8 * i events
-    # over i + 1 years, so papers 8 and 9 take the per-year read.
+    # over i + 1 years, so papers 10 and 11 span too many years to be
+    # recognized and are decoded.
     lines = [
         line(paper_id=f"p{i}", pub_year=2000 + i % 3, author_ids=[f"a{i % 2}"],
              citing_years=sorted(2000 + i % 3 + k % (i + 1) for k in range(8 * i)))
         for i in range(12)
     ]
     assert [i for i, text in enumerate(lines)
-            if corpus_module._split_rendered(text)] == [8, 9]
+            if corpus_module._recognized(text) is None] == [10, 11]
     listed = ingest_corpus(lines, authors=EVERY_AUTHOR)
     years = [p.pub_year for papers in listed.groups.values() for p in papers]
     assert len({id(y) for y in years}) == len(set(years)) == 3
@@ -458,17 +462,19 @@ def test_ingest_render_round_trip_property(records):
     round_trip(records)
 
 
-# Publication years around the edges of the 4-digit range the per-year read
-# handles, and inside it.
+# Publication years around the edges of the 4-digit range the recognizer
+# reads, and inside it.
 PUB_YEARS = st.sampled_from([990, 995, 999, 1000, 9990, 9995]) | st.integers(1950, 2020)
 
 
 @st.composite
-def dense_papers(draw, paper_id="p"):
-    """A record with at least 64 events over 1 to 12 calendar years."""
+def dense_papers(draw, paper_id="p", min_events=64):
+    """A record with at least ``min_events`` events over 1 to 12 calendar years."""
     pub_year = draw(PUB_YEARS)
     span = draw(st.integers(0, 11))
-    events = st.lists(st.integers(pub_year, pub_year + span), min_size=64, max_size=200)
+    events = st.lists(
+        st.integers(pub_year, pub_year + span), min_size=min_events, max_size=200
+    )
     return {"paper_id": paper_id, "pub_year": pub_year, **author_fields(draw),
             "citing_years": sorted(draw(events))}
 
@@ -579,8 +585,9 @@ def ingested(text, authors=None):
         return str(exc)
 
 
-# Ways to take a rendered event list out of the form the per-year read
-# accepts: a separator after slot i, an edit of slot i, or a named change.
+# Ways to take a line out of the form the recognizer reads: a separator
+# after event slot i, an edit of slot i, a head written in its place, or a
+# named change.
 SEPARATORS = (",", ",  ", ", \t")
 SLOT_EDITS = {
     "leading zero": lambda y: "0" + y,
@@ -593,7 +600,7 @@ SLOT_EDITS = {
     "arabic-indic": lambda y: y.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
 }
 # Defects in the record's other fields, written after them, so each overrides
-# an earlier key: the per-year read must fail on them as the whole line does.
+# an earlier key: the line must fail as the general path fails it.
 HEAD_EDITS = {
     "pub_year true": '"pub_year": true',
     "author_count mismatch": '"author_count": 2, "author_ids": ["a"]',
@@ -601,9 +608,37 @@ HEAD_EDITS = {
     "repeated id": '"author_count": 2, "author_ids": ["a", "a"]',
     "empty paper_id": '"paper_id": ""',
 }
+
+
+def _head(pub_year, paper_id='"p"', author_ids='"a", "b"'):
+    return f'{{"paper_id": {paper_id}, "pub_year": {pub_year}, "author_ids": [{author_ids}]'
+
+
+# Heads just outside the form _paper_line writes with author_ids, or with an
+# id _read_record rejects, each written for the paper's pub_year y in place
+# of the line's head. The recognizer must decline every one.
+HEADS = {
+    "escaped id": lambda y: _head(y, author_ids='"a\\u0062"'),
+    "escaped quote in an id": lambda y: _head(y, author_ids='"a\\"b"'),
+    "escaped paper_id": lambda y: _head(y, paper_id='"p\\u0071"'),
+    "leading space in an id": lambda y: _head(y, author_ids='" a", "b"'),
+    "trailing space in an id": lambda y: _head(y, author_ids='"a", "b "'),
+    "trailing NBSP in an id": lambda y: _head(y, author_ids='"a\u00a0"'),
+    "raw tab in an id": lambda y: _head(y, author_ids='"a\tb"'),
+    "raw newline in paper_id": lambda y: _head(y, paper_id='"p\nq"'),
+    "id starting with #": lambda y: _head(y, author_ids='"a", "#b"'),
+    "repeated id in place": lambda y: _head(y, author_ids='"a", "b", "a"'),
+    "3-digit pub_year": lambda y: _head(100 + y % 900),
+    "5-digit pub_year": lambda y: _head(10000 + y),
+    "zero-led pub_year": lambda y: _head(f"0{y}"),
+    "keys in another order":
+        lambda y: f'{{"pub_year": {y}, "paper_id": "p", "author_ids": ["a"]',
+    "author_count form": lambda y: f'{{"paper_id": "p", "pub_year": {y}, "author_count": 1',
+}
 MUTATIONS = [
-    "none", *SEPARATORS, *SLOT_EDITS, *HEAD_EDITS, "non-contiguous run",
+    "none", *SEPARATORS, *SLOT_EDITS, *HEAD_EDITS, *HEADS, "non-contiguous run",
     "year before pub_year", "earlier duplicate key", "empty head", "escaped key decoy",
+    "closed out of order",
 ]
 
 
@@ -618,6 +653,8 @@ def mutated_line(paper, mutation, i):
     elif mutation in HEAD_EDITS:
         key = corpus_module._EVENTS_KEY
         head = head[: -len(key)] + ", " + HEAD_EDITS[mutation] + key
+    elif mutation in HEADS:
+        head = HEADS[mutation](paper["pub_year"]) + corpus_module._EVENTS_KEY
     elif mutation == "non-contiguous run":
         slots.append(slots.pop(i))
     elif mutation == "year before pub_year":
@@ -628,15 +665,21 @@ def mutated_line(paper, mutation, i):
         head = "{" + corpus_module._EVENTS_KEY
     elif mutation == "escaped key decoy":
         tail = '], "x\\"citing_years": [' + ", ".join([min(slots)] * 64) + "]}"
+    elif mutation == "closed out of order":
+        tail = "}]"
     return head + ", ".join(slots) + tail
 
 
-@given(dense_papers(), st.sampled_from(MUTATIONS), st.data())
+def declined(text):
+    return None
+
+
+@given(dense_papers(min_events=2), st.sampled_from(MUTATIONS), st.data())
 def test_per_year_read_matches_general_path(paper, mutation, data):
     events = paper["citing_years"]
     i = data.draw(st.integers(0, len(events) - 2))
     text = mutated_line(paper, mutation, i)
-    with mock.patch.object(corpus_module, "_split_rendered", lambda text: None):
+    with mock.patch.object(corpus_module, "_recognized", declined):
         expected = ingested(text)
         grouped = ingested(text, EVERY_AUTHOR)
     assert ingested(text) == expected
@@ -645,42 +688,59 @@ def test_per_year_read_matches_general_path(paper, mutation, data):
     assert ingested(text, ["nobody"]) == (expected if type(expected) is str else [])
     if mutation == "none":
         assert expected == oracle_points([paper])
-        span = events[-1] - events[0]
-        in_range = 1000 <= events[0] and events[-1] <= 9999
-        taken = corpus_module._split_rendered(text) is not None
-        assert taken == (span < 10 and in_range)
+        pub_year = paper["pub_year"]
+        in_form = "author_ids" in paper and 1000 <= pub_year
+        taken = corpus_module._recognized(text) is not None
+        assert taken == (in_form and events[-1] < min(pub_year + 10, 10000))
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS[1:])
+def test_recognizer_declines_every_mutation(mutation):
+    paper = {"paper_id": "p", "pub_year": 1999, "author_ids": ["a"],
+             "citing_years": [1999, 2000, 2000]}
+    assert corpus_module._recognized(mutated_line(paper, "none", 0)) is not None
+    assert corpus_module._recognized(mutated_line(paper, mutation, 0)) is None
 
 
 def test_per_year_line_citing_before_its_publication_is_rejected():
-    # Of the per-year citations a line reads as, only the first year is
-    # checked: the re-render has matched the rest against the line's text.
-    text = written({"paper_id": "p", "pub_year": 2001, "author_count": 1,
+    # The re-render of its per-year counts, which start at pub_year, differs
+    # from the line, so the line is decoded, and its error is the general one.
+    text = written({"paper_id": "p", "pub_year": 2001, "author_ids": ["a"],
                     "citing_years": [2000] * 40 + [2001] * 40})
-    assert corpus_module._split_rendered(text) is not None
+    assert corpus_module._recognized(text) is None
     assert ingested(text) == ingested(text, EVERY_AUTHOR) == (
         "line 1: paper p: citing year 2000 precedes publication year 2001"
     )
 
 
-def test_rendered_events_are_not_decoded(monkeypatch):
-    # 100 papers x 2,000 events over 5 distinct years, as _paper_line writes them.
-    lines = [
-        line(paper_id=f"p{i}", pub_year=2000, author_count=1,
-             citing_years=[2000 + k // 400 for k in range(2000)])
-        for i in range(100)
+def test_rendered_events_are_not_decoded():
+    # Every line generate writes, and lists of 0 to 63 events and of 2,000
+    # over the 10 years from pub_year, as _paper_line writes them.
+    config = SynthConfig.from_json((DATA / "experiment_fit_config.json").read_text())
+    lines = list(generate_corpus(config)[0]) + [
+        line(paper_id=f"q{n}", pub_year=2000, author_ids=["a", f"q{n}_b"],
+             citing_years=sorted(2000 + k % 10 for k in range(n)))
+        for n in [*range(64), 2000]
     ]
     decoded = []
+    decode = corpus_module._decode
 
     def recording_decode(text):
         decoded.append(text)
         return decode(text)
 
-    decode = corpus_module._decode
-    monkeypatch.setattr(corpus_module, "_decode", recording_decode)
-    points = ingest_corpus(lines)
-    assert points.windows[1][7] == 800
-    assert len(decoded) == 100
-    assert not any("citing_years" in text for text in decoded)
+    # Windows past the 10 years counted per year count every event.
+    for window_count in range(1, 13):
+        def read():
+            return [ingest_corpus(lines, window_count=window_count),
+                    ingest_corpus(lines, authors=["a"], window_count=window_count)]
+
+        with mock.patch.object(corpus_module, "_recognized", declined):
+            expected = read()
+        with mock.patch.object(corpus_module, "_decode", recording_decode):
+            assert read() == expected
+    assert decoded == []
+    assert expected[1].groups["a"][-1].counts == (*range(200, 2001, 200), 2000, 2000)
 
 
 ANY_YEARS = st.sampled_from([-5000, -1, 0, 1, 999, 1000, 9999, 10000]) | st.integers(
