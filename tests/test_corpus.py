@@ -335,8 +335,8 @@ def paper_arguments(draw):
         "paper_id": draw(IDS),
         "pub_year": pub_year,
         "author_count": len(authors) if authors else draw(st.integers(1, 3)),
-        # Up to 80 events over 10 years: sorted, some lines take the
-        # per-year read.
+        # Up to 80 events over 10 years, sorted or not. json.dumps writes
+        # author_count, so the recognizer declines every line: all decode.
         "citing_years": draw(events.map(sorted) | events),
         "author_ids": authors,
     }
@@ -487,7 +487,7 @@ def test_ingest_render_round_trip_property_dense(records):
 @given(corpora(lambda paper_id: sparse_papers(paper_id) | dense_papers(paper_id)),
        st.integers(1, 6))
 def test_window_counts_read_from_lines_equal_counts_from_papers(records, window_count):
-    # Event lists and per-year lines, events past the last window, papers
+    # Recognized and decoded lines, events past the last window, papers
     # with no events, and lines with an author_count only, in one corpus.
     lines = list(map(written, records))
     counted = ingest_corpus(lines, window_count=window_count)
@@ -528,7 +528,7 @@ SLOPED_MODEL = ExpectationModel(
 def test_ingest_for_listed_authors_equals_filtered_full_ingest(
     records, window_count, data
 ):
-    # Event lists and per-year lines, events past the last window, papers
+    # Recognized and decoded lines, events past the last window, papers
     # with no events, and lines with an author_count only, in one corpus.
     # The references are every author's groups and the groups by definition.
     named = sorted({a for r in records for a in r.get("author_ids", ())})
@@ -610,7 +610,8 @@ HEAD_EDITS = {
 }
 
 
-def _head(pub_year, paper_id='"p"', author_ids='"a", "b"'):
+def head_text(pub_year, paper_id='"p"', author_ids='"a", "b"'):
+    """A line up to its citing_years key, from these fields' JSON text."""
     return f'{{"paper_id": {paper_id}, "pub_year": {pub_year}, "author_ids": [{author_ids}]'
 
 
@@ -618,19 +619,19 @@ def _head(pub_year, paper_id='"p"', author_ids='"a", "b"'):
 # id _read_record rejects, each written for the paper's pub_year y in place
 # of the line's head. The recognizer must decline every one.
 HEADS = {
-    "escaped id": lambda y: _head(y, author_ids='"a\\u0062"'),
-    "escaped quote in an id": lambda y: _head(y, author_ids='"a\\"b"'),
-    "escaped paper_id": lambda y: _head(y, paper_id='"p\\u0071"'),
-    "leading space in an id": lambda y: _head(y, author_ids='" a", "b"'),
-    "trailing space in an id": lambda y: _head(y, author_ids='"a", "b "'),
-    "trailing NBSP in an id": lambda y: _head(y, author_ids='"a\u00a0"'),
-    "raw tab in an id": lambda y: _head(y, author_ids='"a\tb"'),
-    "raw newline in paper_id": lambda y: _head(y, paper_id='"p\nq"'),
-    "id starting with #": lambda y: _head(y, author_ids='"a", "#b"'),
-    "repeated id in place": lambda y: _head(y, author_ids='"a", "b", "a"'),
-    "3-digit pub_year": lambda y: _head(100 + y % 900),
-    "5-digit pub_year": lambda y: _head(10000 + y),
-    "zero-led pub_year": lambda y: _head(f"0{y}"),
+    "escaped id": lambda y: head_text(y, author_ids='"a\\u0062"'),
+    "escaped quote in an id": lambda y: head_text(y, author_ids='"a\\"b"'),
+    "escaped paper_id": lambda y: head_text(y, paper_id='"p\\u0071"'),
+    "leading space in an id": lambda y: head_text(y, author_ids='" a", "b"'),
+    "trailing space in an id": lambda y: head_text(y, author_ids='"a", "b "'),
+    "trailing NBSP in an id": lambda y: head_text(y, author_ids='"a\u00a0"'),
+    "raw tab in an id": lambda y: head_text(y, author_ids='"a\tb"'),
+    "raw newline in paper_id": lambda y: head_text(y, paper_id='"p\nq"'),
+    "id starting with #": lambda y: head_text(y, author_ids='"a", "#b"'),
+    "repeated id in place": lambda y: head_text(y, author_ids='"a", "b", "a"'),
+    "3-digit pub_year": lambda y: head_text(100 + y % 900),
+    "5-digit pub_year": lambda y: head_text(10000 + y),
+    "zero-led pub_year": lambda y: head_text(f"0{y}"),
     "keys in another order":
         lambda y: f'{{"pub_year": {y}, "paper_id": "p", "author_ids": ["a"]',
     "author_count form": lambda y: f'{{"paper_id": "p", "pub_year": {y}, "author_count": 1',
