@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+import re
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -36,6 +38,26 @@ FIXTURE = DATA / "fixture_corpus.jsonl"
 
 def line(**kwargs):
     return json.dumps(kwargs)
+
+
+@contextmanager
+def decoding():
+    """A list of the text of each line ingest_corpus decodes, in order.
+    A line is counted per year exactly when it is not decoded."""
+    decoded = []
+    decode = corpus_module._decode
+
+    def recording_decode(text):
+        decoded.append(text)
+        return decode(text)
+
+    with mock.patch.object(corpus_module, "_decode", recording_decode):
+        yield decoded
+
+
+def general():
+    """Every line read by the general path: the head never matches."""
+    return mock.patch.object(corpus_module, "_HEAD", re.compile("(?!)"))
 
 
 def written(record):
@@ -376,9 +398,9 @@ def test_ingest_shares_one_int_per_distinct_year():
              citing_years=sorted(2000 + i % 3 + k % (i + 1) for k in range(8 * i)))
         for i in range(12)
     ]
-    assert [i for i, text in enumerate(lines)
-            if corpus_module._recognized(text) is None] == [10, 11]
-    listed = ingest_corpus(lines, authors=EVERY_AUTHOR)
+    with decoding() as decoded:
+        listed = ingest_corpus(lines, authors=EVERY_AUTHOR)
+    assert decoded == lines[10:]
     years = [p.pub_year for papers in listed.groups.values() for p in papers]
     assert len({id(y) for y in years}) == len(set(years)) == 3
     counted = ingest_corpus(lines).pub_year
@@ -671,18 +693,15 @@ def mutated_line(paper, mutation, i):
     return head + ", ".join(slots) + tail
 
 
-def declined(text):
-    return None
-
-
 @given(dense_papers(min_events=2), st.sampled_from(MUTATIONS), st.data())
 def test_per_year_read_matches_general_path(paper, mutation, data):
     events = paper["citing_years"]
     i = data.draw(st.integers(0, len(events) - 2))
     text = mutated_line(paper, mutation, i)
-    with mock.patch.object(corpus_module, "_recognized", declined):
+    with general(), decoding() as decoded:
         expected = ingested(text)
         grouped = ingested(text, EVERY_AUTHOR)
+    assert decoded == [text, text]
     assert ingested(text) == expected
     assert ingested(text, EVERY_AUTHOR) == grouped
     # Not read for "nobody", the line is still checked, through min(events).
@@ -691,16 +710,20 @@ def test_per_year_read_matches_general_path(paper, mutation, data):
         assert expected == oracle_points([paper])
         pub_year = paper["pub_year"]
         in_form = "author_ids" in paper and 1000 <= pub_year
-        taken = corpus_module._recognized(text) is not None
-        assert taken == (in_form and events[-1] < min(pub_year + 10, 10000))
+        with decoding() as decoded:
+            ingested(text)
+        assert (not decoded) == (in_form and events[-1] < min(pub_year + 10, 10000))
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS[1:])
 def test_recognizer_declines_every_mutation(mutation):
     paper = {"paper_id": "p", "pub_year": 1999, "author_ids": ["a"],
              "citing_years": [1999, 2000, 2000]}
-    assert corpus_module._recognized(mutated_line(paper, "none", 0)) is not None
-    assert corpus_module._recognized(mutated_line(paper, mutation, 0)) is None
+    text = mutated_line(paper, mutation, 0)
+    with decoding() as decoded:
+        ingested(mutated_line(paper, "none", 0))
+        ingested(text)
+    assert decoded == [text]
 
 
 def test_per_year_line_citing_before_its_publication_is_rejected():
@@ -708,10 +731,11 @@ def test_per_year_line_citing_before_its_publication_is_rejected():
     # from the line, so the line is decoded, and its error is the general one.
     text = written({"paper_id": "p", "pub_year": 2001, "author_ids": ["a"],
                     "citing_years": [2000] * 40 + [2001] * 40})
-    assert corpus_module._recognized(text) is None
-    assert ingested(text) == ingested(text, EVERY_AUTHOR) == (
-        "line 1: paper p: citing year 2000 precedes publication year 2001"
-    )
+    with decoding() as decoded:
+        assert ingested(text) == ingested(text, EVERY_AUTHOR) == (
+            "line 1: paper p: citing year 2000 precedes publication year 2001"
+        )
+    assert decoded == [text, text]
 
 
 def test_rendered_events_are_not_decoded():
@@ -723,24 +747,18 @@ def test_rendered_events_are_not_decoded():
              citing_years=sorted(2000 + k % 10 for k in range(n)))
         for n in [*range(64), 2000]
     ]
-    decoded = []
-    decode = corpus_module._decode
-
-    def recording_decode(text):
-        decoded.append(text)
-        return decode(text)
-
     # Windows past the 10 years counted per year count every event.
     for window_count in range(1, 13):
         def read():
             return [ingest_corpus(lines, window_count=window_count),
                     ingest_corpus(lines, authors=["a"], window_count=window_count)]
 
-        with mock.patch.object(corpus_module, "_recognized", declined):
+        with general(), decoding() as decoded:
             expected = read()
-        with mock.patch.object(corpus_module, "_decode", recording_decode):
+        assert decoded == lines + lines
+        with decoding() as decoded:
             assert read() == expected
-    assert decoded == []
+        assert decoded == []
     assert expected[1].groups["a"][-1].counts == (*range(200, 2001, 200), 2000, 2000)
 
 
