@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence
 
 from . import _EXPORTS, __version__
 
@@ -480,5 +480,40 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The console script and ``python -m biblio_bench``: main, then exit.
+
+    The exit code is main's, or that of argparse's SystemExit for --help,
+    --version and a usage error. Once stdout and stderr are flushed, the
+    process ends with os._exit: every output is already closed and in
+    place, and interpreter teardown, which frees every module and object,
+    would do no work for the command. A stdout that cannot be flushed is
+    an error, exit code 1. An uncaught exception, or a SystemExit whose
+    code is not an int, takes the normal exit with its traceback and code.
+
+    OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise:
+    fit's sums go through its dot product, whose rounding would otherwise
+    depend on the machine's CPU count.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if not code:
+            # A failed write in main was reported already.
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

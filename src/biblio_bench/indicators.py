@@ -213,20 +213,48 @@ def _number(kind: type, text: str) -> Any:
     return value
 
 
+# The bytes render_table writes in a row's number cells: digits, '.', '-',
+# 'e', the ',' between a tuple's items and the tab between cells. Its one
+# other byte, the '+' of an exponent such as 1.5e+16, is checked in its cell.
+_WRITTEN = b"0123456789.-e,\t"
+
+
+def _unwritten(text: str) -> str | None:
+    """Why render_table writes no number cell `text`, or None.
+
+    int() and float() also read '_', whitespace, non-ASCII digits and a
+    leading '+', none of which render_table writes.
+    """
+    if not text.isascii():
+        return "holds a non-ASCII character"
+    if "_" in text:
+        return "holds '_'"
+    if " " in text or not text.isprintable():
+        return "holds whitespace or a control character"
+    if text.startswith("+") or ",+" in text:
+        return "has a '+' sign"
+    return None
+
+
 def parse_table(kind: type, text: str, key: str | None = None) -> list[Any]:
     """Read a table written by render_table with the same `kind` and `key`.
 
     Each cell is decoded by its field's type hint: str, int, float, or
     tuple[float, ...], whose cell is its items joined by "," (an empty cell
     is ``()``). Every number is a finite value >= 0, as every indicator,
-    p and rank is. A wrong header, a row of the wrong width, a repeated
-    `key` and a number cell that breaks that rule are rejected with their
-    line number and column name.
+    p and rank is, written as render_table writes it: no '_', whitespace,
+    non-ASCII character or '+' sign. A wrong header, a row of the wrong
+    width, a repeated `key` and a number cell that breaks either rule are
+    rejected with their line number and column name.
     """
     types = get_type_hints(kind)
     columns = [(f.name, types[f.name]) for f in fields(kind)]
     if key is not None:
         columns.insert(0, (key, str))
+    # A row's number cells, from its first column that is not a str, are
+    # screened as one text; only a row holding a byte not _WRITTEN is
+    # checked cell by cell.
+    lead = next(i for i, (_, cast) in enumerate(columns) if cast is not str)
     lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not lines:
         raise ValueError(f"{kind.__name__} table has no header row")
@@ -250,6 +278,11 @@ def parse_table(kind: type, text: str, key: str | None = None) -> list[Any]:
                 raise ValueError(
                     f"line {lineno}: {key} {cells[0]!r} repeats line {first}"
                 )
+        if line.split("\t", lead)[lead].encode().translate(None, _WRITTEN):
+            for (name, cast), cell in zip(columns[lead:], cells[lead:]):
+                reason = cast is not str and _unwritten(cell)
+                if reason:
+                    raise ValueError(f"line {lineno}: {name} is {cell!r}, {reason}")
         values = []
         for (name, cast), cell in zip(columns, cells):
             try:

@@ -1162,23 +1162,28 @@ def test_version_flag(capsys):
 
 
 # Runs one command in a fresh interpreter, through `python -m biblio_bench`'s
-# path (runpy) or the console script's (biblio_bench.cli:main), then prints
+# path (runpy) or the console script's (biblio_bench.cli:run), then prints
 # its exit code, the biblio_bench submodules loaded and which of hashlib,
 # json and logging were loaded, read before the probe imports json to print.
+# os._exit raises SystemExit in its place, so the probe outlives the command.
 STARTUP_PROBE = """
+import os
 import runpy
 import sys
 entry, *argv = sys.argv[1:]
 def unloaded(step):
     for name in ("numpy", "statistics"):
         assert name not in sys.modules, (name, step)
+def exit_(code):
+    raise SystemExit(code)
+os._exit = exit_
 if entry == "script":
-    from biblio_bench.cli import main
+    from biblio_bench.cli import run
 unloaded("import")
 sys.argv = ["biblio-bench", *argv]
 try:
     if entry == "script":
-        sys.exit(main())
+        run()
     runpy.run_module("biblio_bench", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
@@ -1189,6 +1194,21 @@ stdlib = [m for m in ("hashlib", "json", "logging") if m in sys.modules]
 import json
 print(json.dumps([code, loaded, stdlib]))
 """
+
+
+def child_env(**overrides):
+    """This environment for a child interpreter that imports this checkout's
+    biblio_bench, with logging off; a value of None removes its variable."""
+    env = dict(os.environ)
+    env.pop("BIBLIO_BENCH_LOG", None)
+    src = str(Path(biblio_bench.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
 
 
 def test_version_and_indicators_do_not_load_numpy(tmp_path):
@@ -1218,10 +1238,7 @@ def test_version_and_indicators_do_not_load_numpy(tmp_path):
         (["compare", "--stars", str(stars), "--control", str(control)], 0,
          "indicator\tmedian_stars\t", ["corpus", "indicators", "stats"]),
     ]
-    env = dict(os.environ)
-    env.pop("BIBLIO_BENCH_LOG", None)
-    src = str(Path(biblio_bench.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     for entry in ("-m", "script"):
         for argv, code, stdout, modules in runs:
             result = subprocess.run(
@@ -1236,6 +1253,100 @@ def test_version_and_indicators_do_not_load_numpy(tmp_path):
                 ["biblio_bench.cli", *(f"biblio_bench.{m}" for m in modules)],
                 ["hashlib", "json"] if modules else [],
             ], (entry, argv)
+
+
+def run_module(argv, cwd, **env):
+    """`python -m biblio_bench argv` in a child process, output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "biblio_bench", *argv],
+        capture_output=True, text=True, cwd=cwd, env=child_env(**env), timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["--version"], 0, ""),
+        (["fit", "--corpus", "missing.jsonl", "--out", "m.json"], 1,
+         "error: [Errno 2] No such file or directory: 'missing.jsonl'\n"),
+        (["fit"], 2, "usage: biblio-bench fit "),
+    ],
+)
+def test_exit_codes_through_python_m(tmp_path, argv, code, stderr):
+    result = run_module(argv, tmp_path)
+    assert result.returncode == code
+    assert result.stderr.startswith(stderr) if stderr else not result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def blas_sized_corpus(tmp_path_factory):
+    # 11,943 papers: OpenBLAS splits a dot product of more than 10,000
+    # elements across its threads, which changes the order of its sums.
+    workdir = tmp_path_factory.mktemp("blas")
+    config = json.loads((DATA / "experiment_fit_config.json").read_text())
+    (workdir / "config.json").write_text(json.dumps({**config, "n_control": 1300}))
+    corpus = workdir / "corpus.jsonl"
+    argv = ["generate", "--seed-config", str(workdir / "config.json"),
+            "--out", str(corpus)]
+    assert main(argv) == 0
+    return corpus
+
+
+def test_fit_model_bytes_do_not_depend_on_the_cpu_count(blas_sized_corpus, tmp_path):
+    # Unset, OpenBLAS would run a thread per CPU; the CLI defaults it to one.
+    argv = ["fit", "--corpus", str(blas_sized_corpus), "--min-papers", "1"]
+    unset = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                           "GOTO_NUM_THREADS"])
+    for name, env in [("unset", unset), ("one", {"OPENBLAS_NUM_THREADS": "1"})]:
+        result = run_module([*argv, "--out", f"{name}.json"], tmp_path, **env)
+        assert result.returncode == 0, result.stderr
+    assert (tmp_path / "unset.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+def test_a_large_stdout_table_arrives_whole(blas_sized_corpus, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    fit = ["fit", "--corpus", str(blas_sized_corpus), "--min-papers", "1"]
+    assert main([*fit, "--out", str(model)]) == 0
+    authors = blas_sized_corpus.with_name("corpus.controls.txt")
+    argv = ["indicators", "--corpus", str(blas_sized_corpus), "--model", str(model),
+            "--authors", str(authors), "--max-start-year", "none"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert len(expected.encode()) > 64 * 1024
+    result = run_module(argv, tmp_path, PYTHONUNBUFFERED=None)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected
+
+
+# Unbuffered, main's own write fails; buffered, the flush after main does.
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_a_stdout_that_cannot_be_written_is_an_error(tmp_path, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "biblio_bench", "indicators", *FIXTURE_ARGS],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+            env=child_env(PYTHONUNBUFFERED=unbuffered), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def test_a_closed_stdout_is_no_error(tmp_path):
+    # With descriptor 1 closed, sys.stdout is None and argparse prints the
+    # version to stderr.
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m biblio_bench --version >&-', sys.executable],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+        env=child_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == f"biblio-bench {biblio_bench.__version__}\n"
 
 
 # The effect-config pipeline from a working directory, with relative paths,

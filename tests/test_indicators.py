@@ -265,9 +265,12 @@ def test_format_decimal():
 
 
 def test_vector_table_round_trip():
+    # Only number cells are held to what render_table writes, so an id may
+    # hold '_', a space, '+' and non-ASCII text.
     rows = [
         ("a1", vector_of([(100, 2), (25, 2), (25, 1), (0, 4)])),
         ("a2", vector_of([(7, 3), (1, 1)])),
+        ("+a_3 \u00e9", replace(vector_of([(1, 1)]), f=1e-05, j_index=1.5e16)),
     ]
     text = render_vector_table(rows)
     parsed = parse_vector_table(text)

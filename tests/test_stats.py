@@ -251,6 +251,14 @@ def test_boxplot_table_round_trip_property(rows):
     assert parse_table(BoxplotSummary, render_boxplot_table(rows)) == rows
 
 
+def test_boxplot_outlier_with_a_plus_sign_is_rejected():
+    row = BoxplotSummary("stars", "n", 1.0, 0.5, 1.5, 0.0, 2.0, (3.0, 4.0))
+    text = render_boxplot_table([row])
+    assert parse_table(BoxplotSummary, text) == [row]
+    with pytest.raises(ValueError, match=r"line 2: outliers is '3.0,\+4.0', has a"):
+        parse_table(BoxplotSummary, text.replace("3.0,4.0", "3.0,+4.0"))
+
+
 @pytest.mark.parametrize(
     "cells, message",
     [
@@ -260,6 +268,15 @@ def test_boxplot_table_round_trip_property(rows):
         (["h", "1.0", "-2.0", "0.5", "1"],
          r"line 3: median_control is '-2.0', less than 0"),
         (["h", "1.0", "2.0", "0.5", "1.0"], r"line 3: rank is '1.0', not an integer"),
+        # int() and float() read these cells; render_table writes none of them.
+        (["h", "1_0", "2.0", "0.5", "1"], r"line 3: median_stars is '1_0', holds '_'"),
+        (["h", "1.0", " 2.0 ", "0.5", "1"],
+         r"line 3: median_control is ' 2.0 ', holds whitespace or a control"),
+        (["h", "1.0", "2.0", "0.5", "1\r"],
+         r"line 3: rank is '1\\r', holds whitespace or a control"),
+        (["h", "1.0", "2.0", "0.5", "+1"], r"line 3: rank is '\+1', has a '\+' sign"),
+        (["h", "1.0", "2.0", "\uff10.5", "1"],
+         r"line 3: p is '\uff10.5', holds a non-ASCII character"),
     ],
 )
 def test_comparison_table_errors_name_the_line(cells, message):
