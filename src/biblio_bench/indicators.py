@@ -203,7 +203,7 @@ def _number(kind: type, text: str) -> Any:
         value = kind(text)
     except ValueError:
         # int() also refuses an integer longer than the str-to-int digit limit.
-        if kind is int and not text.strip().lstrip("+-").isdecimal():
+        if kind is int and not text.lstrip("-").isdecimal():
             raise ValueError("not an integer")
         raise ValueError("not a finite number")
     if not _finite(value):
